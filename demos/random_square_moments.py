@@ -33,7 +33,7 @@ print(f"  E[H H']   = {m.second[0, 1]:.12f}   (exact: (pi+2)/pi = "
       f"{(np.pi + 2) / np.pi:.12f})")
 diag = stationarity_diagnostic(m)
 exist = existence_check(m)
-print(f"  stationary: {diag.passed}, perimeter proxy E[U]^2 = "
+print(f"  stationary: {diag.passed}, perimeter E[U^2] ~ "
       f"{exist.perimeter_second_moment_proxy:.1f}")
 print()
 

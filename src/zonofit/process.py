@@ -508,11 +508,19 @@ class ExistenceReport:
 def existence_check(m):
     """Sanity-check that the moments describe a square-integrable perimeter.
 
-    Uses Cauchy's formula on the grid: E[U] ~ (pi/n) sum E[H(theta_i)], and
-    reports its square as the E[U^2]-scale proxy (exact for stationary
-    moments of a deterministic-perimeter body).
+    Cauchy's formula U = integral_0^pi H(theta) dtheta gives
+    E[U] ~ (pi/n) sum_i E[H(theta_i)] and E[U^2] as the double integral of
+    E[H(theta) H(phi)], taken over the grid as w * sum_ij E[H_i H_j].  The
+    weight w = 4 / (n sum_d k_s(theta_d)) is the one that is exact for every
+    isotropic zonotope on the grid, where E[U^2] = 4 E[(sum alpha)^2] and
+    sum_ij E[H_i H_j] = n sum_d k_s(theta_d) E[(sum alpha)^2]; it tends to
+    the rectangle weight (pi/n)^2 as n grows.  Both values are exact for
+    stationary moments of such zonotopes, and isotropizing grid moments by
+    lag averages leaves them unchanged.
     """
     finite_mean = bool(np.all(np.isfinite(m.mean)))
     finite_second = bool(np.all(np.isfinite(m.second)))
     eu = (np.pi / m.n) * float(m.mean.sum()) if finite_mean else np.nan
-    return ExistenceReport(finite_mean, finite_second, eu, eu * eu)
+    weight = 4.0 / (m.n * float(k_s(regular_subdivision(m.n)).sum()))
+    eu2 = weight * float(m.second.sum()) if finite_second else np.nan
+    return ExistenceReport(finite_mean, finite_second, eu, eu2)

@@ -9,8 +9,16 @@ inverse CDF so the budget stays fixed.  Every estimate is then a
 deterministic function of (seed, sample index) alone: parallel workers
 produce bit-identical results in any configuration, and sums are reduced in
 a fixed chunked order.
+
+Zonotope models share one spectral sample block: on the regular grid the map
+from face lengths to Feret diameters is a circular convolution, evaluated
+for a whole chunk of samples with batched real FFTs.  Moments reduce each
+fixed chunk of CHUNK rows to power sums by matrix products and combine the
+chunk partials in a fixed pairwise tree, for sampled and for observed
+diameter tables alike.
 """
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -132,8 +140,8 @@ class RandomShapeModel:
     #: uniform words consumed per sample
     words_per_sample = 0
 
-    def feret_block(self, u, grid):
-        """Feret diameters, shape (samples, len(grid)), from a uniform block."""
+    def feret_block(self, u, n):
+        """Feret diameters, shape (samples, n), on the regular n-grid from a uniform block."""
         raise NotImplementedError
 
     def sample_one(self, u_row):
@@ -151,8 +159,8 @@ class DeterministicBody(RandomShapeModel):
     def __init__(self, body):
         self.body = body
 
-    def feret_block(self, u, grid):
-        h = np.asarray(self.body.feret(grid), dtype=float)
+    def feret_block(self, u, n):
+        h = np.asarray(self.body.feret(regular_subdivision(n)), dtype=float)
         return np.tile(h, (len(u), 1))
 
     def sample_one(self, u_row):
@@ -160,23 +168,41 @@ class DeterministicBody(RandomShapeModel):
 
 
 class _IsotropicZonotopeBase(RandomShapeModel):
-    """Shared sampling for zonotopes with random faces under uniform rotation."""
+    """Shared sampling for zonotopes with random faces under uniform rotation.
 
-    def __init__(self, directions, sizes):
-        if sizes.dim != len(directions):
+    The m face directions are the regular subdivision i*pi/m.
+    """
+
+    def __init__(self, m, sizes):
+        if sizes.dim != m:
             raise ParameterError(
                 f"size distribution produces {sizes.dim} components, "
-                f"model needs {len(directions)}"
+                f"model needs {m}"
             )
-        self.directions = directions
+        self.m = m
         self.sizes = sizes
         self.words_per_sample = sizes.draw_count + 1
 
-    def feret_block(self, u, grid):
+    def feret_block(self, u, n):
+        """Feret diameters on the regular n-grid as one batched circular convolution.
+
+        Grid angles g*pi/n and face directions i*pi/m both lie on the lattice
+        pi/L with L = lcm(n, m), so H(g*pi/n) = sum_i alpha_i T[g*L/n - i*L/m]
+        for the L-periodic lag table T[k] = |sin(k*pi/L - eta)|.  That is the
+        circular convolution of T with the faces placed at lattice positions
+        i*L/m, read at every (L/n)-th lag: L sines and three length-L real
+        FFTs per sample instead of n*m sines.
+        """
         faces = self.sizes.transform(u[:, : self.sizes.draw_count])
         eta = np.pi * u[:, self.sizes.draw_count]
-        gaps = grid[None, :, None] - eta[:, None, None] - self.directions[None, None, :]
-        return np.einsum("sgi,si->sg", np.abs(np.sin(gaps)), faces)
+        size = math.lcm(n, self.m)
+        table = np.abs(np.sin(regular_subdivision(size) - eta[:, None]))
+        up = np.zeros((len(u), size))
+        up[:, :: size // self.m] = faces
+        conv = np.fft.irfft(
+            np.fft.rfft(table, axis=1) * np.fft.rfft(up, axis=1), n=size, axis=1
+        )
+        return np.ascontiguousarray(conv[:, :: size // n])
 
     def sample_one(self, u_row):
         faces = self.sizes.transform(u_row[None, : self.sizes.draw_count])[0]
@@ -194,7 +220,7 @@ class IsotropicZonotope(_IsotropicZonotopeBase):
     kind = "isotropic_zonotope"
 
     def __init__(self, n, faces):
-        super().__init__(regular_subdivision(n), faces)
+        super().__init__(int(n), faces)
         self.n = int(n)
 
 
@@ -204,7 +230,7 @@ class IsotropicRectangle(_IsotropicZonotopeBase):
     kind = "isotropic_rectangle"
 
     def __init__(self, sides):
-        super().__init__(regular_subdivision(2), sides)
+        super().__init__(2, sides)
 
 
 class IsotropicEllipse(RandomShapeModel):
@@ -218,10 +244,10 @@ class IsotropicEllipse(RandomShapeModel):
         self.semiaxes = semiaxes
         self.words_per_sample = semiaxes.draw_count + 1
 
-    def feret_block(self, u, grid):
+    def feret_block(self, u, n):
         ab = self.semiaxes.transform(u[:, : self.semiaxes.draw_count])
         phi = np.pi * u[:, self.semiaxes.draw_count]
-        t = grid[None, :] - phi[:, None]
+        t = regular_subdivision(n)[None, :] - phi[:, None]
         return 2.0 * np.sqrt(
             (ab[:, :1] * np.sin(t)) ** 2 + (ab[:, 1:] * np.cos(t)) ** 2
         )
@@ -240,31 +266,6 @@ def sample_shape(model, stream_index, seed):
     if words == 0:
         return model.sample_one(np.zeros(0))
     return model.sample_one(_uniform_block(seed, stream_index * blocks, words))
-
-
-def empirical_moments(h, stationary=False):
-    """Feret-process moments from an observed diameter table of shape (samples, n).
-
-    Means, raw second moments, and their standard errors (sample standard
-    deviation over sqrt(samples)).
-    """
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    samples = h.shape[0]
-    if samples < 2:
-        raise ParameterError("need at least 2 samples")
-    sq = h * h
-    mean = h.mean(axis=0)
-    second = np.einsum("si,sj->ij", h, h) / samples
-    var_mean = np.maximum(np.add.reduce(sq, axis=0) - samples * mean**2, 0.0)
-    q2 = np.einsum("si,sj->ij", sq, sq)
-    var_second = np.maximum(q2 - samples * second**2, 0.0)
-    return FeretProcessMoments(
-        mean=mean,
-        second=second,
-        stderr_mean=np.sqrt(var_mean / (samples - 1) / samples),
-        stderr_second=np.sqrt(var_second / (samples - 1) / samples),
-        stationary=stationary,
-    )
 
 
 class EstimationResult:
@@ -290,25 +291,69 @@ def _tree_sum(parts):
     return items[0]
 
 
+def _chunk_sums(h):
+    """Power sums of one chunk of rows: sum h, h^T h, sum h^2 and (h^2)^T h^2."""
+    sq = h * h
+    return np.add.reduce(h, axis=0), h.T @ h, np.add.reduce(sq, axis=0), sq.T @ sq
+
+
+def _moments_from_sums(parts, samples, stationary):
+    """Moments and standard errors from per-chunk power sums, combined by _tree_sum.
+
+    Standard errors are the entrywise sample standard deviations divided by
+    sqrt(samples).
+    """
+    s1, s2, q1, q2 = (_tree_sum([p[k] for p in parts]) for k in range(4))
+    mean = s1 / samples
+    second = s2 / samples
+    var_mean = np.maximum(q1 - samples * mean**2, 0.0) / (samples - 1)
+    var_second = np.maximum(q2 - samples * second**2, 0.0) / (samples - 1)
+    return FeretProcessMoments(
+        mean=mean,
+        second=second,
+        stderr_mean=np.sqrt(var_mean / samples),
+        stderr_second=np.sqrt(var_second / samples),
+        stationary=stationary,
+    )
+
+
+def empirical_moments(h, stationary=False):
+    """Feret-process moments from an observed diameter table of shape (samples, n).
+
+    The table is reduced in the same CHUNK-row pieces and the same order as
+    `estimate_process_moments`, so a table of sampled diameters gives the
+    streamed estimate bit for bit.
+    """
+    h = np.ascontiguousarray(np.atleast_2d(np.asarray(h, dtype=float)))
+    samples = h.shape[0]
+    if samples < 2:
+        raise ParameterError("need at least 2 samples")
+    parts = [_chunk_sums(h[s : s + CHUNK]) for s in range(0, samples, CHUNK)]
+    return _moments_from_sums(parts, samples, stationary)
+
+
 def feret_sample_block(model, n, seed, start, count):
     """Feret diameters of samples [start, start+count) on the regular n-grid."""
-    grid = regular_subdivision(n)
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError(f"grid size must be a positive integer, got {n!r}")
     blocks, words = _stride(model)
     if words == 0:
         u = np.zeros((count, 0))
     else:
         u = _uniform_block(seed, start * blocks, (count, words))
-    return model.feret_block(u, grid)
+    return model.feret_block(u, n)
 
 
 def estimate_process_moments(model, n, samples, seed, threads=None):
     """Empirical first and second Feret-process moments on the regular n-grid.
 
-    Per-sample diameters are generated in fixed chunks; within each chunk the
-    reductions are numpy's pairwise sums over the sample axis and chunk
-    partials combine in a fixed tree, so the result is bit-identical for any
-    worker count.  Standard errors are the entrywise sample standard
-    deviations divided by sqrt(samples).
+    Samples are generated in fixed chunks of CHUNK rows, each drawn as one
+    sample block (for zonotope models a batched spectral convolution).  Each
+    chunk reduces to its power sums, the second-order ones as matrix
+    products h^T h and (h^2)^T (h^2), and chunk partials combine in a fixed
+    tree, so the result is bit-identical for any worker count.  Standard
+    errors are the entrywise sample standard deviations divided by
+    sqrt(samples).
     """
     if samples < 2:
         raise ParameterError("need at least 2 samples")
@@ -317,40 +362,15 @@ def estimate_process_moments(model, n, samples, seed, threads=None):
 
     def work(start):
         count = min(CHUNK, samples - start)
-        h = feret_sample_block(model, n, seed, start, count)
-        sq = h * h
-        return (
-            np.add.reduce(h, axis=0),
-            np.add.reduce(h[:, :, None] * h[:, None, :], axis=0),
-            np.add.reduce(sq, axis=0),
-            np.add.reduce(sq[:, :, None] * sq[:, None, :], axis=0),
-        )
+        return _chunk_sums(feret_sample_block(model, n, seed, start, count))
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(work, starts))
     else:
         parts = [work(s) for s in starts]
-
-    s1 = _tree_sum([p[0] for p in parts])
-    s2 = _tree_sum([p[1] for p in parts])
-    q1 = _tree_sum([p[2] for p in parts])
-    q2 = _tree_sum([p[3] for p in parts])
-
-    mean = s1 / samples
-    second = s2 / samples
-    var_mean = np.maximum(q1 - samples * mean**2, 0.0) / (samples - 1)
-    var_second = np.maximum(q2 - samples * second**2, 0.0) / (samples - 1)
     return EstimationResult(
-        FeretProcessMoments(
-            mean=mean,
-            second=second,
-            stderr_mean=np.sqrt(var_mean / samples),
-            stderr_second=np.sqrt(var_second / samples),
-            stationary=model.is_isotropic,
-        ),
-        samples,
-        seed,
+        _moments_from_sums(parts, samples, model.is_isotropic), samples, seed
     )
 
 

@@ -85,10 +85,11 @@ class Zonotope(SymmetricConvexBody):
     def vertices(self):
         """Boundary vertices as a counterclockwise ConvexPolygon.
 
-        Zero-length faces are dropped; an empty or all-zero zonotope collapses
-        to the origin, a single face to a segment.
+        Faces of length at most 1e-12 * max(1, sum(alpha)) are dropped as
+        roundoff (they would repeat a vertex); an empty or all-zero zonotope
+        collapses to the origin, a single face to a segment.
         """
-        keep = self.alpha > 0.0
+        keep = self.alpha > 1e-12 * max(1.0, float(self.alpha.sum()))
         alpha, theta = self.alpha[keep], self.theta[keep] + self.t
         m = len(alpha)
         if m == 0:

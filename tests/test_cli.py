@@ -7,6 +7,7 @@ import pytest
 
 from zonofit import (
     CentralFaceMoments,
+    ConvexPolygon,
     Disk,
     IsotropicRectangle,
     Mixture,
@@ -110,6 +111,19 @@ class TestApproximate:
         rep = json.loads(out)
         assert rep["tau"] == pytest.approx(np.pi / 4.0, abs=1e-2)
         assert rep["d_hausdorff"] < 0.7
+
+    def test_tilted_square_vertices(self, capsys):
+        # faces of roundoff size in the n = 8 fit must not break the vertex list
+        c, d = 0.5 * np.cos(0.3), 0.5 * np.sin(0.3)
+        verts = [[c - d, d + c], [-c - d, -d + c], [-c + d, -d - c], [c + d, d - c]]
+        spec = json.dumps({"kind": "polygon", "vertices": verts})
+        code, out, _ = run_cli(capsys, "approximate", "--shape", spec, "--n", "8")
+        assert code == 0
+        rep = json.loads(out)
+        assert len(rep["vertices"]) == 8
+        assert rep["area"] == pytest.approx(
+            ConvexPolygon(rep["vertices"]).area(), abs=1e-12
+        )
 
     def test_csv_vertices(self, capsys):
         code, out, _ = run_cli(

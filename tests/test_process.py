@@ -400,6 +400,39 @@ class TestDiagnostics:
         assert rep.perimeter_mean == pytest.approx(4.0, abs=1e-12)
         assert rep.perimeter_second_moment_proxy == pytest.approx(16.0, abs=1e-10)
 
+    def test_existence_second_moment_of_random_perimeter(self):
+        # All faces equal within a sample, s in {0.5, 1.5} with weights
+        # 0.4, 0.6: U = 2 n s, so E[U^2] = 4 n^2 E[s^2] > (E U)^2.
+        n = 6
+        es, es2 = 0.4 * 0.5 + 0.6 * 1.5, 0.4 * 0.25 + 0.6 * 2.25
+        m = forward_zonotope_moments(CentralFaceMoments(n, es, np.full(n, es2)))
+        rep = existence_check(m)
+        assert rep.passed
+        assert rep.perimeter_mean == pytest.approx(2 * n * es, rel=1e-12)
+        assert rep.perimeter_second_moment_proxy == pytest.approx(
+            4 * n * n * es2, rel=1e-12
+        )
+        assert rep.perimeter_second_moment_proxy > 1.1 * rep.perimeter_mean**2
+        # rotation-averaging grid moments keeps both values
+        iso = existence_check(isotropize_moments(m))
+        assert iso.perimeter_second_moment_proxy == pytest.approx(
+            rep.perimeter_second_moment_proxy, rel=1e-12
+        )
+
+    def test_existence_weight_tends_to_rectangle_rule(self):
+        # Cauchy's double integral on the grid: the weight that is exact for
+        # grid zonotopes approaches (pi/n)^2 as n grows.
+        for n, tol in ((8, 1e-4), (64, 1e-7)):
+            m = FeretProcessMoments(mean=np.ones(n), second=np.ones((n, n)))
+            w = existence_check(m).perimeter_second_moment_proxy / n**2
+            assert w == pytest.approx((np.pi / n) ** 2, rel=tol)
+
+    def test_existence_infinite_second_fails(self):
+        m = forward_zonotope_moments(CentralFaceMoments(2, 1.0, [1.0, 1.0]))
+        m.second = np.full((2, 2), np.inf)
+        rep = existence_check(m)
+        assert not rep.passed and rep.finite_mean and not rep.finite_second
+
     def test_existence_nan_fails(self):
         m = forward_zonotope_moments(CentralFaceMoments(2, 1.0, [1.0, 1.0]))
         m.mean = np.array([np.nan, 4.0 / np.pi])

@@ -1,5 +1,7 @@
 """Counter-based sampling, reproducibility, and the Monte-Carlo pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,17 +94,26 @@ class TestModels:
 
     def test_sample_one_matches_block(self):
         # The shape drawn for stream index k must reproduce the k-th row of
-        # the Feret table (same uniforms, different evaluation path).
-        grid = regular_subdivision(6)
-        for model in (
-            IsotropicZonotope(6, LogNormal(6, sigma=0.4)),
-            IsotropicRectangle(Mixture([[1.0, 2.0], [2.0, 1.0]], [0.3, 0.7])),
-            IsotropicEllipse(LogNormal(2)),
-        ):
-            h = feret_sample_block(model, 6, seed=11, start=0, count=4)
-            for k in range(4):
+        # the Feret table (same uniforms, different evaluation path).  For
+        # zonotopes the face count m and grid size n are equal, then unequal
+        # so that the lag lattice pi/lcm(n, m) is finer than both.
+        cases = [
+            (IsotropicZonotope(3, LogNormal(3, sigma=0.5)), 3),
+            (IsotropicZonotope(8, LogNormal(8, sigma=0.5)), 8),
+            (IsotropicZonotope(64, LogNormal(64, sigma=0.5)), 64),
+            (IsotropicZonotope(6, LogNormal(6, sigma=0.4)), 6),
+            (IsotropicZonotope(4, LogNormal(4, sigma=0.5)), 6),
+            (IsotropicRectangle(LogNormal(2, sigma=0.5)), 5),
+            (IsotropicRectangle(Mixture([[1.0, 2.0], [2.0, 1.0]], [0.3, 0.7])), 6),
+            (IsotropicEllipse(LogNormal(2)), 6),
+        ]
+        for model, n in cases:
+            grid = regular_subdivision(n)
+            h = feret_sample_block(model, n, seed=11, start=0, count=20)
+            assert h.shape == (20, n) and h.flags.c_contiguous
+            for k in range(20):
                 shape = sample_shape(model, k, seed=11)
-                np.testing.assert_allclose(shape.feret(grid), h[k], atol=1e-12)
+                np.testing.assert_allclose(h[k], shape.feret(grid), rtol=1e-13, atol=0.0)
 
     def test_isotropic_rectangle_is_zonotope(self):
         shape = sample_shape(IsotropicRectangle(Fixed([1.0, 2.0])), 0, seed=3)
@@ -130,24 +141,33 @@ class TestReproducibility:
         assert np.abs(a - b).max() > 0.0
 
     def test_block_addressing_is_contiguous(self):
-        # Reading [0, 50) in one call equals reading [0, 20) and [20, 50).
-        model = IsotropicEllipse(LogNormal(2))
-        whole = feret_sample_block(model, 3, seed=7, start=0, count=50)
-        head = feret_sample_block(model, 3, seed=7, start=0, count=20)
-        tail = feret_sample_block(model, 3, seed=7, start=20, count=30)
-        np.testing.assert_array_equal(whole, np.vstack([head, tail]))
+        # Reading [0, 50) in one call equals reading [0, 20) and [20, 50), and
+        # equals 50 one-row reads: rows do not depend on the block they are in.
+        for model, n in (
+            (IsotropicEllipse(LogNormal(2)), 3),
+            (IsotropicZonotope(8, LogNormal(8)), 8),
+            (IsotropicZonotope(4, LogNormal(4)), 6),
+            (IsotropicRectangle(LogNormal(2)), 5),
+        ):
+            whole = feret_sample_block(model, n, seed=7, start=0, count=50)
+            head = feret_sample_block(model, n, seed=7, start=0, count=20)
+            tail = feret_sample_block(model, n, seed=7, start=20, count=30)
+            np.testing.assert_array_equal(whole, np.vstack([head, tail]))
+            rows = [feret_sample_block(model, n, seed=7, start=k, count=1) for k in range(50)]
+            np.testing.assert_array_equal(whole, np.vstack(rows))
 
     def test_estimate_bitwise_across_thread_counts(self):
-        model = IsotropicZonotope(3, LogNormal(3))
         samples = CHUNK + 7  # force an uneven chunk boundary
-        r1 = estimate_process_moments(model, 3, samples, seed=5, threads=1)
-        r4 = estimate_process_moments(model, 3, samples, seed=5, threads=4)
-        np.testing.assert_array_equal(r1.moments.mean, r4.moments.mean)
-        np.testing.assert_array_equal(r1.moments.second, r4.moments.second)
-        np.testing.assert_array_equal(r1.moments.stderr_mean, r4.moments.stderr_mean)
-        np.testing.assert_array_equal(
-            r1.moments.stderr_second, r4.moments.stderr_second
-        )
+        for n in (3, 32):
+            model = IsotropicZonotope(n, LogNormal(n))
+            r1 = estimate_process_moments(model, n, samples, seed=5, threads=1)
+            r4 = estimate_process_moments(model, n, samples, seed=5, threads=4)
+            np.testing.assert_array_equal(r1.moments.mean, r4.moments.mean)
+            np.testing.assert_array_equal(r1.moments.second, r4.moments.second)
+            np.testing.assert_array_equal(r1.moments.stderr_mean, r4.moments.stderr_mean)
+            np.testing.assert_array_equal(
+                r1.moments.stderr_second, r4.moments.stderr_second
+            )
 
     def test_estimate_bitwise_across_runs(self):
         model = IsotropicRectangle(LogNormal(2))
@@ -169,19 +189,44 @@ class TestReproducibility:
         model = IsotropicZonotope(2, LogNormal(2))
         with pytest.raises(ParameterError, match="seed"):
             feret_sample_block(model, 2, seed=-1, start=0, count=4)
+        with pytest.raises(ParameterError, match="grid size"):
+            feret_sample_block(model, -3, seed=0, start=0, count=4)
+        with pytest.raises(ParameterError, match="grid size"):
+            feret_sample_block(model, 2.5, seed=0, start=0, count=4)
         with pytest.raises(ParameterError, match="stream index"):
             sample_shape(model, -1, seed=0)
 
 
 class TestMomentEstimates:
     def test_empirical_matches_streaming_estimator(self):
-        model = IsotropicZonotope(3, LogNormal(3))
-        h = feret_sample_block(model, 3, seed=21, start=0, count=400)
-        direct = empirical_moments(h, stationary=True)
-        streamed = estimate_process_moments(model, 3, 400, seed=21).moments
-        np.testing.assert_allclose(direct.mean, streamed.mean, atol=1e-12)
-        np.testing.assert_allclose(direct.second, streamed.second, atol=1e-12)
-        np.testing.assert_allclose(direct.stderr_mean, streamed.stderr_mean, atol=1e-12)
+        # One reducer: the table route splits into the same CHUNK-row pieces
+        # as the streamed route, so the two agree bit for bit.
+        for model, n in (
+            (IsotropicZonotope(3, LogNormal(3)), 3),
+            (IsotropicRectangle(LogNormal(2)), 8),
+        ):
+            samples = CHUNK + 7
+            h = feret_sample_block(model, n, seed=21, start=0, count=samples)
+            direct = empirical_moments(h, stationary=True)
+            streamed = estimate_process_moments(model, n, samples, seed=21).moments
+            for name in ("mean", "second", "stderr_mean", "stderr_second"):
+                np.testing.assert_array_equal(
+                    getattr(direct, name), getattr(streamed, name)
+                )
+
+    def test_estimate_memory_is_linear_in_n(self):
+        # Nothing of shape (CHUNK, n, n) is built: at n = 64 one such array
+        # alone would take 64 * CHUNK * 64 * 8 bytes.
+        n = 64
+        model = IsotropicZonotope(n, LogNormal(n, sigma=0.3))
+        estimate_process_moments(model, n, CHUNK, seed=2)  # warm caches
+        tracemalloc.start()
+        try:
+            estimate_process_moments(model, n, CHUNK, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * CHUNK * n * 8
 
     def test_deterministic_model_zero_stderr(self):
         est = estimate_process_moments(DeterministicBody(Disk(1.0)), 4, 10, seed=0)

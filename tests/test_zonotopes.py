@@ -5,7 +5,9 @@ from zonofit import (
     MinkowskiSum,
     ParameterError,
     Segment,
+    SymmetricPolygon,
     Zonotope,
+    c0_approximate,
     point_in_zonotope,
     zonotope_area,
     zonotope_feret,
@@ -80,6 +82,23 @@ def test_vertices_known_shapes():
     assert len(Zonotope(HEX_ALPHA).vertices().vertices) == 6
     seg = Zonotope([1.0, 0.0]).vertices()
     assert len(seg.vertices) == 2
+
+
+def tilted_square_vertices(side, tilt):
+    c, d = 0.5 * side * np.cos(tilt), 0.5 * side * np.sin(tilt)
+    return [[c - d, d + c], [-c - d, -d + c], [-c + d, -d - c], [c + d, d - c]]
+
+
+def test_vertices_drop_roundoff_faces():
+    # The interpolating zonotope of a tilted square at n = 8 has two pairs of
+    # real faces and entries of roundoff size (~1e-16) elsewhere.
+    z = c0_approximate(SymmetricPolygon(tilted_square_vertices(1.0, 0.3)), 8)
+    assert 0.0 < z.alpha[z.alpha < 1e-12].max() < 1e-14
+    poly = z.vertices()
+    assert len(poly.vertices) == 8
+    assert poly.area() == pytest.approx(z.area(), abs=1e-12)
+    for th in np.linspace(0, np.pi, 9):
+        assert poly.width(th) == pytest.approx(float(z.feret(th)), abs=1e-12)
 
 
 def test_vertices_consistent_with_widths_and_area():
