@@ -63,31 +63,57 @@ def _distance_to(x, hx_grid, z):
     return 0.5 * v
 
 
-def cinf_approximate(x, n, grid_points=256, angle_tol=1e-6):
-    """Best rotation of the grid zonotope: returns (tau, Zonotope with offset tau).
-
-    Scans `grid_points` offsets over [0, pi/n) (the objective's period),
-    refines around the best grid offset by golden-section search to
-    `angle_tol`, and breaks ties toward the smallest offset.  The returned
-    distance never exceeds the unrotated interpolant's distance.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
-    if grid_points < 1:
-        raise ParameterError("grid_points must be >= 1")
+def _profile(x, n, offsets):
+    """Objective t -> distance from x to its grid interpolant rotated by t, and
+    its values at `offsets`."""
     hx_grid = np.asarray(x.feret(_SUP_GRID), dtype=float)
-    period = np.pi / n
 
     def objective(t):
         return _distance_to(x, hx_grid, Zonotope(_interpolating_alpha(x, n, t), t=t))
 
-    offsets = np.arange(grid_points) * (period / grid_points)
-    values = np.array([objective(t) for t in offsets])
-    i = int(np.argmin(values))
-    lo = max(0.0, offsets[i] - period / grid_points)
-    hi = min(period, offsets[i] + period / grid_points)
-    t_ref, neg_v = golden_section_max(lambda t: -objective(t), lo, hi, angle_tol)
-    tau = float(t_ref) if -neg_v < values[i] else float(offsets[i])
+    return objective, np.array([objective(t) for t in np.asarray(offsets, dtype=float)])
+
+
+def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
+    """Best and worst rotation offsets: returns ((tau_best, d_best), (tau_worst, d_worst)).
+
+    Evaluates the interpolant distance once at each of `grid_points` offsets
+    over [0, pi/n) (the objective's period), then refines the first grid
+    minimum and the first grid maximum by golden-section search to
+    `angle_tol`.  A refined offset replaces its grid offset only when it is
+    strictly better, so ties break toward the smallest offset.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
+    if not isinstance(grid_points, (int, np.integer)) or grid_points < 1:
+        raise ParameterError(f"grid_points must be an integer >= 1, got {grid_points!r}")
+    if not angle_tol > 0:
+        raise ParameterError(f"angle_tol must be > 0, got {angle_tol!r}")
+    period = np.pi / n
+    step = period / grid_points
+    offsets = np.arange(grid_points) * step
+    objective, values = _profile(x, n, offsets)
+
+    def refine(f, grid_values):
+        i = int(np.argmax(grid_values))
+        lo = max(0.0, offsets[i] - step)
+        hi = min(period, offsets[i] + step)
+        t, v = golden_section_max(f, lo, hi, angle_tol)
+        if v > grid_values[i]:
+            return float(t), float(v)
+        return float(offsets[i]), float(grid_values[i])
+
+    tau_best, neg_d_best = refine(lambda t: -objective(t), -values)
+    return (tau_best, -neg_d_best), refine(objective, values)
+
+
+def cinf_approximate(x, n, grid_points=256, angle_tol=1e-6):
+    """Best rotation of the grid zonotope: returns (tau, Zonotope with offset tau).
+
+    The best offset of `scan_offsets`.  The returned distance never exceeds
+    the unrotated interpolant's distance.
+    """
+    (tau, _), _ = scan_offsets(x, n, grid_points, angle_tol)
     return tau, Zonotope(_interpolating_alpha(x, n, tau), t=tau)
 
 
@@ -95,38 +121,15 @@ def offset_distances(x, n, offsets):
     """Hausdorff distance from x to its grid interpolant at each rotation offset."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
-    hx_grid = np.asarray(x.feret(_SUP_GRID), dtype=float)
-    return np.array([
-        _distance_to(x, hx_grid, Zonotope(_interpolating_alpha(x, n, t), t=t))
-        for t in np.asarray(offsets, dtype=float)
-    ])
+    return _profile(x, n, offsets)[1]
 
 
 def worst_offset(x, n, grid_points=256, angle_tol=1e-6):
     """Rotation offset maximizing the interpolant distance: returns (tau, distance).
 
-    Counterpart of cinf_approximate for the worst orientation; same grid
-    scan over [0, pi/n) plus golden-section refinement.
+    The worst offset of `scan_offsets`.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
-    if grid_points < 1:
-        raise ParameterError("grid_points must be >= 1")
-    hx_grid = np.asarray(x.feret(_SUP_GRID), dtype=float)
-    period = np.pi / n
-
-    def objective(t):
-        return _distance_to(x, hx_grid, Zonotope(_interpolating_alpha(x, n, t), t=t))
-
-    offsets = np.arange(grid_points) * (period / grid_points)
-    values = np.array([objective(t) for t in offsets])
-    i = int(np.argmax(values))
-    lo = max(0.0, offsets[i] - period / grid_points)
-    hi = min(period, offsets[i] + period / grid_points)
-    t_ref, v_ref = golden_section_max(objective, lo, hi, angle_tol)
-    if v_ref > values[i]:
-        return float(t_ref), float(v_ref)
-    return float(offsets[i]), float(values[i])
+    return scan_offsets(x, n, grid_points, angle_tol)[1]
 
 
 def contains(z, x, tol=1e-9, grid=1024):

@@ -20,7 +20,7 @@ from .approx import (
     c0_approximate,
     cinf_approximate,
     hausdorff_bound,
-    worst_offset,
+    scan_offsets,
 )
 from .bodies import Disk, Ellipse, Segment, SymmetricPolygon, regular_subdivision
 from .errors import SolverError, UnderdeterminedError, ZonofitError, ParameterError
@@ -189,9 +189,7 @@ def cmd_sweep(args):
         dia = diameter(x)
         for n in ns:
             bound = hausdorff_bound(n, dia)
-            _, z = cinf_approximate(x, n, grid_points=args.grid)
-            d_best = hausdorff_distance(x, z)
-            _, d_worst = worst_offset(x, n, grid_points=args.grid)
+            (_, d_best), (_, d_worst) = scan_offsets(x, n, grid_points=args.grid)
             rows.append((n, k, d_best, bound, "c0_best"))
             rows.append((n, k, d_worst, bound, "c0_worst"))
             rows.append((n, k, d_best, bound, "cinf"))

@@ -24,8 +24,11 @@ def golden_section_max(f, a, b, tol):
     """Maximum of f on [a, b] by golden-section search; returns (x, f(x)).
 
     Assumes f is unimodal on the bracket; on plateaus or multimodal brackets
-    it still returns the best point it evaluated.
+    it still returns the best point it evaluated.  Raises ParameterError
+    unless tol > 0, which the loop needs to stop.
     """
+    if not tol > 0:
+        raise ParameterError(f"golden-section tolerance must be > 0, got {tol!r}")
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)

@@ -62,11 +62,6 @@ class ConvexPolygon:
         return f"ConvexPolygon({len(self.vertices)} vertices)"
 
 
-def polygon_area(p):
-    """Shoelace area of a ConvexPolygon (degenerate cases give 0)."""
-    return p.area()
-
-
 def _edge_loop(p):
     """Edge vectors of a polygon as a CCW loop starting at its bottom-most vertex.
 
@@ -112,7 +107,4 @@ def minkowski_sum_polygons(p, q):
             merged.append(edges[k].copy())
     merged = np.array(merged)
     verts = (p0 + q0) + np.vstack([np.zeros(2), np.cumsum(merged, axis=0)[:-1]])
-    if len(verts) == 2:
-        # opposite edges only: the sum degenerates to a segment
-        return ConvexPolygon(verts)
     return ConvexPolygon(verts)

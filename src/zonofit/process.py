@@ -189,6 +189,12 @@ def deterministic_process_moments(body, n):
     )
 
 
+def _lag_sums(m):
+    """Sums s[d] = sum_i m[i, (i + d) % n] along every cyclic diagonal of m."""
+    i = np.arange(len(m))
+    return m[i, (i[:, None] + i) % len(m)].sum(axis=1)
+
+
 def _circulant_from_lags(lags):
     n = len(lags)
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
@@ -221,18 +227,13 @@ def isotropize_moments(m, body=None, dense=1024):
         stderr_second = np.zeros((n, n))
     else:
         mean_c = float(m.mean.mean())
-        idx = (np.arange(n)[None, :] + np.arange(n)[:, None]) % n
-        lags = np.array(
-            [float(np.mean(m.second[np.arange(n), idx[d]])) for d in range(n)]
-        )
+        lags = _lag_sums(m.second) / n
         stderr_mean = None
         stderr_second = None
         if m.stderr_mean is not None:
             stderr_mean = np.full(n, float(m.stderr_mean.mean()))
         if m.stderr_second is not None:
-            se_lags = np.array(
-                [float(np.mean(m.stderr_second[np.arange(n), idx[d]])) for d in range(n)]
-            )
+            se_lags = _lag_sums(m.stderr_second) / n
             se_lags = 0.5 * (se_lags + se_lags[sym])
             stderr_second = _circulant_from_lags(se_lags)
     lags = 0.5 * (lags + lags[sym])
@@ -256,10 +257,7 @@ def feret_second_lags(face_second, n):
     C = np.asarray(face_second, dtype=float)
     if C.shape != (n, n):
         raise ParameterError(f"face second-moment matrix must be {n}x{n}")
-    diag_sums = np.zeros(n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    for d in range(n):
-        diag_sums[d] = C[idx == d].sum()
+    diag_sums = _lag_sums(C)[_palindrome_index(n)]
     th = regular_subdivision(n)
     return np.array(
         [float(np.dot(diag_sums, k_s(th[d] + th))) for d in range(n)]
@@ -467,8 +465,7 @@ def stationarity_diagnostic(m):
     atol_mean = 1e-9 * max(1.0, float(np.abs(m.mean).max()))
     atol_second = 1e-9 * max(1.0, float(np.abs(m.second).max()))
     mean_dev = float(np.abs(m.mean - m.mean.mean()).max())
-    idx = (np.arange(n)[None, :] + np.arange(n)[:, None]) % n
-    lags = np.array([float(np.mean(m.second[np.arange(n), idx[d]])) for d in range(n)])
+    lags = _lag_sums(m.second) / n
     proj = _circulant_from_lags(0.5 * (lags + lags[_palindrome_index(n)]))
     second_dev = float(np.abs(m.second - proj).max())
     if m.stderr_mean is None:

@@ -108,22 +108,6 @@ class Zonotope(SymmetricConvexBody):
         return f"Zonotope(n={self.n}, {tag}t={self.t:.6g})"
 
 
-def zonotope_feret(z, eta):
-    return z.feret(eta)
-
-
-def zonotope_perimeter(z):
-    return z.perimeter()
-
-
-def zonotope_area(z):
-    return z.area()
-
-
-def zonotope_vertices(z):
-    return z.vertices()
-
-
 def point_in_zonotope(point, z, tol=1e-9):
     """Slab membership test: |<p, u(theta_i + t)>| <= H(theta_i + t)/2 for all faces."""
     p = np.asarray(point, dtype=float)

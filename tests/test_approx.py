@@ -7,6 +7,8 @@ from zonofit import (
     Disk,
     Ellipse,
     ParameterError,
+    Rotated,
+    Segment,
     Zonotope,
     c0_approximate,
     cinf_approximate,
@@ -15,6 +17,7 @@ from zonofit import (
     hausdorff_distance,
     offset_distances,
     regular_subdivision,
+    scan_offsets,
     worst_offset,
 )
 
@@ -139,10 +142,14 @@ class TestCinf:
         assert z.t == pytest.approx(tau)
 
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            cinf_approximate(Disk(1.0), 1)
-        with pytest.raises(ParameterError):
-            cinf_approximate(Disk(1.0), 3, grid_points=0)
+        for scan in (cinf_approximate, worst_offset):
+            with pytest.raises(ParameterError):
+                scan(Disk(1.0), 1)
+            for grid_points in (0, 2.5):
+                with pytest.raises(ParameterError):
+                    scan(Disk(1.0), 3, grid_points=grid_points)
+            with pytest.raises(ParameterError):
+                scan(Disk(1.0), 3, grid_points=4, angle_tol=0.0)
 
 
 class TestWorstOffset:
@@ -183,3 +190,18 @@ class TestOffsetDistances:
         x = Ellipse(2.0, 1.0, phi=0.9)
         vals = offset_distances(x, 4, [0.1, 0.1 + np.pi / 4.0])
         assert vals[0] == pytest.approx(vals[1], abs=1e-9)
+
+
+class TestScanOffsets:
+    def test_best_distance_is_the_hausdorff_distance(self, unit_square):
+        shapes = (
+            Ellipse(3.0, 1.0, phi=0.4),
+            Rotated(unit_square, 0.3),
+            Segment(1.3, 0.7),
+        )
+        for x in shapes:
+            for n in (4, 8, 16):
+                (tau, d_best), _ = scan_offsets(x, n, grid_points=16)
+                tau_c, z = cinf_approximate(x, n, grid_points=16)
+                assert tau == tau_c
+                assert d_best == hausdorff_distance(x, z)

@@ -22,6 +22,7 @@ from zonofit import (
     sample_shape,
     serialize,
 )
+from zonofit import approx
 from zonofit.cli import entry, parse_int_list, parse_model, parse_shape, square_body
 
 
@@ -194,6 +195,24 @@ class TestSweep:
         assert code == 0
         assert out.splitlines() == [serialize.CSV_VERSION_LINE,
                                     "n,k,d_hausdorff,bound,mode"]
+
+    def test_one_scan_per_row_group(self, capsys, monkeypatch):
+        # best and worst offsets come from one scan: every grid-offset
+        # interpolant is built exactly once
+        built = []
+
+        class Recording(Zonotope):
+            def __init__(self, alpha, theta=None, t=0.0):
+                built.append(t)
+                super().__init__(alpha, theta, t)
+
+        monkeypatch.setattr(approx, "Zonotope", Recording)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--n", "3", "--k", "2", "--grid", "16"
+        )
+        assert code == 0
+        for t in np.arange(16) * (np.pi / 3 / 16):
+            assert built.count(t) == 1
 
     def test_bad_ratio(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "2:3", "--k", "0.5")

@@ -4,6 +4,7 @@ from scipy import special
 
 from zonofit import (
     ConvexPolygon,
+    ParameterError,
     Disk,
     Ellipse,
     Segment,
@@ -24,6 +25,15 @@ def test_golden_section_max():
     assert x == pytest.approx(0.3, abs=1e-8)
     assert v == pytest.approx(0.0, abs=1e-15)
 
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
+def test_golden_section_needs_positive_tolerance(tol):
+    # a tolerance the bracket can never reach would loop forever
+    with pytest.raises(ParameterError):
+        golden_section_max(lambda t: t, 0.0, 1.0, tol)
+    with pytest.raises(ParameterError):
+        sup_over_angles(np.cos, tol=tol)
 
 def test_sup_over_angles_refines_past_the_grid():
     # peak deliberately placed off the 4096-point grid

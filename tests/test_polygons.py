@@ -6,7 +6,6 @@ from zonofit import (
     ParameterError,
     Zonotope,
     minkowski_sum_polygons,
-    polygon_area,
 )
 
 SQ = ConvexPolygon([[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]])
@@ -25,7 +24,7 @@ def test_validation():
 def test_area_and_perimeter():
     assert SQ.area() == pytest.approx(1.0, abs=1e-15)
     assert SQ.perimeter() == pytest.approx(4.0, abs=1e-12)
-    assert polygon_area(ConvexPolygon([[-1.0, 0.0], [1.0, 0.0]])) == 0.0
+    assert ConvexPolygon([[-1.0, 0.0], [1.0, 0.0]]).area() == 0.0
     hexagon = Zonotope([2 / np.sqrt(3)] * 3).vertices()
     assert hexagon.area() == pytest.approx(2 * np.sqrt(3), abs=1e-12)
 

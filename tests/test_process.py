@@ -27,6 +27,7 @@ from zonofit import (
     regular_subdivision,
     stationarity_diagnostic,
 )
+from zonofit.process import _lag_sums
 
 MEAN_H_SQUARE = 4.0 / np.pi
 SECOND_H_SQUARE = (np.pi + 2.0) / np.pi
@@ -348,6 +349,22 @@ class TestIsotropize:
         iso = isotropize_moments(m)
         np.testing.assert_allclose(iso.stderr_mean, 0.02, atol=1e-15)
         assert iso.stderr_second.shape == (2, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 17])
+def test_lag_sums_match_per_lag_loops(n):
+    # the lag averages and diagonal sums the per-lag loops computed, bit for bit
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    i = np.arange(n)
+    means = [np.mean(a[i, (i + d) % n]) for d in range(n)]
+    assert np.array_equal(_lag_sums(a) / n, means)
+    below = (i[:, None] - i[None, :]) % n
+    sums = [a[below == d].sum() for d in range(n)]
+    assert np.array_equal(_lag_sums(a)[(-i) % n], sums)
+    th = regular_subdivision(n)
+    lags = [float(np.dot(sums, k_s(th[d] + th))) for d in range(n)]
+    assert np.array_equal(feret_second_lags(a, n), lags)
 
 
 class TestConfidenceBound:

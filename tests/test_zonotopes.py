@@ -9,10 +9,6 @@ from zonofit import (
     Zonotope,
     c0_approximate,
     point_in_zonotope,
-    zonotope_area,
-    zonotope_feret,
-    zonotope_perimeter,
-    zonotope_vertices,
 )
 
 HEX_ALPHA = [2 / np.sqrt(3)] * 3
@@ -120,11 +116,3 @@ def test_point_membership():
     assert not point_in_zonotope([2.0, 2.0], z)
     v = z.vertices().vertices[0]
     assert point_in_zonotope(v, z)  # boundary point, inside up to tol
-
-
-def test_function_forms():
-    z = Zonotope([1.0, 2.0])
-    assert zonotope_feret(z, 0.3) == pytest.approx(float(z.feret(0.3)))
-    assert zonotope_perimeter(z) == z.perimeter()
-    assert zonotope_area(z) == z.area()
-    assert np.allclose(zonotope_vertices(z).vertices, z.vertices().vertices)
