@@ -74,15 +74,8 @@ def _profile(x, n, offsets):
     return objective, np.array([objective(t) for t in np.asarray(offsets, dtype=float)])
 
 
-def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
-    """Best and worst rotation offsets: returns ((tau_best, d_best), (tau_worst, d_worst)).
-
-    Evaluates the interpolant distance once at each of `grid_points` offsets
-    over [0, pi/n) (the objective's period), then refines the first grid
-    minimum and the first grid maximum by golden-section search to
-    `angle_tol`.  A refined offset replaces its grid offset only when it is
-    strictly better, so ties break toward the smallest offset.
-    """
+def _offset_scan(x, n, grid_points, angle_tol):
+    """Scan for `scan_offsets`; refine(sign) refines the grid max of sign * distance."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
     if not isinstance(grid_points, (int, np.integer)) or grid_points < 1:
@@ -94,26 +87,37 @@ def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
     offsets = np.arange(grid_points) * step
     objective, values = _profile(x, n, offsets)
 
-    def refine(f, grid_values):
-        i = int(np.argmax(grid_values))
-        lo = max(0.0, offsets[i] - step)
-        hi = min(period, offsets[i] + step)
-        t, v = golden_section_max(f, lo, hi, angle_tol)
-        if v > grid_values[i]:
-            return float(t), float(v)
-        return float(offsets[i]), float(grid_values[i])
+    def refine(sign):
+        i = int(np.argmax(sign * values))
+        lo, hi = max(0.0, offsets[i] - step), min(period, offsets[i] + step)
+        t, v = golden_section_max(lambda t: sign * objective(t), lo, hi, angle_tol)
+        if v > sign * values[i]:
+            return float(t), sign * float(v)
+        return float(offsets[i]), float(values[i])
 
-    tau_best, neg_d_best = refine(lambda t: -objective(t), -values)
-    return (tau_best, -neg_d_best), refine(objective, values)
+    return refine
+
+
+def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
+    """Best and worst rotation offsets: returns ((tau_best, d_best), (tau_worst, d_worst)).
+
+    Evaluates the interpolant distance once at each of `grid_points` offsets
+    over [0, pi/n) (the objective's period), then refines the first grid
+    minimum and the first grid maximum by golden-section search to
+    `angle_tol`.  A refined offset replaces its grid offset only when it is
+    strictly better, so ties break toward the smallest offset.
+    """
+    refine = _offset_scan(x, n, grid_points, angle_tol)
+    return refine(-1.0), refine(1.0)
 
 
 def cinf_approximate(x, n, grid_points=256, angle_tol=1e-6):
     """Best rotation of the grid zonotope: returns (tau, Zonotope with offset tau).
 
-    The best offset of `scan_offsets`.  The returned distance never exceeds
-    the unrotated interpolant's distance.
+    The best offset of `scan_offsets`, without refining the worst one.  The
+    returned distance never exceeds the unrotated interpolant's distance.
     """
-    (tau, _), _ = scan_offsets(x, n, grid_points, angle_tol)
+    tau, _ = _offset_scan(x, n, grid_points, angle_tol)(-1.0)
     return tau, Zonotope(_interpolating_alpha(x, n, tau), t=tau)
 
 
@@ -127,9 +131,9 @@ def offset_distances(x, n, offsets):
 def worst_offset(x, n, grid_points=256, angle_tol=1e-6):
     """Rotation offset maximizing the interpolant distance: returns (tau, distance).
 
-    The worst offset of `scan_offsets`.
+    The worst offset of `scan_offsets`, without refining the best one.
     """
-    return scan_offsets(x, n, grid_points, angle_tol)[1]
+    return _offset_scan(x, n, grid_points, angle_tol)(1.0)
 
 
 def contains(z, x, tol=1e-9, grid=1024):

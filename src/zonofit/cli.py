@@ -3,12 +3,12 @@
 Every command is a thin orchestration of library calls; outputs are
 byte-equal to calling the library directly with the same configuration.
 Exit codes: 0 success, 2 invalid input, 3 numeric failure, 4 underdetermined
-estimation.  The ZONOFIT_THREADS environment variable caps simulation
-workers without affecting any output.
+estimation.  `simulate` draws each chunk of samples once, in table order,
+and feeds it to both the sample table and the moment sums; the
+ZONOFIT_THREADS worker cap of the library's sampler does not apply to it.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -39,8 +39,9 @@ from .simulate import (
     Fixed,
     IsotropicEllipse,
     IsotropicRectangle,
+    _chunk_sums,
+    _moments_from_sums,
     empirical_moments,
-    estimate_process_moments,
     feret_sample_block,
 )
 
@@ -281,13 +282,7 @@ def cmd_estimate(args):
         "central": serialize.moments_to_dict(central),
     }
     if diag is not None:
-        report["stationarity"] = {
-            "passed": diag.passed,
-            "mean_deviation": diag.mean_deviation,
-            "mean_threshold": diag.mean_threshold,
-            "second_deviation": diag.second_deviation,
-            "second_threshold": diag.second_threshold,
-        }
+        report["stationarity"] = {"passed": diag.passed, **vars(diag)}
     if args.epsilon is not None:
         if not 0.0 < args.epsilon <= 1.0:
             raise ParameterError(f"epsilon must be in (0, 1], got {args.epsilon}")
@@ -306,37 +301,30 @@ def cmd_simulate(args):
     model = parse_model(args.model)
     if args.samples < 2:
         raise ParameterError("need at least 2 samples")
-    est = estimate_process_moments(model, args.n, args.samples, args.seed)
-    diag = stationarity_diagnostic(est.moments)
-    exist = existence_check(est.moments)
     base = args.out or "zonofit_run"
     csv_path = base + ".csv"
     json_path = base + ".json"
-    grid = regular_subdivision(args.n)
-    with open(csv_path, "w", newline="") as f:
-        f.write(serialize.CSV_VERSION_LINE + "\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["sample_id", "theta", "h"])
+    parts = []
+
+    def blocks():
         for start in range(0, args.samples, CHUNK):
             count = min(CHUNK, args.samples - start)
             h = feret_sample_block(model, args.n, args.seed, start, count)
-            for i in range(count):
-                for j in range(args.n):
-                    w.writerow([start + i, repr(float(grid[j])), repr(float(h[i, j]))])
+            parts.append(_chunk_sums(h))
+            yield h
+
+    serialize.write_sample_csv(csv_path, regular_subdivision(args.n), blocks())
+    moments = _moments_from_sums(parts, args.samples, model.is_isotropic)
+    diag = stationarity_diagnostic(moments)
+    exist = existence_check(moments)
     summary = {
         "command": "simulate",
         "model": serialize.model_to_dict(model),
         "n": args.n,
-        "samples": est.sample_count,
-        "seed": est.seed,
-        "moments": serialize.moments_to_dict(est.moments),
-        "stationarity": {
-            "passed": diag.passed,
-            "mean_deviation": diag.mean_deviation,
-            "mean_threshold": diag.mean_threshold,
-            "second_deviation": diag.second_deviation,
-            "second_threshold": diag.second_threshold,
-        },
+        "samples": args.samples,
+        "seed": args.seed,
+        "moments": serialize.moments_to_dict(moments),
+        "stationarity": {"passed": diag.passed, **vars(diag)},
         "existence": {
             "passed": exist.passed,
             "perimeter_mean": exist.perimeter_mean,

@@ -295,58 +295,67 @@ def format_csv(header, rows):
     return buf.getvalue()
 
 
-def write_csv(path, header, rows):
-    with open(path, "w") as f:
-        f.write(format_csv(header, rows))
-
-
 def write_sample_csv(path, theta, h):
-    """Sample table with columns sample_id,theta,h; one row per angle per sample."""
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    theta = np.asarray(theta, dtype=float)
-    rows = (
-        (k, theta[j], h[k, j])
-        for k in range(h.shape[0])
-        for j in range(h.shape[1])
-    )
-    write_csv(path, ["sample_id", "theta", "h"], rows)
+    """Sample table with columns sample_id,theta,h; one row per angle per sample.
+
+    `h` is one (samples, len(theta)) array, or an iterable without a length
+    that yields such row blocks; each block is written as one string, under
+    consecutive sample ids, and the file is opened once the first exists.
+    """
+    theta = np.asarray(theta, dtype=float).tolist()
+    row = "".join("{0},%r,{%d!r}\n" % (t, j + 1) for j, t in enumerate(theta))
+    blocks = iter((h,) if hasattr(h, "__len__") else h)
+    block, start = next(blocks, None), 0
+    with open(path, "w", newline="") as f:
+        f.write(f"{CSV_VERSION_LINE}\nsample_id,theta,h\n")
+        while block is not None:
+            block = np.atleast_2d(np.asarray(block, dtype=float))
+            if block.shape[1] != len(theta):
+                raise ParameterError(f"{block.shape[1]} angles per sample, need {len(theta)}")
+            text = [row.format(i, *r) for i, r in enumerate(block.tolist(), start)]
+            f.write("".join(text))
+            block, start = next(blocks, None), start + len(block)
+
+
+def _is_sample_row(row):
+    """True when a parsed CSV row reads as integer, float, float."""
+    try:
+        return len(row) == 3 and bool([int(row[0]), float(row[1]), float(row[2])])
+    except ValueError:
+        return False
 
 
 def read_sample_csv(path):
     """Parse a sample_id,theta,h table into (theta, h-matrix).
 
-    Every sample must report the same angle grid, in any row order.
-    Returns theta sorted ascending and h with shape (samples, len(theta)).
+    sample_id is an integer (" 1" and "1" name one sample); theta and h are
+    floats.  Every sample must report the same angle grid, in any row order.
+    Returns theta sorted ascending and h with shape (samples, len(theta)),
+    its rows in first-appearance order of sample_id.
     """
     with open(path) as f:
         lines = [ln for ln in f if ln.strip() and not ln.lstrip().startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    header = next(csv.reader(lines[:1]), None)
     if header is None or [c.strip() for c in header] != ["sample_id", "theta", "h"]:
         raise ParameterError("sample CSV must have the header sample_id,theta,h")
-    data = {}
-    for row in reader:
-        if len(row) != 3:
-            raise ParameterError(f"malformed sample CSV row: {row!r}")
-        try:
-            sid, th, val = row[0].strip(), float(row[1]), float(row[2])
-        except ValueError as e:
-            raise ParameterError(f"malformed sample CSV row: {row!r}") from e
-        data.setdefault(sid, []).append((th, val))
-    if not data:
+    if len(lines) == 1:
         raise ParameterError("sample CSV contains no data rows")
-    grids = set()
-    table = {}
-    for sid, pairs in data.items():
-        pairs.sort()
-        ths = tuple(p[0] for p in pairs)
-        if len(set(ths)) != len(ths):
-            raise ParameterError(f"sample {sid!r} repeats an angle")
-        grids.add(ths)
-        table[sid] = [p[1] for p in pairs]
-    if len(grids) != 1:
+    try:
+        rows = np.loadtxt(lines[1:], dtype=[("id", "i8"), ("th", "f8"), ("h", "f8")],
+                          delimiter=",", comments=None, quotechar='"', ndmin=1)
+    except ValueError as e:
+        bad = next((r for r in csv.reader(lines[1:]) if not _is_sample_row(r)), str(e))
+        raise ParameterError(f"malformed sample CSV row: {bad!r}") from e
+    # number each row's sample by first appearance, then sort by (sample, theta)
+    _, first, inverse = np.unique(rows["id"], return_index=True, return_inverse=True)
+    sample = np.argsort(np.argsort(first))[inverse]
+    order = np.lexsort((rows["th"], sample))
+    sample, th = sample[order], rows["th"][order]
+    repeat = (sample[1:] == sample[:-1]) & (th[1:] == th[:-1])
+    if repeat.any():
+        sid = rows["id"][order][1:][repeat][0]
+        raise ParameterError(f"sample '{sid}' repeats an angle")
+    counts = np.bincount(sample)
+    if np.ptp(counts) or (th.reshape(len(counts), -1)[1:] != th[: counts[0]]).any():
         raise ParameterError("all samples must share one angle grid")
-    theta = np.array(grids.pop())
-    # rows come back in first-appearance order of sample_id
-    h = np.array([table[sid] for sid in data])
-    return theta, h
+    return th[: counts[0]].copy(), rows["h"][order].reshape(len(counts), -1)

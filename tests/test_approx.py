@@ -20,6 +20,7 @@ from zonofit import (
     scan_offsets,
     worst_offset,
 )
+from zonofit import approx
 
 
 class _FakeBody:
@@ -205,3 +206,36 @@ class TestScanOffsets:
                 tau_c, z = cinf_approximate(x, n, grid_points=16)
                 assert tau == tau_c
                 assert d_best == hausdorff_distance(x, z)
+
+    @pytest.mark.parametrize("scan, refinements", [
+        (cinf_approximate, 1),
+        (worst_offset, 1),
+        (scan_offsets, 2),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_objective_calls(self, monkeypatch, scan, refinements):
+        # cinf_approximate refines only the best offset and worst_offset only
+        # the worst: every distance evaluation is a grid point or a golden step
+        distance_calls = 0
+        golden_steps = []
+        distance_to = approx._distance_to
+        golden = approx.golden_section_max
+
+        def counted_distance(*args):
+            nonlocal distance_calls
+            distance_calls += 1
+            return distance_to(*args)
+
+        def counted_golden(f, a, b, tol):
+            golden_steps.append(0)
+
+            def step(t):
+                golden_steps[-1] += 1
+                return f(t)
+
+            return golden(step, a, b, tol)
+
+        monkeypatch.setattr(approx, "_distance_to", counted_distance)
+        monkeypatch.setattr(approx, "golden_section_max", counted_golden)
+        scan(Ellipse(3.0, 1.0, phi=0.4), 8, grid_points=16)
+        assert len(golden_steps) == refinements
+        assert distance_calls == 16 + sum(golden_steps)

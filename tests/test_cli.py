@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from zonofit import (
+    CHUNK,
     CentralFaceMoments,
     ConvexPolygon,
     Disk,
@@ -16,13 +17,14 @@ from zonofit import (
     SymmetricPolygon,
     Zonotope,
     deterministic_process_moments,
+    empirical_moments,
     forward_zonotope_moments,
     isotropize_moments,
     k_s,
     sample_shape,
     serialize,
 )
-from zonofit import approx
+from zonofit import approx, cli, simulate
 from zonofit.cli import entry, parse_int_list, parse_model, parse_shape, square_body
 
 
@@ -403,6 +405,41 @@ class TestSimulate:
         )
         assert code == 2
         assert "2 samples" in err
+
+    def test_each_sample_drawn_once(self, tmp_path, capsys, monkeypatch):
+        # one pass over the samples feeds both the table and the moments
+        monkeypatch.chdir(tmp_path)
+        drawn = []
+        block = simulate.feret_sample_block
+
+        def counted(model, n, seed, start, count):
+            drawn.extend(range(start, start + count))
+            return block(model, n, seed, start, count)
+
+        # the library's name and the CLI's imported copy
+        monkeypatch.setattr(simulate, "feret_sample_block", counted)
+        monkeypatch.setattr(cli, "feret_sample_block", counted)
+        samples = 2 * CHUNK + 7
+        code, _, _ = run_cli(
+            capsys, "simulate", "--model", "isotropic_ellipse:2,1", "--n", "3",
+            "--samples", str(samples), "--out", "run",
+        )
+        assert code == 0
+        assert sorted(drawn) == list(range(samples))
+        summary = json.loads((tmp_path / "run.json").read_text())
+        _, h = serialize.read_sample_csv(tmp_path / "run.csv")
+        m = serialize.moments_from_dict(summary["moments"])
+        assert h.shape == (samples, 3)
+        np.testing.assert_array_equal(m.second, empirical_moments(h).second)
+
+    def test_invalid_seed_writes_no_table(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            capsys, "simulate", "--model", "isotropic_square", "--n", "2",
+            "--samples", "10", "--seed", "-1", "--out", "run",
+        )
+        assert code == 2 and "seed" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExitCodes:

@@ -1,9 +1,12 @@
 """Round trips and determinism of the JSON/CSV encodings."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from zonofit import (
+    CHUNK,
     CSV_VERSION_LINE,
     CentralFaceMoments,
     DeterministicBody,
@@ -27,6 +30,7 @@ from zonofit import (
     distribution_to_dict,
     deterministic_process_moments,
     dumps,
+    feret_sample_block,
     format_csv,
     forward_zonotope_moments,
     model_from_dict,
@@ -34,10 +38,12 @@ from zonofit import (
     moments_from_dict,
     moments_to_dict,
     read_sample_csv,
+    regular_subdivision,
     shape_from_dict,
     shape_to_dict,
     write_sample_csv,
 )
+from zonofit import cli
 
 SHAPES = [
     Disk(1.5),
@@ -225,3 +231,164 @@ def test_sample_csv_errors(tmp_path):
     text.write_text("sample_id,theta,h\n0,zero,1.0\n")
     with pytest.raises(ParameterError, match="malformed"):
         read_sample_csv(text)
+
+
+def _csv_writer_oracle(path, theta, blocks):
+    """The sample table as the per-row csv.writer loop wrote it."""
+    with open(path, "w", newline="") as f:
+        f.write(CSV_VERSION_LINE + "\n")
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["sample_id", "theta", "h"])
+        start = 0
+        for h in blocks:
+            for i in range(h.shape[0]):
+                for j in range(len(theta)):
+                    w.writerow([start + i, repr(float(theta[j])), repr(float(h[i, j]))])
+            start += h.shape[0]
+
+
+@pytest.mark.parametrize("spec, n", [
+    ("isotropic_rectangle:1.3,0.7", 5),
+    ("isotropic_ellipse:2,1", 4),
+    ("deterministic:square:1.2", 3),
+])
+def test_simulate_table_bytes_match_csv_writer(tmp_path, capsys, monkeypatch, spec, n):
+    # CHUNK + 7 samples: the last chunk is partial
+    monkeypatch.chdir(tmp_path)
+    samples, seed = CHUNK + 7, 3
+    assert cli.main(["simulate", "--model", spec, "--n", str(n), "--samples",
+                     str(samples), "--seed", str(seed), "--out", "run"]) == 0
+    capsys.readouterr()
+    model = cli.parse_model(spec)
+    blocks = [feret_sample_block(model, n, seed, start, min(CHUNK, samples - start))
+              for start in range(0, samples, CHUNK)]
+    theta = regular_subdivision(n)
+    _csv_writer_oracle(tmp_path / "oracle.csv", theta, blocks)
+    oracle = (tmp_path / "oracle.csv").read_bytes()
+    assert (tmp_path / "run.csv").read_bytes() == oracle
+
+    h = np.vstack(blocks)
+    write_sample_csv(tmp_path / "array.csv", theta, h)
+    assert (tmp_path / "array.csv").read_bytes() == oracle
+    th_back, h_back = read_sample_csv(tmp_path / "array.csv")
+    np.testing.assert_array_equal(th_back, theta)
+    np.testing.assert_array_equal(h_back, h)
+
+
+def test_sample_csv_writer_takes_blocks(tmp_path):
+    theta = [0.0, 0.5, 1.5]
+    h = np.arange(21.0).reshape(7, 3) / 3.0
+    write_sample_csv(tmp_path / "whole.csv", theta, h)
+    write_sample_csv(tmp_path / "blocks.csv", theta, iter([h[:2], h[2:3], h[3:]]))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # a 1-D array is one sample
+    write_sample_csv(tmp_path / "one.csv", theta, h[0])
+    np.testing.assert_array_equal(read_sample_csv(tmp_path / "one.csv")[1], h[:1])
+
+
+def test_sample_csv_writer_rejects_wrong_angle_count(tmp_path):
+    with pytest.raises(ParameterError, match="angles per sample"):
+        write_sample_csv(tmp_path / "a.csv", [0.0, 1.0], np.ones((2, 3)))
+
+
+def test_sample_csv_writer_opens_file_after_first_block(tmp_path):
+    def failing():
+        raise ParameterError("no samples")
+        yield
+
+    with pytest.raises(ParameterError, match="no samples"):
+        write_sample_csv(tmp_path / "a.csv", [0.0], failing())
+    assert not (tmp_path / "a.csv").exists()
+
+
+def _per_row_reader_oracle(path):
+    """The sample table as the per-row dict parser read it."""
+    with open(path) as f:
+        lines = [ln for ln in f if ln.strip() and not ln.lstrip().startswith("#")]
+    data = {}
+    for row in list(csv.reader(lines))[1:]:
+        data.setdefault(row[0].strip(), []).append((float(row[1]), float(row[2])))
+    table = {sid: sorted(pairs) for sid, pairs in data.items()}
+    theta = np.array([p[0] for p in next(iter(table.values()))])
+    return theta, np.array([[p[1] for p in table[sid]] for sid in data])
+
+
+def test_sample_csv_reader_matches_per_row_parser(tmp_path):
+    rng = np.random.default_rng(8)
+    theta = regular_subdivision(16)
+    h = rng.lognormal(0.0, 3.0, size=(9000, 16)) * rng.choice([1e-300, 1.0, 1e300], 16)
+    path = tmp_path / "big.csv"
+    write_sample_csv(path, theta, h)
+    lines = path.read_text().splitlines(keepends=True)
+    data = lines[2:]
+    order = rng.permutation(len(data))
+    path.write_text("".join(lines[:2] + [data[i] for i in order]))
+    th_new, h_new = read_sample_csv(path)
+    th_old, h_old = _per_row_reader_oracle(path)
+    assert np.array_equal(th_new, th_old) and np.array_equal(h_new, h_old)
+    # shuffled rows: samples come back in first-appearance order
+    first_ids = list(dict.fromkeys(int(data[i].split(",")[0]) for i in order))
+    np.testing.assert_array_equal(h_new, h[first_ids])
+
+
+def test_sample_csv_first_appearance_order(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text(
+        "sample_id,theta,h\n"
+        "5,1.0,51\n"
+        "12,0.0,120\n"
+        "5,0.0,50\n"
+        "-3,1.0,-31\n"
+        "12,1.0,121\n"
+        "-3,0.0,-30\n"
+    )
+    theta, h = read_sample_csv(path)
+    np.testing.assert_array_equal(theta, [0.0, 1.0])
+    np.testing.assert_array_equal(h, [[50, 51], [120, 121], [-30, -31]])
+
+
+def test_sample_csv_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text(
+        "# zonofit v1\n"
+        "\n"
+        "sample_id,theta,h\n"
+        "0,0.0,1.0\n"
+        "   \n"
+        "  # a note between rows\n"
+        "0,1.0,2.0\n"
+        "\t\n"
+        "1,0.0,3.0\n"
+        "# another\n"
+        "1,1.0,4.0\n"
+    )
+    theta, h = read_sample_csv(path)
+    np.testing.assert_array_equal(theta, [0.0, 1.0])
+    np.testing.assert_array_equal(h, [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("row", ["0,0.5", "0,0.5,1.0,2.0", "1.5,0.5,1.0", "a,0.5,1.0",
+                                 "0,0.5,"])
+def test_sample_csv_malformed_rows(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"sample_id,theta,h\n0,0.0,1.0\n{row}\n")
+    with pytest.raises(ParameterError, match="malformed") as info:
+        read_sample_csv(path)
+    assert repr(row.split(",")) in str(info.value)
+
+
+def test_sample_csv_ids_ignore_blanks(tmp_path):
+    path = tmp_path / "blanks.csv"
+    path.write_text("sample_id,theta,h\n 1,0.0,1.0\n1,1.0,2.0\n2 ,1.0,4.0\n2,0.0,3.0\n")
+    theta, h = read_sample_csv(path)
+    np.testing.assert_array_equal(h, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_sample_csv_grid_errors_name_the_sample(tmp_path):
+    path = tmp_path / "rep.csv"
+    path.write_text("sample_id,theta,h\n4,0.0,1.0\n4,1.0,1.0\n7,0.0,1.0\n7,0.0,2.0\n")
+    with pytest.raises(ParameterError, match="sample '7' repeats an angle"):
+        read_sample_csv(path)
+    path.write_text("sample_id,theta,h\n4,0.0,1.0\n4,1.0,1.0\n7,0.0,1.0\n")
+    with pytest.raises(ParameterError, match="share one angle grid"):
+        read_sample_csv(path)
