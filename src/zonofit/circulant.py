@@ -1,8 +1,9 @@
 """Circulant linear algebra via FFT diagonalization.
 
 A circulant matrix C with first column c has entries C[i, j] = c[(i - j) mod n]
-and eigenvalues equal to the DFT of c.  Solves and products are done in the
-spectral domain; the dense route exists for cross-checking.
+and eigenvalues equal to the DFT of c.  Products and solves act on a vector or
+on the columns of an (n, k) array in the spectral domain; the dense route
+serves cross-checks and builds the stationary moment matrices of `process`.
 """
 
 import numpy as np
@@ -30,23 +31,26 @@ class CirculantMatrix:
         idx = (np.arange(self.n)[:, None] - np.arange(self.n)[None, :]) % self.n
         return c[idx]
 
-    def matvec(self, x):
+    def _columns(self, x):
+        """x as floats with n rows, and the spectrum shaped to broadcast over it."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ParameterError(f"expected vector of length {self.n}, got shape {x.shape}")
-        return np.fft.ifft(self.spectrum() * np.fft.fft(x)).real
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ParameterError(f"expected {self.n} rows, got shape {x.shape}")
+        return x, self.spectrum().reshape((self.n,) + (1,) * (x.ndim - 1))
+
+    def matvec(self, x):
+        """C x for a vector x or for each column of an (n, k) array."""
+        x, lam = self._columns(x)
+        return np.fft.ifft(lam * np.fft.fft(x, axis=0), axis=0).real
 
     def solve(self, b, rtol=1e-12):
-        """Solve C x = b in the spectral domain.
+        """Solve C x = b in the spectral domain, for a vector or each column of b.
 
         Raises SolverError naming the offending frequency when any eigenvalue
         magnitude falls at or below rtol times the largest.
         """
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n,):
-            raise ParameterError(f"expected vector of length {self.n}, got shape {b.shape}")
-        lam = self.spectrum()
-        mags = np.abs(lam)
+        b, lam = self._columns(b)
+        mags = np.abs(lam.ravel())
         cutoff = rtol * mags.max()
         bad = np.flatnonzero(mags <= cutoff)
         if mags.max() == 0.0 or len(bad) > 0:
@@ -55,7 +59,7 @@ class CirculantMatrix:
                 f"circulant system is numerically singular at spectral index {k} "
                 f"(|lambda_{k}| = {mags[k]:.3e} <= {cutoff:.3e})"
             )
-        return np.fft.ifft(np.fft.fft(b) / lam).real
+        return np.fft.ifft(np.fft.fft(b, axis=0) / lam, axis=0).real
 
     def condition_number(self):
         mags = np.abs(self.spectrum())

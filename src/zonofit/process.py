@@ -44,6 +44,18 @@ def _palindrome_index(n):
     return (-np.arange(n)) % n
 
 
+def _symmetric(x):
+    """Mean of x and its lag mirror x[(n - d) mod n]: exactly palindromic."""
+    return 0.5 * (x + x[_palindrome_index(len(x))])
+
+
+def _require_finite(**values):
+    """Raise ParameterError naming the first given value with a NaN or infinite entry."""
+    for name, x in values.items():
+        if x is not None and not np.all(np.isfinite(np.asarray(x, dtype=float))):
+            raise ParameterError(f"{name} must be finite")
+
+
 class FeretProcessMoments:
     """First and second moments of a Feret process on the regular angle grid.
 
@@ -121,6 +133,9 @@ class CentralFaceMoments:
         if v.shape != (n,):
             raise ParameterError(f"v_alpha must have length {n}, got shape {v.shape}")
         mean_alpha = float(mean_alpha)
+        _require_finite(mean_alpha=mean_alpha, v_alpha=v,
+                        stderr_mean_alpha=stderr_mean_alpha,
+                        stderr_v_alpha=stderr_v_alpha)
         if mean_alpha < -1e-9:
             raise ParameterError(f"mean_alpha must be nonnegative, got {mean_alpha}")
         scale = max(1.0, float(np.abs(v).max()))
@@ -159,6 +174,8 @@ class C0FaceMoments:
         cov = np.asarray(cov, dtype=float)
         if mean.shape != (n,) or second.shape != (n, n) or cov.shape != (n, n):
             raise ParameterError("inconsistent moment shapes")
+        _require_finite(mean=mean, second=second, cov=cov, stderr_mean=stderr_mean,
+                        stderr_second=stderr_second)
         if mean.min() < -1e-9 * max(1.0, float(np.abs(mean).max())):
             raise ParameterError(f"face mean has negative component {mean.min():.3e}")
         scale = max(1.0, float(np.abs(second).max()))
@@ -195,10 +212,9 @@ def _lag_sums(m):
     return m[i, (i[:, None] + i) % len(m)].sum(axis=1)
 
 
-def _circulant_from_lags(lags):
-    n = len(lags)
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return lags[idx]
+def _stationary_matrix(lags):
+    """Symmetric circulant second-moment matrix of the symmetrized lag vector."""
+    return CirculantMatrix(_symmetric(lags)).dense()
 
 
 def isotropize_moments(m, body=None, dense=1024):
@@ -215,14 +231,14 @@ def isotropize_moments(m, body=None, dense=1024):
     Applying the map to already-stationary moments reproduces them.
     """
     n = m.n
-    sym = _palindrome_index(n)
     if body is not None:
         grid_n = int(-(-dense // n) * n)
         g = regular_subdivision(grid_n)
         h = np.asarray(body.feret(g), dtype=float)
         mean_c = float(h.mean())
-        step = grid_n // n
-        lags = np.array([float(np.mean(h * np.roll(h, -d * step))) for d in range(n)])
+        # a lag of d * grid_n / n shifts the n rows of this reshape by d
+        rows = h.reshape(n, grid_n // n)
+        lags = _lag_sums(rows @ rows.T) / grid_n
         stderr_mean = np.zeros(n)
         stderr_second = np.zeros((n, n))
     else:
@@ -233,13 +249,10 @@ def isotropize_moments(m, body=None, dense=1024):
         if m.stderr_mean is not None:
             stderr_mean = np.full(n, float(m.stderr_mean.mean()))
         if m.stderr_second is not None:
-            se_lags = _lag_sums(m.stderr_second) / n
-            se_lags = 0.5 * (se_lags + se_lags[sym])
-            stderr_second = _circulant_from_lags(se_lags)
-    lags = 0.5 * (lags + lags[sym])
+            stderr_second = _stationary_matrix(_lag_sums(m.stderr_second) / n)
     return FeretProcessMoments(
         mean=np.full(n, mean_c),
-        second=_circulant_from_lags(lags),
+        second=_stationary_matrix(lags),
         stderr_mean=stderr_mean,
         stderr_second=stderr_second,
         stationary=True,
@@ -273,10 +286,8 @@ def forward_zonotope_moments(c):
     n = c.n
     mean = np.full(n, (2.0 / np.pi) * n * c.mean_alpha)
     lags = float(n) * k_matrix(n).matvec(c.v_alpha)
-    sym = _palindrome_index(n)
-    lags = 0.5 * (lags + lags[sym])
     return FeretProcessMoments(
-        mean=mean, second=_circulant_from_lags(lags), stationary=True
+        mean=mean, second=_stationary_matrix(lags), stationary=True
     )
 
 
@@ -291,29 +302,25 @@ def expected_area(c):
     return 0.5 * c.n * float(np.dot(c.v_alpha, np.abs(np.sin(th))))
 
 
-def _reduced_palindrome_basis(n):
-    """Matrix P with V = P v_red expanding reduced lags to the full palindrome."""
-    r = np.minimum(np.arange(n), n - np.arange(n))
-    P = np.zeros((n, n // 2 + 1))
-    P[np.arange(n), r] = 1.0
-    return P
-
-
 def central_from_feret(m, max_condition=1e12):
     """Recover central face moments from stationary Feret-process moments.
 
-    Inverts mean = (2/pi) n E[alpha_1] and V[H] = n K(0) V[alpha], exploiting
-    the palindrome symmetry of the lag vectors to solve a reduced system of
-    size floor(n/2) + 1.  Standard errors, when present on `m`, propagate
-    through the linear map by conservative absolute-value row sums.
+    Inverts mean = (2/pi) n E[alpha_1] and V[H] = n K(0) V[alpha] in the
+    spectral domain of the circulant K(0), on the symmetrized lag vector.
+    Standard errors, when present on `m`, propagate through the linear map
+    by conservative absolute-value row sums.  `max_condition` is the only
+    conditioning check.
 
     Raises
     ------
     ParameterError
-        If `m` is not flagged stationary (isotropize first).
+        If `m` is not flagged stationary (isotropize first), or unless
+        `max_condition` > 0.
     SolverError
         If cond(K(0)) exceeds `max_condition`.
     """
+    if not max_condition > 0:
+        raise ParameterError(f"max_condition must be positive, got {max_condition!r}")
     if not m.stationary:
         raise ParameterError(
             "central moments need stationary process moments; apply "
@@ -327,22 +334,15 @@ def central_from_feret(m, max_condition=1e12):
             f"kernel matrix K(0) too ill-conditioned: cond = {cond:.3e} > "
             f"{max_condition:.0e}"
         )
-    sym = _palindrome_index(n)
     mean_alpha = (np.pi / (2.0 * n)) * float(m.mean.mean())
-    vh = m.second[0]
-    vh_s = 0.5 * (vh + vh[sym])
-    mh = n // 2
-    P = _reduced_palindrome_basis(n)
-    A = float(n) * (K0.dense() @ P)[: mh + 1, :]
-    v = P @ np.linalg.solve(A, vh_s[: mh + 1])
+    v = _symmetric(K0.solve(_symmetric(m.second[0]), rtol=0.0) / n)
 
     stderr_mean_alpha = None
     stderr_v = None
     if m.stderr_mean is not None:
         stderr_mean_alpha = (np.pi / (2.0 * n)) * float(m.stderr_mean.mean())
     if m.stderr_second is not None:
-        sym_map = 0.5 * (np.eye(n) + np.eye(n)[sym])
-        full_map = (1.0 / n) * np.linalg.inv(K0.dense()) @ sym_map
+        full_map = K0.solve(_symmetric(np.eye(n)), rtol=0.0) / n
         stderr_v = np.abs(full_map) @ m.stderr_second[0]
     return CentralFaceMoments(n, mean_alpha, v, stderr_mean_alpha, stderr_v)
 
@@ -386,8 +386,7 @@ def central_nnls(observations, n, mean_alpha=0.0, kkt_tol=1e-11):
     th = regular_subdivision(n)
     Q = float(n) * k_s(zs[:, None] - th[None, :])
     V, _ = _nnls_solve(Q, ys, kkt_tol=kkt_tol)
-    V = 0.5 * (V + V[_palindrome_index(n)])
-    return CentralFaceMoments(n, mean_alpha, V)
+    return CentralFaceMoments(n, mean_alpha, _symmetric(V))
 
 
 def c0_random_moments(m, n):
@@ -400,19 +399,14 @@ def c0_random_moments(m, n):
     if n != m.n:
         raise ParameterError(f"moment grid has n={m.n}, requested n={n}")
     F = feret_matrix(n)
-    lam = F.spectrum()
     mean = F.solve(m.mean)
-
-    def solve_columns(B):
-        return np.fft.ifft(np.fft.fft(B, axis=0) / lam[:, None], axis=0).real
-
-    second = solve_columns(solve_columns(m.second).T).T
+    second = F.solve(F.solve(m.second).T).T
     second = 0.5 * (second + second.T)
     cov = second - np.outer(mean, mean)
     stderr_mean = None
     stderr_second = None
     if m.stderr_mean is not None:
-        Finv_abs = np.abs(np.linalg.inv(F.dense()))
+        Finv_abs = np.abs(F.solve(np.eye(n)))
         stderr_mean = Finv_abs @ m.stderr_mean
         if m.stderr_second is not None:
             stderr_second = Finv_abs @ m.stderr_second @ Finv_abs.T
@@ -461,12 +455,10 @@ def stationarity_diagnostic(m):
     3 x the provided standard errors plus a roundoff allowance.  Data without
     standard errors is held to the roundoff allowance alone.
     """
-    n = m.n
     atol_mean = 1e-9 * max(1.0, float(np.abs(m.mean).max()))
     atol_second = 1e-9 * max(1.0, float(np.abs(m.second).max()))
     mean_dev = float(np.abs(m.mean - m.mean.mean()).max())
-    lags = _lag_sums(m.second) / n
-    proj = _circulant_from_lags(0.5 * (lags + lags[_palindrome_index(n)]))
+    proj = _stationary_matrix(_lag_sums(m.second) / m.n)
     second_dev = float(np.abs(m.second - proj).max())
     if m.stderr_mean is None:
         mean_thr = atol_mean

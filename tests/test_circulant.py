@@ -67,3 +67,27 @@ def test_feret_solve_known_values():
 def test_feret_matrix_validation():
     with pytest.raises(ParameterError):
         feret_matrix(1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64])
+def test_columns_match_vectors_exactly(n):
+    rng = np.random.default_rng(n)
+    c = rng.normal(size=n)
+    c[0] += 2.0 * np.abs(c).sum()  # diagonally dominant, so solvable
+    C = CirculantMatrix(c)
+    B = rng.normal(size=(n, 3))
+    X, Y = C.solve(B), C.matvec(B)
+    assert X.shape == Y.shape == (n, 3)
+    for j in range(3):
+        assert np.array_equal(X[:, j], C.solve(B[:, j]))
+        assert np.array_equal(Y[:, j], C.matvec(B[:, j]))
+
+
+def test_wrong_row_count_rejected():
+    C = CirculantMatrix([2.0, 1.0, 0.5])
+    for bad in (np.ones(4), np.ones((4, 3)), np.ones((2, 3)), np.ones((3, 2, 2)),
+                np.float64(1.0)):
+        with pytest.raises(ParameterError, match="3 rows"):
+            C.matvec(bad)
+        with pytest.raises(ParameterError, match="3 rows"):
+            C.solve(bad)

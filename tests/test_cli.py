@@ -312,6 +312,28 @@ class TestEstimate:
         assert code == 3
         assert "ill-conditioned" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "0", "-1"])
+    def test_invalid_max_condition_exit_2(self, tmp_path, capsys, bad):
+        m = isotropize_moments(deterministic_process_moments(Disk(1.0), 64))
+        p = tmp_path / "m64.json"
+        serialize.write_json(p, serialize.moments_to_dict(m))
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(p), "--max-condition", bad
+        )
+        assert code == 2 and out == ""
+        assert "max_condition" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_moments_exit_2(self, tmp_path, capsys, bad):
+        d = serialize.moments_to_dict(
+            forward_zonotope_moments(CentralFaceMoments(2, 1.0, [1.0, 1.0])))
+        d["second"][0][1] = bad
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "estimate", "--input", str(p))
+        assert code == 2 and out == ""
+        assert "finite" in err
+
     def test_epsilon_bound(self, tmp_path, capsys):
         p = tmp_path / "moments.json"
         self.write_square_moments(p)

@@ -5,8 +5,10 @@ import pytest
 import scipy.integrate
 
 from zonofit import (
+    C0FaceMoments,
     CentralFaceMoments,
     Disk,
+    Ellipse,
     FeretProcessMoments,
     ParameterError,
     SolverError,
@@ -16,9 +18,11 @@ from zonofit import (
     central_nnls,
     confidence_bound,
     deterministic_process_moments,
+    estimate_process_moments,
     existence_check,
     expected_area,
     expected_perimeter,
+    feret_matrix,
     feret_second_lags,
     forward_zonotope_moments,
     isotropize_moments,
@@ -28,6 +32,7 @@ from zonofit import (
     stationarity_diagnostic,
 )
 from zonofit.process import _lag_sums
+from zonofit.simulate import IsotropicZonotope, LogNormal
 
 MEAN_H_SQUARE = 4.0 / np.pi
 SECOND_H_SQUARE = (np.pi + 2.0) / np.pi
@@ -126,6 +131,29 @@ class TestMomentClasses:
             CentralFaceMoments(2, -1.0, [1.0, 0.5])
         with pytest.raises(ParameterError, match="length"):
             CentralFaceMoments(3, 1.0, [1.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_central_moments_reject_non_finite(self, bad):
+        with pytest.raises(ParameterError, match="v_alpha must be finite"):
+            CentralFaceMoments(2, 1.0, [1.0, bad])
+        with pytest.raises(ParameterError, match="mean_alpha must be finite"):
+            CentralFaceMoments(2, bad, [1.0, 0.5])
+        with pytest.raises(ParameterError, match="stderr_v_alpha must be finite"):
+            CentralFaceMoments(2, 1.0, [1.0, 0.5], 0.1, [0.1, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_c0_moments_reject_non_finite(self, bad):
+        # checked before the eigenvalue test, which would raise LinAlgError
+        second = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ParameterError, match="second must be finite"):
+            C0FaceMoments(2, [1.0, 1.0], second, np.zeros((2, 2)))
+        with pytest.raises(ParameterError, match="mean must be finite"):
+            C0FaceMoments(2, [1.0, bad], np.eye(2), np.zeros((2, 2)))
+
+    def test_feret_moments_accept_non_finite(self):
+        # existence_check reports these, so the container must hold them
+        m = FeretProcessMoments([1.0, np.inf], [[1.0, np.nan], [np.nan, 1.0]])
+        assert not existence_check(m).passed
 
 
 class TestForwardMap:
@@ -226,6 +254,49 @@ class TestCentralRecovery:
         assert c.stderr_v_alpha is not None
         assert np.all(c.stderr_v_alpha > 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 17, 32, 64])
+    def test_matches_dense_route(self, n):
+        # oracle: a dense solve and a dense-inverse stderr map, which agree
+        # with the spectral route up to roundoff amplified by cond(K(0))
+        c0 = CentralFaceMoments(n, 1.3, _positive_definite_lags(n))
+        fwd = forward_zonotope_moments(c0)
+        lag_se = 0.01 * (1.0 + np.cos(2.0 * regular_subdivision(n)))
+        se_second = lag_se[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+        m = FeretProcessMoments(fwd.mean, fwd.second, np.full(n, 0.01), se_second,
+                                stationary=True)
+        c = central_from_feret(m)
+        K0 = k_matrix(n).dense()
+        sym_map = 0.5 * (np.eye(n) + np.eye(n)[(-np.arange(n)) % n])
+        v = np.linalg.solve(n * K0, sym_map @ m.second[0])
+        se = np.abs(np.linalg.inv(K0) @ sym_map / n) @ m.stderr_second[0]
+        tol = 1e-14 * np.linalg.cond(K0)
+        assert not c.psd_repaired
+        assert np.abs(c.v_alpha - v).max() <= tol * np.abs(v).max()
+        assert np.abs(c.stderr_v_alpha - se).max() <= tol * np.abs(se).max()
+        assert se.min() > 0.0
+
+    @pytest.mark.parametrize("n", [3, 8, 17, 64])
+    def test_result_exactly_palindromic(self, n):
+        m = forward_zonotope_moments(CentralFaceMoments(n, 1.0, _positive_definite_lags(n)))
+        c = central_from_feret(m)
+        assert not c.psd_repaired
+        assert np.array_equal(c.v_alpha, c.v_alpha[(-np.arange(n)) % n])
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0])
+    def test_max_condition_validated(self, bad):
+        m = isotropize_moments(deterministic_process_moments(Disk(1.0), 64))
+        with pytest.raises(ParameterError, match="max_condition"):
+            central_from_feret(m, max_condition=bad)
+        assert central_from_feret(m, max_condition=np.inf).n == 64
+
+
+def _positive_definite_lags(n):
+    """Palindromic lag vector whose circulant has eigenvalues >= 1."""
+    base = np.abs(np.random.default_rng(n).standard_normal(n)) + 0.1
+    v = np.array([np.dot(base, np.roll(base, d)) for d in range(n)]) / n
+    v[0] += 1.0
+    return v
+
 
 class TestCentralNNLS:
     def test_noiseless_square(self):
@@ -307,6 +378,32 @@ class TestInterpolantMoments:
         assert fm.stderr_mean is not None and np.all(fm.stderr_mean > 0.0)
         assert fm.stderr_second is not None and np.all(fm.stderr_second > 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
+    def test_matches_dense_inverse(self, n):
+        model = IsotropicZonotope(n, LogNormal(n, sigma=0.3))
+        m = estimate_process_moments(model, n, 512, seed=n).moments
+        fm = c0_random_moments(m, n)
+        # the moments themselves: the inline column-wise FFT solve, bit for bit
+        lam = feret_matrix(n).spectrum()[:, None]
+
+        def solve_columns(b):
+            return np.fft.ifft(np.fft.fft(b, axis=0) / lam, axis=0).real
+
+        second = solve_columns(solve_columns(m.second).T).T
+        assert np.array_equal(fm.second, 0.5 * (second + second.T))
+        assert np.array_equal(fm.mean, solve_columns(m.mean[:, None])[:, 0])
+        # the stderr map |F^-1|: the dense inverse
+        Finv_abs = np.abs(np.linalg.inv(feret_matrix(n).dense()))
+        for got, want in ((fm.stderr_mean, Finv_abs @ m.stderr_mean),
+                          (fm.stderr_second, Finv_abs @ m.stderr_second @ Finv_abs.T)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_moments_typed_error(self, bad):
+        m = FeretProcessMoments([1.0, 1.0], [[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ParameterError, match="finite"):
+            c0_random_moments(m, 2)
+
 
 class TestIsotropize:
     def test_stationary_fixed_point(self):
@@ -349,6 +446,19 @@ class TestIsotropize:
         iso = isotropize_moments(m)
         np.testing.assert_allclose(iso.stderr_mean, 0.02, atol=1e-15)
         assert iso.stderr_second.shape == (2, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    @pytest.mark.parametrize("shape", ["ellipse", "square"])
+    def test_body_route_matches_per_lag_roll(self, n, shape, unit_square):
+        body = Ellipse(3.0, 1.0, 0.4) if shape == "ellipse" else unit_square
+        iso = isotropize_moments(deterministic_process_moments(body, n), body=body)
+        # oracle: one np.roll per lag on the dense grid
+        grid_n = -(-1024 // n) * n
+        h = body.feret(regular_subdivision(grid_n))
+        lags = np.array([np.mean(h * np.roll(h, -d * (grid_n // n))) for d in range(n)])
+        lags = 0.5 * (lags + lags[(-np.arange(n)) % n])
+        want = lags[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+        assert np.abs(iso.second - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 17])
