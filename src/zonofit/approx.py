@@ -2,7 +2,10 @@
 
 The interpolation route solves F alpha = H on the regular n-direction grid;
 the rotation-optimized route additionally searches the grid offset that
-minimizes the Hausdorff distance to the target.
+minimizes the Hausdorff distance to the target.  The offset scan evaluates
+blocks of offsets at once: one circulant solve for all their interpolants,
+their widths on the sup grid as one FFT circular convolution, and their sups
+refined in lockstep.
 """
 
 import numpy as np
@@ -10,17 +13,24 @@ import numpy as np
 from .bodies import regular_subdivision
 from .circulant import feret_matrix
 from .errors import ParameterError
-from .metrics import _SUP_GRID, golden_section_max, sup_over_angles
+from .metrics import SUP_ANGLE_TOL, SUP_GRID_SIZE, golden_section_max, hausdorff_distance
 from .zonotopes import Zonotope
 
 #: Face lengths computed from valid Feret data are nonnegative up to roundoff;
 #: anything below this is rejected as inconsistent input.
 NEGATIVE_FACE_TOL = -1e-9
 
+#: Offsets the scan evaluates together; bounds its (block, sup grid) arrays.
+_BLOCK = 16
+
 
 def _interpolating_alpha(x, n, offset=0.0):
-    """Face lengths whose zonotope matches H_x on the offset regular grid."""
-    th = regular_subdivision(n) + offset
+    """Face lengths whose zonotope matches H_x on the offset regular grid.
+
+    For a 1-D array of offsets, returns an (n, offsets) array whose columns
+    are the face lengths at each offset.
+    """
+    th = np.add.outer(regular_subdivision(n), np.asarray(offset, dtype=float))
     h = np.asarray(x.feret(th), dtype=float)
     alpha = feret_matrix(n).solve(h)
     worst = float(alpha.min()) if alpha.size else 0.0
@@ -52,26 +62,52 @@ def hausdorff_bound(n, diam):
     return (6.0 + 2.0 * np.sqrt(2.0)) * np.sin(np.pi / (2.0 * n)) * float(diam)
 
 
-def _distance_to(x, hx_grid, z):
-    """Hausdorff distance from x to z reusing cached grid values of H_x."""
-    hz = np.asarray(z.feret(_SUP_GRID), dtype=float)
+def _distance_kernel(x, n):
+    """distances(t): Hausdorff distance from x to its grid interpolant rotated
+    by each offset in the array t.
 
-    def gap(t):
-        return abs(float(x.feret(t)) - float(z.feret(t)))
+    Sups over angle start on a regular grid of G = n 2^k points, the smallest
+    such G >= SUP_GRID_SIZE (the metrics grid whenever n divides it).  There
+    H_z(j pi/G) = sum_i alpha_i |sin((j - i G/n) pi/G - t)| is the circular
+    convolution of the face lengths, upsampled by G/n, with a |sin| table
+    whose rfft is the n-point DFT of alpha tiled.  Each grid maximum is then
+    refined by golden section, all offsets of a block in lockstep, and kept
+    unless the refinement beats it.
+    """
+    size = int(n)
+    while size < SUP_GRID_SIZE:
+        size *= 2
+    eta = regular_subdivision(size)
+    sin_eta, cos_eta = np.sin(eta), np.cos(eta)
+    hx = np.asarray(x.feret(eta), dtype=float)
+    theta = regular_subdivision(n)
+    tiled = np.arange(size // 2 + 1) % n
+    step = np.pi / size
 
-    _, v = sup_over_angles(gap, grid_values=np.abs(hz - hx_grid))
-    return 0.5 * v
+    def block(t):
+        alpha = _interpolating_alpha(x, n, t)
+        table = np.abs(np.outer(np.cos(t), sin_eta) - np.outer(np.sin(t), cos_eta))
+        spectrum = np.fft.rfft(table, axis=1) * np.fft.fft(alpha, axis=0)[tiled].T
+        gaps = np.abs(np.fft.irfft(spectrum, size, axis=1) - hx)
+        i = np.argmax(gaps, axis=1)
+        grid_max = gaps[np.arange(len(t)), i]
 
+        def gap(e):
+            hz = np.einsum("pi,ip->p", np.abs(np.sin((e - t)[:, None] - theta)), alpha)
+            return np.abs(np.asarray(x.feret(e), dtype=float) - hz)
 
-def _profile(x, n, offsets):
-    """Objective t -> distance from x to its grid interpolant rotated by t, and
-    its values at `offsets`."""
-    hx_grid = np.asarray(x.feret(_SUP_GRID), dtype=float)
+        _, v = golden_section_max(gap, eta[i] - step, eta[i] + step, SUP_ANGLE_TOL)
+        return 0.5 * np.where(grid_max >= v, grid_max, v)
 
-    def objective(t):
-        return _distance_to(x, hx_grid, Zonotope(_interpolating_alpha(x, n, t), t=t))
+    def distances(t):
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        out = np.empty(flat.size)
+        for s in range(0, flat.size, _BLOCK):
+            out[s:s + _BLOCK] = block(flat[s:s + _BLOCK])
+        return out.reshape(t.shape)
 
-    return objective, np.array([objective(t) for t in np.asarray(offsets, dtype=float)])
+    return distances
 
 
 def _offset_scan(x, n, grid_points, angle_tol):
@@ -85,17 +121,23 @@ def _offset_scan(x, n, grid_points, angle_tol):
     period = np.pi / n
     step = period / grid_points
     offsets = np.arange(grid_points) * step
-    objective, values = _profile(x, n, offsets)
+    distances = _distance_kernel(x, n)
+    values = distances(offsets)
 
     def refine(sign):
         i = int(np.argmax(sign * values))
         lo, hi = max(0.0, offsets[i] - step), min(period, offsets[i] + step)
-        t, v = golden_section_max(lambda t: sign * objective(t), lo, hi, angle_tol)
-        if v > sign * values[i]:
-            return float(t), sign * float(v)
-        return float(offsets[i]), float(values[i])
+        t, v = golden_section_max(lambda t: sign * distances(t), lo, hi, angle_tol)
+        tau = float(t) if v > sign * values[i] else float(offsets[i])
+        return tau, Zonotope(_interpolating_alpha(x, n, tau), t=tau)
 
     return refine
+
+
+def _with_distance(x, fit):
+    """(tau, z) -> (tau, Hausdorff distance from x to z)."""
+    tau, z = fit
+    return tau, hausdorff_distance(x, z)
 
 
 def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
@@ -105,10 +147,11 @@ def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
     over [0, pi/n) (the objective's period), then refines the first grid
     minimum and the first grid maximum by golden-section search to
     `angle_tol`.  A refined offset replaces its grid offset only when it is
-    strictly better, so ties break toward the smallest offset.
+    strictly better, so ties break toward the smallest offset.  Each reported
+    distance is hausdorff_distance of x and the interpolant at its offset.
     """
     refine = _offset_scan(x, n, grid_points, angle_tol)
-    return refine(-1.0), refine(1.0)
+    return _with_distance(x, refine(-1.0)), _with_distance(x, refine(1.0))
 
 
 def cinf_approximate(x, n, grid_points=256, angle_tol=1e-6):
@@ -117,15 +160,14 @@ def cinf_approximate(x, n, grid_points=256, angle_tol=1e-6):
     The best offset of `scan_offsets`, without refining the worst one.  The
     returned distance never exceeds the unrotated interpolant's distance.
     """
-    tau, _ = _offset_scan(x, n, grid_points, angle_tol)(-1.0)
-    return tau, Zonotope(_interpolating_alpha(x, n, tau), t=tau)
+    return _offset_scan(x, n, grid_points, angle_tol)(-1.0)
 
 
 def offset_distances(x, n, offsets):
     """Hausdorff distance from x to its grid interpolant at each rotation offset."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
-    return _profile(x, n, offsets)[1]
+    return _distance_kernel(x, n)(offsets)
 
 
 def worst_offset(x, n, grid_points=256, angle_tol=1e-6):
@@ -133,7 +175,7 @@ def worst_offset(x, n, grid_points=256, angle_tol=1e-6):
 
     The worst offset of `scan_offsets`, without refining the best one.
     """
-    return _offset_scan(x, n, grid_points, angle_tol)(1.0)
+    return _with_distance(x, _offset_scan(x, n, grid_points, angle_tol)(1.0))
 
 
 def contains(z, x, tol=1e-9, grid=1024):

@@ -298,24 +298,22 @@ def feret_feasibility_check(samples, angle_tol=1e-9):
         if red[i] + np.pi - red[j] <= angle_tol:
             periodicity = max(periodicity, abs(val[i] - val[j]))
 
-    # index sampled angles mod pi for triple lookup
+    # each pair (i, j) looks up the first sampled angle k nearest mod pi to
+    # its chord midpoint; pairs with none within angle_tol are skipped
     subadd = 0.0
     triples = 0
-    n = len(pairs)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            beta = ang[j] - ang[i]
-            mid = ang[i] + (beta + np.pi) / 2.0
-            gap = np.mod(red - np.mod(mid, np.pi), np.pi)
-            gap = np.minimum(gap, np.pi - gap)
-            k = int(np.argmin(gap))
-            if gap[k] > angle_tol:
-                continue
-            triples += 1
-            lhs = val[j]
-            rhs = val[i] + 2.0 * abs(np.sin(beta / 2.0)) * val[k]
-            subadd = max(subadd, lhs - rhs)
+    m = len(pairs)
+    for i in range(m):
+        j = np.delete(np.arange(m), i)
+        beta = ang[j] - ang[i]
+        mid = ang[i] + (beta + np.pi) / 2.0
+        gap = np.mod(red - np.mod(mid, np.pi)[:, None], np.pi)
+        gap = np.minimum(gap, np.pi - gap)
+        k = np.argmin(gap, axis=1)
+        hit = ~(gap[np.arange(m - 1), k] > angle_tol)
+        triples += int(np.count_nonzero(hit))
+        excess = (val[j] - (val[i] + 2.0 * np.abs(np.sin(beta / 2.0)) * val[k]))[hit]
+        # NaN never raises the worst violation, as with max()
+        subadd = max(subadd, float(np.max(excess, initial=0.0, where=excess > 0.0)))
 
     return FeasibilityReport(negativity, periodicity, max(0.0, subadd), triples)

@@ -204,12 +204,6 @@ def cmd_sweep(args):
     return 0
 
 
-def _fold_lag(z):
-    """Angular lag folded to [0, pi/2]: lags z and pi - z are equivalent."""
-    z = abs(z) % np.pi
-    return min(z, np.pi - z)
-
-
 def _irregular_estimate(theta, h, n):
     """NNLS face moments from samples on a non-regular angle grid.
 
@@ -222,14 +216,14 @@ def _irregular_estimate(theta, h, n):
         raise ParameterError(
             "samples are not on the regular grid; pass --n and --solver nnls"
         )
-    g = len(theta)
     second = (h.T @ h) / h.shape[0]
-    seen = {}
-    for i in range(g):
-        for j in range(i, g):
-            lag = round(_fold_lag(theta[i] - theta[j]), 12)
-            seen.setdefault(lag, []).append(second[i, j])
-    obs = [(lag, float(np.mean(vals))) for lag, vals in sorted(seen.items())]
+    # lags z and pi - z are equivalent: fold to [0, pi/2], then pool pairs
+    # whose lags agree to 12 digits
+    upper = np.triu_indices(len(theta))
+    z = np.abs(theta[:, None] - theta[None, :])[upper] % np.pi
+    lags, pool = np.unique(np.round(np.minimum(z, np.pi - z), 12), return_inverse=True)
+    means = np.bincount(pool, weights=second[upper]) / np.bincount(pool)
+    obs = list(zip(lags, means))
     mean_alpha = np.pi / (2.0 * n) * float(h.mean())
     return central_nnls(obs, n, mean_alpha=mean_alpha)
 

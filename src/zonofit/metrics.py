@@ -20,31 +20,55 @@ _SUP_GRID = regular_subdivision(SUP_GRID_SIZE)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _lanes(cond):
+    """True when cond holds more than one lane's bool."""
+    return isinstance(cond, np.ndarray) and cond.size > 1
+
+
+def _select(cond, x, y):
+    """np.where(cond, x, y) for operands shaped like cond, without its cost
+    for a single lane."""
+    if _lanes(cond):
+        return np.where(cond, x, y)
+    return x if cond else y
+
+
+def _any(cond):
+    return cond.any() if _lanes(cond) else cond
+
+
 def golden_section_max(f, a, b, tol):
     """Maximum of f on [a, b] by golden-section search; returns (x, f(x)).
 
     Assumes f is unimodal on the bracket; on plateaus or multimodal brackets
-    it still returns the best point it evaluated.  Raises ParameterError
-    unless tol > 0, which the loop needs to stop.
+    it still returns the best point it evaluated.  `a` and `b` may also be
+    arrays of brackets of equal width, searched in lockstep: f then maps an
+    array of points to an array of values, each lane steps as a scalar
+    search on its bracket would, until every bracket is narrower than tol,
+    and x and f(x) are arrays.  Raises ParameterError unless tol > 0, which
+    the loop needs to stop.
     """
     if not tol > 0:
         raise ParameterError(f"golden-section tolerance must be > 0, got {tol!r}")
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    w = _INVPHI * (b - a)
+    c, d = b - w, a + w
     fc, fd = f(c), f(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        x, v = (c, fc) if fc >= fd else (d, fd)
-        if v > best_v:
-            best_x, best_v = x, v
+    left = fc >= fd
+    best_x, best_v = _select(left, c, d), _select(left, fc, fd)
+    while _any(b - a > tol):
+        # left lanes keep [a, d] and evaluate a new c; the others keep [c, b]
+        # and evaluate a new d
+        a, b = _select(left, a, c), _select(left, d, b)
+        w = _INVPHI * (b - a)
+        x = _select(left, b - w, a + w)
+        fx = f(x)
+        c, d = _select(left, x, d), _select(left, c, x)
+        fc, fd = _select(left, fx, fd), _select(left, fc, fx)
+        left = fc >= fd
+        v = _select(left, fc, fd)
+        better = v > best_v
+        best_x = _select(better, _select(left, c, d), best_x)
+        best_v = _select(better, v, best_v)
     return best_x, best_v
 
 

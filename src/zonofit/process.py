@@ -365,6 +365,8 @@ def central_nnls(observations, n, mean_alpha=0.0, kkt_tol=1e-11):
     obs = [(float(a), float(v)) for a, v in observations]
     if not obs:
         raise UnderdeterminedError("no observations")
+    if not all(np.isfinite(v) for _, v in obs):
+        raise ParameterError("observations must be finite")
     angles = np.array([a for a, _ in obs])
     if angles.min() < -1e-12 or angles.max() > np.pi / 2 + 1e-12:
         raise ParameterError("observation angles must lie in [0, pi/2]")

@@ -21,6 +21,7 @@ from zonofit import (
     worst_offset,
 )
 from zonofit import approx
+from zonofit.metrics import SUP_ANGLE_TOL, SUP_GRID_SIZE
 
 
 class _FakeBody:
@@ -214,18 +215,26 @@ class TestScanOffsets:
     ], ids=lambda v: getattr(v, "__name__", str(v)))
     def test_objective_calls(self, monkeypatch, scan, refinements):
         # cinf_approximate refines only the best offset and worst_offset only
-        # the worst: every distance evaluation is a grid point or a golden step
-        distance_calls = 0
+        # the worst: every distance evaluation is a grid point or a golden
+        # step, and each grid offset is evaluated exactly once
+        evaluated = []
         golden_steps = []
-        distance_to = approx._distance_to
+        kernel = approx._distance_kernel
         golden = approx.golden_section_max
 
-        def counted_distance(*args):
-            nonlocal distance_calls
-            distance_calls += 1
-            return distance_to(*args)
+        def counted_kernel(x, n):
+            distances = kernel(x, n)
+
+            def counted(t):
+                evaluated.extend(np.ravel(t).tolist())
+                return distances(t)
+
+            return counted
 
         def counted_golden(f, a, b, tol):
+            if np.ndim(a):
+                # the kernel's lockstep sup refinement, not an offset search
+                return golden(f, a, b, tol)
             golden_steps.append(0)
 
             def step(t):
@@ -234,8 +243,52 @@ class TestScanOffsets:
 
             return golden(step, a, b, tol)
 
-        monkeypatch.setattr(approx, "_distance_to", counted_distance)
+        monkeypatch.setattr(approx, "_distance_kernel", counted_kernel)
         monkeypatch.setattr(approx, "golden_section_max", counted_golden)
         scan(Ellipse(3.0, 1.0, phi=0.4), 8, grid_points=16)
         assert len(golden_steps) == refinements
-        assert distance_calls == 16 + sum(golden_steps)
+        assert len(evaluated) == 16 + sum(golden_steps)
+        for t in np.arange(16) * (np.pi / 8 / 16):
+            assert evaluated.count(t) == 1
+
+
+class TestDistanceKernel:
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 16, 33, 64])
+    def test_matches_per_offset_route(self, unit_square, n):
+        shapes = (
+            Ellipse(3.0, 1.0, phi=0.4),
+            Rotated(unit_square, 0.3),
+            Segment(1.3, 0.7),
+            Disk(1.0),
+        )
+        offsets = 0.01 + np.arange(9) * (np.pi / n / 9)
+        for x in shapes:
+            got = approx._distance_kernel(x, n)(offsets)
+            for t, d in zip(offsets, got):
+                z = Zonotope(approx._interpolating_alpha(x, n, t), t=t)
+                # where n divides the metrics grid both routes search the same
+                # grid; elsewhere each stops within SUP_ANGLE_TOL of a sup that
+                # may sit at a kink, so they differ by up to the gap's
+                # Lipschitz bound times that tolerance
+                tol = 1e-9
+                if SUP_GRID_SIZE % n:
+                    tol += (x.lipschitz_bound + z.lipschitz_bound) * SUP_ANGLE_TOL
+                assert d == pytest.approx(hausdorff_distance(x, z), abs=tol)
+
+    def test_keeps_offset_shape(self):
+        distances = approx._distance_kernel(Ellipse(2.0, 1.0), 4)
+        assert distances(0.1).shape == ()
+        assert distances(np.zeros(0)).shape == (0,)
+        grid = np.arange(40).reshape(2, 20) * 0.01
+        np.testing.assert_array_equal(distances(grid).ravel(), distances(grid.ravel()))
+
+    def test_numpy_integer_n(self):
+        x = Ellipse(2.0, 1.0, phi=0.3)
+        assert cinf_approximate(x, np.int64(5), grid_points=8)[0] == \
+            cinf_approximate(x, 5, grid_points=8)[0]
+
+    def test_non_body_rejected(self):
+        with pytest.raises(ParameterError, match="face length"):
+            approx._distance_kernel(_FakeBody(), 8)(np.linspace(0.0, 0.3, 20))
+        with pytest.raises(ParameterError, match="face length"):
+            cinf_approximate(_FakeBody(), 8, grid_points=16)

@@ -141,3 +141,56 @@ def test_feasibility_check_flags_bad_data():
     # periodicity: H(t) must match H(t + pi)
     pair = [(0.1, 1.0), (0.1 + np.pi, 3.0)]
     assert feret_feasibility_check(pair).periodicity_gap == pytest.approx(2.0)
+
+
+def _triples_by_loop(samples, angle_tol=1e-9):
+    """The pairwise loop feret_feasibility_check once ran: (subadditivity, triples)."""
+    ang = np.array([float(a) for a, _ in samples])
+    val = np.array([float(v) for _, v in samples])
+    red = np.mod(ang, np.pi)
+    subadd = 0.0
+    triples = 0
+    n = len(samples)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            beta = ang[j] - ang[i]
+            mid = ang[i] + (beta + np.pi) / 2.0
+            gap = np.mod(red - np.mod(mid, np.pi), np.pi)
+            gap = np.minimum(gap, np.pi - gap)
+            k = int(np.argmin(gap))
+            if gap[k] > angle_tol:
+                continue
+            triples += 1
+            lhs = val[j]
+            rhs = val[i] + 2.0 * abs(np.sin(beta / 2.0)) * val[k]
+            subadd = max(subadd, lhs - rhs)
+    return max(0.0, subadd), triples
+
+
+def test_feasibility_triples_match_pairwise_loop():
+    rng = np.random.default_rng(11)
+    x = Ellipse(2.0, 0.7, 0.4)
+    cases = []
+    for m in (1, 2, 3, 9, 40, 120, 200):
+        # angles on a regular grid, some shifted by pi or repeated, so that
+        # many chord midpoints land on samples and nearest-angle ties occur
+        g = int(rng.integers(2, 2 * m + 3))
+        th = rng.integers(0, g, size=m) * (np.pi / g) + np.pi * rng.integers(-1, 2, size=m)
+        h = np.asarray(x.feret(th)) + 0.05 * rng.standard_normal(m)
+        cases.append(list(zip(th, h)))
+    th = np.linspace(0, np.pi, 64, endpoint=False)
+    cases.append(list(zip(th, np.asarray(Disk(1.0).feret(th)))))
+    bad = list(cases[-1])
+    bad[3] = (bad[3][0], -2.0)
+    bad[5] = (bad[5][0], np.nan)
+    cases.append(bad)
+    cases.append([(0.1, 1.0), (0.1 + np.pi, 3.0)])
+    # the chord midpoint 3 pi / 4 of (0, pi / 2) is sampled twice: the first
+    # sample is the one used
+    cases.append([(0.0, 1.0), (np.pi / 2, 3.0), (0.75 * np.pi, 0.5), (0.75 * np.pi, 2.0)])
+    for samples in cases:
+        rep = feret_feasibility_check(samples)
+        subadd, triples = _triples_by_loop(samples)
+        assert (rep.subadditivity, rep.triples_checked) == (subadd, triples)

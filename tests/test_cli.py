@@ -199,22 +199,27 @@ class TestSweep:
                                     "n,k,d_hausdorff,bound,mode"]
 
     def test_one_scan_per_row_group(self, capsys, monkeypatch):
-        # best and worst offsets come from one scan: every grid-offset
-        # interpolant is built exactly once
-        built = []
+        # best and worst offsets come from one scan: every grid offset's
+        # distance is evaluated exactly once
+        evaluated = []
+        kernel = approx._distance_kernel
 
-        class Recording(Zonotope):
-            def __init__(self, alpha, theta=None, t=0.0):
-                built.append(t)
-                super().__init__(alpha, theta, t)
+        def recording_kernel(x, n):
+            distances = kernel(x, n)
 
-        monkeypatch.setattr(approx, "Zonotope", Recording)
+            def recording(t):
+                evaluated.extend(np.ravel(t).tolist())
+                return distances(t)
+
+            return recording
+
+        monkeypatch.setattr(approx, "_distance_kernel", recording_kernel)
         code, _, _ = run_cli(
             capsys, "sweep", "--n", "3", "--k", "2", "--grid", "16"
         )
         assert code == 0
         for t in np.arange(16) * (np.pi / 3 / 16):
-            assert built.count(t) == 1
+            assert evaluated.count(t) == 1
 
     def test_bad_ratio(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "2:3", "--k", "0.5")
@@ -284,6 +289,34 @@ class TestEstimate:
         np.testing.assert_allclose(rep["central"]["v_alpha"], [1.25, 0.75],
                                    atol=0.15)
 
+    def test_irregular_lag_pooling_matches_pair_loop(self, monkeypatch):
+        def pooled_by_loop(theta, h):
+            second = (h.T @ h) / h.shape[0]
+            seen = {}
+            for i in range(len(theta)):
+                for j in range(i, len(theta)):
+                    z = abs(theta[i] - theta[j]) % np.pi
+                    lag = round(min(z, np.pi - z), 12)
+                    seen.setdefault(lag, []).append(second[i, j])
+            return [(lag, float(np.mean(v))) for lag, v in sorted(seen.items())]
+
+        seen_obs = []
+        monkeypatch.setattr(cli, "central_nnls",
+                            lambda obs, n, mean_alpha: seen_obs.append(obs))
+        rng = np.random.default_rng(8)
+        for g in (1, 2, 5, 13, 40):
+            # random angles plus a regular block, so some lags repeat
+            theta = np.sort(np.concatenate([
+                rng.uniform(0.0, np.pi, g),
+                rng.integers(0, 9, g // 2) * (np.pi / 9) + rng.integers(0, 2) * np.pi,
+            ]))
+            h = rng.uniform(0.5, 2.0, size=(30, len(theta)))
+            cli._irregular_estimate(theta, h, 4)
+            got, want = seen_obs.pop(), pooled_by_loop(theta, h)
+            assert [lag for lag, _ in got] == [lag for lag, _ in want]
+            np.testing.assert_allclose([v for _, v in got], [v for _, v in want],
+                                       rtol=1e-12, atol=0.0)
+
     def test_irregular_csv_linear_rejected(self, tmp_path, capsys):
         theta = np.array([0.0, 0.4, 0.9])
         p = tmp_path / "bad.csv"
@@ -333,6 +366,19 @@ class TestEstimate:
         code, out, err = run_cli(capsys, "estimate", "--input", str(p))
         assert code == 2 and out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_moments_nnls_exit_2(self, tmp_path, capsys, bad):
+        d = serialize.moments_to_dict(
+            forward_zonotope_moments(CentralFaceMoments(2, 1.0, [1.0, 1.0])))
+        d["second"][0][1] = bad
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(d))
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(p), "--solver", "nnls"
+        )
+        assert code == 2 and out == ""
+        assert "observations must be finite" in err
 
     def test_epsilon_bound(self, tmp_path, capsys):
         p = tmp_path / "moments.json"

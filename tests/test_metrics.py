@@ -26,6 +26,28 @@ def test_golden_section_max():
     assert v == pytest.approx(0.0, abs=1e-15)
 
 
+def test_golden_section_lanes_match_scalar_searches():
+    # each lane of a lockstep search takes the scalar search's steps bit for bit
+    fs = [
+        lambda t: -(t - 0.3) ** 2,
+        lambda t: np.abs(np.sin(3.0 * t)) - np.abs(t - 0.2),
+        lambda t: np.floor(7.0 * t),
+    ]
+    rng = np.random.default_rng(5)
+    for f in fs:
+        for _ in range(20):
+            a = rng.uniform(-2.0, 2.0)
+            b = a + rng.uniform(1e-6, 2.0)
+            tol = 10.0 ** rng.uniform(-12, -2)
+            x, v = golden_section_max(f, a, b, tol)
+            xs, vs = golden_section_max(f, np.array([a]), np.array([b]), tol)
+            assert xs.shape == vs.shape == (1,)
+            assert (xs[0], vs[0]) == (x, v)
+    a = np.array([0.1, 0.4, 1.0])
+    xs, vs = golden_section_max(fs[1], a, a + 0.5, 1e-9)
+    for lane, (x, v) in enumerate(zip(xs, vs)):
+        assert (x, v) == golden_section_max(fs[1], a[lane], a[lane] + 0.5, 1e-9)
+
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, np.nan])
 def test_golden_section_needs_positive_tolerance(tol):

@@ -333,6 +333,11 @@ class TestCentralNNLS:
         with pytest.raises(ParameterError, match="angles"):
             central_nnls([(0.0, 1.0), (2.0, 1.0)], 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observations(self, bad):
+        with pytest.raises(ParameterError, match="observations must be finite"):
+            central_nnls([(0.0, 1.0), (np.pi / 2.0, bad)], 2)
+
     def test_result_is_palindrome(self):
         rng = np.random.default_rng(2)
         v = np.array([4.0, 2.0, 1.0, 2.0])
