@@ -71,13 +71,6 @@ class CirculantMatrix:
         return f"CirculantMatrix(n={self.n})"
 
 
-def circulant_solve(c, b, rtol=1e-12):
-    """Solve Circ(first_column) x = b; accepts a CirculantMatrix or a first column."""
-    if not isinstance(c, CirculantMatrix):
-        c = CirculantMatrix(c)
-    return c.solve(b, rtol=rtol)
-
-
 def feret_matrix(n):
     """Circulant matrix F with entries |sin(theta_i - theta_j)| on the regular grid.
 

@@ -204,43 +204,47 @@ def cmd_sweep(args):
     return 0
 
 
-def _irregular_estimate(theta, h, n):
-    """NNLS face moments from samples on a non-regular angle grid.
+def _nnls_central(theta, second, mean_h, n):
+    """NNLS face moments from a second-moment matrix on any angle grid.
 
     Under isotropy every angle pair (i, j) observes the covariance lag
-    |theta_i - theta_j|; the pooled (lag, E[H H']) pairs feed the
-    least-squares kernel fit.  Raises UnderdeterminedError through
-    central_nnls when the design has too few distinct lags for n.
+    |theta_i - theta_j|; the pooled (lag, mean E[H H']) pairs feed the
+    least-squares kernel fit.  On the regular grid the pooled means are the
+    cyclic-diagonal averages of `second`.  Raises UnderdeterminedError
+    through central_nnls when the design has too few distinct lags for n.
     """
-    if n is None:
-        raise ParameterError(
-            "samples are not on the regular grid; pass --n and --solver nnls"
-        )
-    second = (h.T @ h) / h.shape[0]
-    # lags z and pi - z are equivalent: fold to [0, pi/2], then pool pairs
-    # whose lags agree to 12 digits
+    # lags z and pi - z are equivalent: fold to [0, pi/2], then pool runs of
+    # sorted lags with gaps <= 1e-12, which no rounding boundary can split;
+    # each pool keeps its smallest lag unrounded: rounding to 12 digits moved
+    # regular-grid estimates at n = 16 by up to 5e-10, through cond(K(0))
     upper = np.triu_indices(len(theta))
     z = np.abs(theta[:, None] - theta[None, :])[upper] % np.pi
-    lags, pool = np.unique(np.round(np.minimum(z, np.pi - z), 12), return_inverse=True)
+    folded = np.minimum(z, np.pi - z)
+    order = np.argsort(folded)
+    starts = np.diff(folded[order], prepend=-np.inf) > 1e-12
+    pool = np.empty_like(order)
+    pool[order] = np.cumsum(starts) - 1
+    lags = folded[order][starts]
     means = np.bincount(pool, weights=second[upper]) / np.bincount(pool)
-    obs = list(zip(lags, means))
-    mean_alpha = np.pi / (2.0 * n) * float(h.mean())
-    return central_nnls(obs, n, mean_alpha=mean_alpha)
+    mean_alpha = np.pi / (2.0 * n) * mean_h
+    return central_nnls(list(zip(lags, means)), n, mean_alpha=mean_alpha)
 
 
 def cmd_estimate(args):
     path = args.input
-    irregular = None
+    m = None
     if path.endswith(".csv"):
         theta, h = serialize.read_sample_csv(path)
         if np.allclose(theta, regular_subdivision(len(theta)), atol=1e-9):
             m = empirical_moments(h)
-        elif args.solver == "nnls":
-            irregular = (theta, h)
-        else:
+        elif args.solver != "nnls":
             raise ParameterError(
                 "the linear solver needs samples on the regular grid "
                 "theta_i = (i-1) pi / n; use --solver nnls for other designs"
+            )
+        elif args.n is None:
+            raise ParameterError(
+                "samples are not on the regular grid; pass --n and --solver nnls"
             )
         mean_diam = float(np.mean(h.max(axis=1)))
     else:
@@ -249,10 +253,9 @@ def cmd_estimate(args):
             raise ParameterError("estimate needs Feret-process moments as input")
         mean_diam = float(m.mean.max())
 
-    if irregular is not None:
+    if m is None:
         n = args.n
-        theta, h = irregular
-        central = _irregular_estimate(theta, h, n)
+        central = _nnls_central(theta, (h.T @ h) / h.shape[0], float(h.mean()), n)
         diag = None
         isotropized = False
     else:
@@ -265,9 +268,8 @@ def cmd_estimate(args):
         if args.solver == "linear":
             central = central_from_feret(stat, max_condition=args.max_condition)
         else:
-            obs = [(stat.theta[d], stat.second[0, d]) for d in range(n // 2 + 1)]
-            mean_alpha = np.pi / (2.0 * n) * float(stat.mean.mean())
-            central = central_nnls(obs, n, mean_alpha=mean_alpha)
+            central = _nnls_central(stat.theta, stat.second,
+                                    float(stat.mean.mean()), n)
     report = {
         "command": "estimate",
         "solver": args.solver,

@@ -1,54 +1,28 @@
-"""Nonnegative least squares by the active-set method.
+"""Nonnegative least squares through scipy, with typed errors.
 
-Small dense problems only.  The passive-set subproblems are solved with
-numpy's lstsq, so at convergence the dual is zero on the passive set up to
-roundoff and bounded by `kkt_tol` on the active set.
+`scipy.optimize.nnls` implements the Lawson-Hanson active-set method
+(Lawson & Hanson, "Solving Least Squares Problems", 1974).  `nnls` wraps it
+so that a shape mismatch or scipy's iteration limit surfaces as SolverError;
+`kkt_residual` measures how well a point satisfies the optimality conditions.
 """
 
 import numpy as np
+import scipy.optimize
 
 from .errors import SolverError
 
 
-def nnls(A, b, kkt_tol=1e-11, max_iter=None):
-    """Minimize ||A x - b|| subject to x >= 0.
-
-    Returns (x, residual_norm).  `kkt_tol` bounds the largest positive dual
-    component allowed on the active (zero) set at exit.
-    """
+def nnls(A, b):
+    """Minimize ||A x - b|| subject to x >= 0; returns (x, residual_norm)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if b.shape != (m,):
+    if A.ndim != 2 or b.shape != (A.shape[0],):
         raise SolverError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
-    if max_iter is None:
-        max_iter = 6 * n + 30
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
-        w = A.T @ (b - A @ x)
-        w_masked = np.where(passive, -np.inf, w)
-        j = int(np.argmax(w_masked))
-        if passive.all() or w_masked[j] <= kkt_tol:
-            return x, float(np.linalg.norm(A @ x - b))
-        passive[j] = True
-        while True:
-            z = np.zeros(n)
-            z[passive], *_ = np.linalg.lstsq(A[:, passive], b, rcond=None)
-            if z[passive].min() > 0.0:
-                x = z
-                break
-            # step toward z until the first passive component hits zero
-            mask = passive & (z <= 0.0)
-            ratios = x[mask] / (x[mask] - z[mask])
-            step = float(ratios.min())
-            x = x + step * (z - x)
-            passive &= x > 1e-15 * max(1.0, float(np.abs(x).max()))
-            x[~passive] = 0.0
-            if not passive.any():
-                break
-    raise SolverError("active-set iteration limit exceeded")
+    try:
+        x, res = scipy.optimize.nnls(A, b)
+    except RuntimeError as e:
+        raise SolverError(f"nonnegative least squares failed: {e}") from e
+    return x, float(res)
 
 
 def kkt_residual(A, b, x):

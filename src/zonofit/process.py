@@ -306,10 +306,12 @@ def central_from_feret(m, max_condition=1e12):
     """Recover central face moments from stationary Feret-process moments.
 
     Inverts mean = (2/pi) n E[alpha_1] and V[H] = n K(0) V[alpha] in the
-    spectral domain of the circulant K(0), on the symmetrized lag vector.
-    Standard errors, when present on `m`, propagate through the linear map
-    by conservative absolute-value row sums.  `max_condition` is the only
-    conditioning check.
+    spectral domain of the circulant K(0).  The lag vector is the average of
+    `m.second` over its n cyclic diagonals, symmetrized: the sufficient
+    statistic of a stationary process, where row 0 alone would discard n - 1
+    of the n rows.  Standard errors, when present on `m`, are averaged along
+    the same diagonals and propagate through the linear map by conservative
+    absolute-value row sums.  `max_condition` is the only conditioning check.
 
     Raises
     ------
@@ -335,7 +337,8 @@ def central_from_feret(m, max_condition=1e12):
             f"{max_condition:.0e}"
         )
     mean_alpha = (np.pi / (2.0 * n)) * float(m.mean.mean())
-    v = _symmetric(K0.solve(_symmetric(m.second[0]), rtol=0.0) / n)
+    lags = _lag_sums(m.second) / n
+    v = _symmetric(K0.solve(_symmetric(lags), rtol=0.0) / n)
 
     stderr_mean_alpha = None
     stderr_v = None
@@ -343,31 +346,31 @@ def central_from_feret(m, max_condition=1e12):
         stderr_mean_alpha = (np.pi / (2.0 * n)) * float(m.stderr_mean.mean())
     if m.stderr_second is not None:
         full_map = K0.solve(_symmetric(np.eye(n)), rtol=0.0) / n
-        stderr_v = np.abs(full_map) @ m.stderr_second[0]
+        stderr_v = np.abs(full_map) @ (_lag_sums(m.stderr_second) / n)
     return CentralFaceMoments(n, mean_alpha, v, stderr_mean_alpha, stderr_v)
 
 
-def central_nnls(observations, n, mean_alpha=0.0, kkt_tol=1e-11):
+def central_nnls(observations, n, mean_alpha=0.0):
     """Central face second moments from noisy lag observations, by NNLS.
 
     `observations` is a sequence of (angle, value) pairs with angles in
     [0, pi/2] and values estimating E[H(0) H(angle)].  At least
-    floor(n/2) + 1 distinct angles are required.  Interior angles are
-    mirrored to pi - angle (the lag function is symmetric about pi/2), and
-    the design matrix Q[i, j] = n k_s(z_i - theta_j) is solved for
-    V >= 0 by active-set nonnegative least squares.
-
-    The mirrored design makes the objective invariant under the palindrome
-    involution, so the returned vector is symmetrized without changing the
-    objective value.  `mean_alpha` passes through to the result (first
-    moments are not identifiable from second-moment observations).
+    floor(n/2) + 1 distinct angles are required.  The unknowns are the
+    n//2 + 1 distinct lags u of the palindrome v = u[fold], fold[d] =
+    min(d, n - d), so each design column sums the mirror pair of columns of
+    Q[i, j] = n k_s(z_i - theta_j).  An interior angle z also observes the
+    lag pi - z, which on palindromes repeats the row of z: its row carries
+    weight sqrt(2) instead of a mirrored copy.  The weighted system is solved
+    for u >= 0 by scipy's Lawson-Hanson NNLS.  `mean_alpha` passes through to
+    the result (first moments are not identifiable from second-moment
+    observations).
     """
-    obs = [(float(a), float(v)) for a, v in observations]
-    if not obs:
+    obs = np.array([(float(a), float(v)) for a, v in observations]).reshape(-1, 2)
+    if not len(obs):
         raise UnderdeterminedError("no observations")
-    if not all(np.isfinite(v) for _, v in obs):
+    angles, ys = obs.T
+    if not np.all(np.isfinite(ys)):
         raise ParameterError("observations must be finite")
-    angles = np.array([a for a, _ in obs])
     if angles.min() < -1e-12 or angles.max() > np.pi / 2 + 1e-12:
         raise ParameterError("observation angles must lie in [0, pi/2]")
     distinct = 1 + int(np.sum(np.diff(np.sort(angles)) > 1e-12))
@@ -377,18 +380,13 @@ def central_nnls(observations, n, mean_alpha=0.0, kkt_tol=1e-11):
             f"need at least {needed} distinct observation angles for n={n}, "
             f"got {distinct}"
         )
-    zs = [a for a, _ in obs]
-    ys = [v for _, v in obs]
-    for a, v in obs:
-        if 1e-12 < a < np.pi / 2 - 1e-12:
-            zs.append(np.pi - a)
-            ys.append(v)
-    zs = np.array(zs)
-    ys = np.array(ys)
-    th = regular_subdivision(n)
-    Q = float(n) * k_s(zs[:, None] - th[None, :])
-    V, _ = _nnls_solve(Q, ys, kkt_tol=kkt_tol)
-    return CentralFaceMoments(n, mean_alpha, _symmetric(V))
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    interior = (angles > 1e-12) & (angles < np.pi / 2 - 1e-12)
+    w = np.where(interior, np.sqrt(2.0), 1.0)
+    Q = float(n) * k_s(angles[:, None] - regular_subdivision(n))
+    design = Q @ (fold[:, None] == np.arange(needed))
+    u, _ = _nnls_solve(w[:, None] * design, w * ys)
+    return CentralFaceMoments(n, mean_alpha, u[fold])
 
 
 def c0_random_moments(m, n):

@@ -7,6 +7,7 @@ line `# zonofit v1`.
 
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
@@ -317,6 +318,11 @@ def write_sample_csv(path, theta, h):
             block, start = next(blocks, None), start + len(block)
 
 
+def _content_lines(f):
+    """The lines of an open text file that are neither blank nor comments."""
+    return (ln for ln in f if ln.strip() and not ln.lstrip().startswith("#"))
+
+
 def _is_sample_row(row):
     """True when a parsed CSV row reads as integer, float, float."""
     try:
@@ -334,18 +340,23 @@ def read_sample_csv(path):
     its rows in first-appearance order of sample_id.
     """
     with open(path) as f:
-        lines = [ln for ln in f if ln.strip() and not ln.lstrip().startswith("#")]
-    header = next(csv.reader(lines[:1]), None)
-    if header is None or [c.strip() for c in header] != ["sample_id", "theta", "h"]:
-        raise ParameterError("sample CSV must have the header sample_id,theta,h")
-    if len(lines) == 1:
-        raise ParameterError("sample CSV contains no data rows")
-    try:
-        rows = np.loadtxt(lines[1:], dtype=[("id", "i8"), ("th", "f8"), ("h", "f8")],
-                          delimiter=",", comments=None, quotechar='"', ndmin=1)
-    except ValueError as e:
-        bad = next((r for r in csv.reader(lines[1:]) if not _is_sample_row(r)), str(e))
-        raise ParameterError(f"malformed sample CSV row: {bad!r}") from e
+        lines = _content_lines(f)
+        header = next(csv.reader(lines), None)
+        if header is None or [c.strip() for c in header] != ["sample_id", "theta", "h"]:
+            raise ParameterError("sample CSV must have the header sample_id,theta,h")
+        first_row = next(lines, None)
+        if first_row is None:
+            raise ParameterError("sample CSV contains no data rows")
+        try:
+            rows = np.loadtxt(itertools.chain([first_row], lines),
+                              dtype=[("id", "i8"), ("th", "f8"), ("h", "f8")],
+                              delimiter=",", comments=None, quotechar='"', ndmin=1)
+        except ValueError as e:
+            # the parse consumed the lines as it streamed: re-read to name the bad row
+            with open(path) as g:
+                data = itertools.islice(csv.reader(_content_lines(g)), 1, None)
+                bad = next((r for r in data if not _is_sample_row(r)), str(e))
+            raise ParameterError(f"malformed sample CSV row: {bad!r}") from e
     # number each row's sample by first appearance, then sort by (sample, theta)
     _, first, inverse = np.unique(rows["id"], return_index=True, return_inverse=True)
     sample = np.argsort(np.argsort(first))[inverse]

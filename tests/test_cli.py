@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from zonofit import (
     CHUNK,
@@ -21,11 +22,13 @@ from zonofit import (
     forward_zonotope_moments,
     isotropize_moments,
     k_s,
+    regular_subdivision,
     sample_shape,
     serialize,
 )
 from zonofit import approx, cli, simulate
 from zonofit.cli import entry, parse_int_list, parse_model, parse_shape, square_body
+from zonofit.process import _lag_sums
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +256,19 @@ class TestEstimate:
         rep = json.loads(out)
         np.testing.assert_allclose(rep["central"]["v_alpha"], [1.0, 1.0], atol=1e-8)
 
+    def test_nnls_iteration_limit_exit_3(self, tmp_path, capsys, monkeypatch):
+        def give_up(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", give_up)
+        p = tmp_path / "moments.json"
+        self.write_square_moments(p)
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(p), "--solver", "nnls"
+        )
+        assert code == 3 and out == ""
+        assert "iterations" in err
+
     def test_deterministic_disk_csv(self, tmp_path, capsys):
         # three identical disk samples: the chain isotropizes and recovers the
         # exact constant face moments
@@ -311,11 +327,27 @@ class TestEstimate:
                 rng.integers(0, 9, g // 2) * (np.pi / 9) + rng.integers(0, 2) * np.pi,
             ]))
             h = rng.uniform(0.5, 2.0, size=(30, len(theta)))
-            cli._irregular_estimate(theta, h, 4)
+            cli._nnls_central(theta, (h.T @ h) / h.shape[0], float(h.mean()), 4)
             got, want = seen_obs.pop(), pooled_by_loop(theta, h)
-            assert [lag for lag, _ in got] == [lag for lag, _ in want]
+            assert [round(lag, 12) for lag, _ in got] == [lag for lag, _ in want]
             np.testing.assert_allclose([v for _, v in got], [v for _, v in want],
                                        rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 16, 17, 64, 97, 112])
+    def test_regular_grid_pooling_is_lag_average(self, monkeypatch, n):
+        # at n = 97 and 112 rounding lags to 12 digits splits a lag in two
+        seen_obs = []
+        monkeypatch.setattr(cli, "central_nnls",
+                            lambda obs, n, mean_alpha: seen_obs.append(obs))
+        h = np.random.default_rng(n).uniform(0.5, 2.0, size=(10, n))
+        second = (h.T @ h) / 10
+        cli._nnls_central(regular_subdivision(n), second, 1.0, n)
+        lags, means = np.array(seen_obs.pop()).T
+        assert len(lags) == n // 2 + 1
+        np.testing.assert_allclose(lags, regular_subdivision(n)[: n // 2 + 1],
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(means, _lag_sums(second)[: n // 2 + 1] / n,
+                                   rtol=1e-14, atol=0.0)
 
     def test_irregular_csv_linear_rejected(self, tmp_path, capsys):
         theta = np.array([0.0, 0.4, 0.9])

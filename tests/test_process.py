@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
 from zonofit import (
     C0FaceMoments,
@@ -28,6 +29,8 @@ from zonofit import (
     isotropize_moments,
     k_matrix,
     k_s,
+    kkt_residual,
+    pipeline_estimate,
     regular_subdivision,
     stationarity_diagnostic,
 )
@@ -298,6 +301,82 @@ def _positive_definite_lags(n):
     return v
 
 
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_monte_carlo_lognormal_recovered(self, n):
+        # lognormal faces exp(sigma Z): E[alpha^2] = e^(2 sigma^2) and
+        # E[alpha_i alpha_j] = e^(sigma^2); row 0 alone gave a non-PSD Circ(v)
+        sigma = 0.3
+        c = pipeline_estimate(IsotropicZonotope(n, LogNormal(n, sigma=sigma)), n,
+                              20000, seed=7)
+        truth = np.full(n, np.exp(sigma**2))
+        truth[0] = np.exp(2.0 * sigma**2)
+        assert np.fft.fft(c.v_alpha).real.min() > 0.0 and not c.psd_repaired
+        assert np.abs(c.v_alpha - truth).max() <= 5e-3 * truth.max()
+
+    def test_lag_average_of_non_circulant_input(self):
+        # a stationary flag on a non-circulant matrix: the solve reads the
+        # average over the cyclic diagonals, not row 0
+        n = 4
+        fwd = forward_zonotope_moments(CentralFaceMoments(n, 1.0, [4.0, 2.0, 1.0, 2.0]))
+        tilt = np.diag([0.2, -0.2, 0.2, -0.2])
+        se = np.diag([0.4, 0.0, 0.0, 0.0])
+        m = FeretProcessMoments(fwd.mean, fwd.second + tilt, np.zeros(n), se,
+                                stationary=True)
+        c = central_from_feret(m)
+        np.testing.assert_allclose(c.v_alpha, [4.0, 2.0, 1.0, 2.0], atol=1e-12)
+        K0 = k_matrix(n).dense()
+        full_map = np.linalg.inv(n * K0) @ (0.5 * (np.eye(n) + np.eye(n)[(-np.arange(n)) % n]))
+        np.testing.assert_allclose(c.stderr_v_alpha,
+                                   np.abs(full_map) @ [0.1, 0.0, 0.0, 0.0], rtol=1e-12)
+
+
+def _lognormal_lag_observations(n, seed, samples=4000):
+    """Lag-averaged Monte-Carlo second moments of a lognormal isotropic zonotope."""
+    est = estimate_process_moments(IsotropicZonotope(n, LogNormal(n, sigma=0.3)), n,
+                                   samples, seed)
+    lags = _lag_sums(est.moments.second) / n
+    th = regular_subdivision(n)
+    return [(th[d], lags[d]) for d in range(n // 2 + 1)]
+
+
+def _sparse_lag_observations(n, seed):
+    """Forward lags of face moments with zero lags, plus 0.1% noise: active bounds."""
+    rng = np.random.default_rng(seed)
+    v = np.where(rng.uniform(size=n // 2 + 1) < 0.5, 0.0, rng.uniform(0.0, 0.3, n // 2 + 1))
+    v[0] = 1.0 + v.sum()
+    v = v[np.minimum(np.arange(n), n - np.arange(n))]
+    lags = forward_zonotope_moments(CentralFaceMoments(n, 1.0, v)).second[0]
+    th = regular_subdivision(n)
+    return [(th[d], lags[d] * (1.0 + 1e-3 * rng.standard_normal()))
+            for d in range(n // 2 + 1)]
+
+
+def _noisy_observations(n):
+    return [_lognormal_lag_observations(n, seed) for seed in (1, 2)] + [
+        _sparse_lag_observations(n, seed) for seed in range(4)]
+
+
+def _reduced_design(obs, n):
+    """The weighted palindromic design and right-hand side central_nnls solves."""
+    angles, ys = np.array(obs).T
+    w = np.where((angles > 1e-12) & (angles < np.pi / 2 - 1e-12), np.sqrt(2.0), 1.0)
+    Q = n * k_s(angles[:, None] - regular_subdivision(n))
+    fold = np.minimum(np.arange(n), n - np.arange(n))
+    return w[:, None] * (Q @ (fold[:, None] == np.arange(n // 2 + 1))), w * ys
+
+
+def _mirrored_oracle(obs, n):
+    """The former route: mirror interior angles, solve for all n lags, symmetrize."""
+    zs, ys = (list(col) for col in zip(*obs))
+    for a, y in obs:
+        if 1e-12 < a < np.pi / 2 - 1e-12:
+            zs.append(np.pi - a)
+            ys.append(y)
+    Q = n * k_s(np.array(zs)[:, None] - regular_subdivision(n))
+    v, _ = scipy.optimize.nnls(Q, np.array(ys))
+    return 0.5 * (v + v[(-np.arange(n)) % n])
+
+
 class TestCentralNNLS:
     def test_noiseless_square(self):
         m = forward_zonotope_moments(CentralFaceMoments(2, 1.0, [1.0, 1.0]))
@@ -347,6 +426,31 @@ class TestCentralNNLS:
         c = central_nnls(obs, 4)
         np.testing.assert_allclose(c.v_alpha, c.v_alpha[(-np.arange(4)) % 4], atol=1e-12)
         assert c.v_alpha.min() >= 0.0
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    def test_kkt_at_optimum_of_reduced_design(self, n):
+        for obs in _noisy_observations(n):
+            c = central_nnls(obs, n)
+            assert not c.psd_repaired
+            A, b = _reduced_design(obs, n)
+            scale = np.abs(A).max() * np.abs(b).max() * len(b)
+            assert kkt_residual(A, b, c.v_alpha[: n // 2 + 1]) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    def test_stable_under_one_ulp_perturbation(self, n):
+        rng = np.random.default_rng(n)
+        for obs in _noisy_observations(n):
+            angles, ys = np.array(obs).T
+            nudged = np.nextafter(ys, np.where(rng.uniform(size=len(ys)) < 0.5, -1, 1) * np.inf)
+            v = central_nnls(obs, n).v_alpha
+            v_nudged = central_nnls(list(zip(angles, nudged)), n).v_alpha
+            assert np.abs(v_nudged - v).max() <= 1e-10 * np.abs(v).max()
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17])
+    def test_matches_mirrored_full_design(self, n):
+        for obs in _noisy_observations(n):
+            v = central_nnls(obs, n).v_alpha
+            assert np.abs(v - _mirrored_oracle(obs, n)).max() <= 1e-10 * np.abs(v).max()
 
 
 class TestInterpolantMoments:

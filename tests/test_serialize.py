@@ -377,6 +377,38 @@ def test_sample_csv_malformed_rows(tmp_path, row):
     assert repr(row.split(",")) in str(info.value)
 
 
+def test_sample_csv_streamed_parse_is_exact(tmp_path):
+    # the reader streams its lines into the parser: comments, blank lines and
+    # quoted fields between the rows of a large table change nothing
+    rng = np.random.default_rng(5)
+    theta = regular_subdivision(16)
+    h = rng.lognormal(0.0, 1.0, size=(3000, 16))
+    plain = tmp_path / "plain.csv"
+    write_sample_csv(plain, theta, h)
+    lines = plain.read_text().splitlines(keepends=True)
+    noisy = lines[:2]
+    for i, ln in enumerate(lines[2:]):
+        sid, th, val = ln.rstrip("\n").split(",")
+        noisy.append(f'{sid},"{th}",{val}\n' if i % 7 == 0 else ln)
+        noisy.append(["", "\n", "  # note\n"][i % 3])
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("".join(noisy))
+    th_a, h_a = read_sample_csv(plain)
+    th_b, h_b = read_sample_csv(spaced)
+    assert np.array_equal(th_a, theta) and np.array_equal(h_a, h)
+    assert np.array_equal(th_b, th_a) and np.array_equal(h_b, h_a)
+
+
+def test_sample_csv_malformed_row_named_after_long_prefix(tmp_path):
+    path = tmp_path / "late.csv"
+    write_sample_csv(path, regular_subdivision(4), np.ones((20000, 4)))
+    with open(path, "a") as f:
+        f.write("# trailing note\n7,0.5,oops\n")
+    with pytest.raises(ParameterError, match="malformed") as info:
+        read_sample_csv(path)
+    assert repr(["7", "0.5", "oops"]) in str(info.value)
+
+
 def test_sample_csv_ids_ignore_blanks(tmp_path):
     path = tmp_path / "blanks.csv"
     path.write_text("sample_id,theta,h\n 1,0.0,1.0\n1,1.0,2.0\n2 ,1.0,4.0\n2,0.0,3.0\n")
