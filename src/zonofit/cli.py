@@ -215,8 +215,7 @@ def _nnls_central(theta, second, mean_h, n):
     """
     # lags z and pi - z are equivalent: fold to [0, pi/2], then pool runs of
     # sorted lags with gaps <= 1e-12, which no rounding boundary can split;
-    # each pool keeps its smallest lag unrounded: rounding to 12 digits moved
-    # regular-grid estimates at n = 16 by up to 5e-10, through cond(K(0))
+    # each pool keeps its smallest lag unrounded
     upper = np.triu_indices(len(theta))
     z = np.abs(theta[:, None] - theta[None, :])[upper] % np.pi
     folded = np.minimum(z, np.pi - z)

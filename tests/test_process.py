@@ -292,15 +292,6 @@ class TestCentralRecovery:
             central_from_feret(m, max_condition=bad)
         assert central_from_feret(m, max_condition=np.inf).n == 64
 
-
-def _positive_definite_lags(n):
-    """Palindromic lag vector whose circulant has eigenvalues >= 1."""
-    base = np.abs(np.random.default_rng(n).standard_normal(n)) + 0.1
-    v = np.array([np.dot(base, np.roll(base, d)) for d in range(n)]) / n
-    v[0] += 1.0
-    return v
-
-
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_monte_carlo_lognormal_recovered(self, n):
         # lognormal faces exp(sigma Z): E[alpha^2] = e^(2 sigma^2) and
@@ -328,6 +319,14 @@ def _positive_definite_lags(n):
         full_map = np.linalg.inv(n * K0) @ (0.5 * (np.eye(n) + np.eye(n)[(-np.arange(n)) % n]))
         np.testing.assert_allclose(c.stderr_v_alpha,
                                    np.abs(full_map) @ [0.1, 0.0, 0.0, 0.0], rtol=1e-12)
+
+
+def _positive_definite_lags(n):
+    """Palindromic lag vector whose circulant has eigenvalues >= 1."""
+    base = np.abs(np.random.default_rng(n).standard_normal(n)) + 0.1
+    v = np.array([np.dot(base, np.roll(base, d)) for d in range(n)]) / n
+    v[0] += 1.0
+    return v
 
 
 def _lognormal_lag_observations(n, seed, samples=4000):
