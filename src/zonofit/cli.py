@@ -4,7 +4,7 @@ Every command is a thin orchestration of library calls; outputs are
 byte-equal to calling the library directly with the same configuration.
 Exit codes: 0 success, 2 invalid input, 3 numeric failure, 4 underdetermined
 estimation.  `simulate` draws each chunk of samples once, in table order,
-and feeds it to both the sample table and the moment sums; the
+and feeds it to both the sample table and the moment reducer; the
 ZONOFIT_THREADS worker cap of the library's sampler does not apply to it.
 """
 
@@ -39,10 +39,10 @@ from .simulate import (
     Fixed,
     IsotropicEllipse,
     IsotropicRectangle,
-    _chunk_sums,
-    _moments_from_sums,
+    chunk_state,
     empirical_moments,
     feret_sample_block,
+    reduce_states,
 )
 
 
@@ -231,20 +231,9 @@ def _nnls_central(theta, second, mean_h, n):
 
 def cmd_estimate(args):
     path = args.input
-    m = None
     if path.endswith(".csv"):
         theta, h = serialize.read_sample_csv(path)
-        if np.allclose(theta, regular_subdivision(len(theta)), atol=1e-9):
-            m = empirical_moments(h)
-        elif args.solver != "nnls":
-            raise ParameterError(
-                "the linear solver needs samples on the regular grid "
-                "theta_i = (i-1) pi / n; use --solver nnls for other designs"
-            )
-        elif args.n is None:
-            raise ParameterError(
-                "samples are not on the regular grid; pass --n and --solver nnls"
-            )
+        m = empirical_moments(h)
         mean_diam = float(np.mean(h.max(axis=1)))
     else:
         m = serialize.moments_from_dict(_read_json(path))
@@ -252,9 +241,18 @@ def cmd_estimate(args):
             raise ParameterError("estimate needs Feret-process moments as input")
         mean_diam = float(m.mean.max())
 
-    if m is None:
+    if path.endswith(".csv") and not np.allclose(theta, m.theta, atol=1e-9):
+        if args.solver != "nnls":
+            raise ParameterError(
+                "the linear solver needs samples on the regular grid "
+                "theta_i = (i-1) pi / n; use --solver nnls for other designs"
+            )
+        if args.n is None:
+            raise ParameterError(
+                "samples are not on the regular grid; pass --n and --solver nnls"
+            )
         n = args.n
-        central = _nnls_central(theta, (h.T @ h) / h.shape[0], float(h.mean()), n)
+        central = _nnls_central(theta, m.second, float(m.mean.mean()), n)
         diag = None
         isotropized = False
     else:
@@ -299,17 +297,17 @@ def cmd_simulate(args):
     base = args.out or "zonofit_run"
     csv_path = base + ".csv"
     json_path = base + ".json"
-    parts = []
+    states = []
 
     def blocks():
         for start in range(0, args.samples, CHUNK):
             count = min(CHUNK, args.samples - start)
             h = feret_sample_block(model, args.n, args.seed, start, count)
-            parts.append(_chunk_sums(h))
+            states.append(chunk_state(h))
             yield h
 
     serialize.write_sample_csv(csv_path, regular_subdivision(args.n), blocks())
-    moments = _moments_from_sums(parts, args.samples, model.is_isotropic)
+    moments = reduce_states(states, model.is_isotropic)
     diag = stationarity_diagnostic(moments)
     exist = existence_check(moments)
     summary = {

@@ -361,9 +361,9 @@ def central_nnls(observations, n, mean_alpha=0.0):
     Q[i, j] = n k_s(z_i - theta_j).  An interior angle z also observes the
     lag pi - z, which on palindromes repeats the row of z: its row carries
     weight sqrt(2) instead of a mirrored copy.  The weighted system is solved
-    for u >= 0 by scipy's Lawson-Hanson NNLS.  `mean_alpha` passes through to
-    the result (first moments are not identifiable from second-moment
-    observations).
+    for u >= 0 by scipy's Lawson-Hanson NNLS; a fit whose Circ(v) is not PSD
+    raises SolverError.  `mean_alpha` passes through to the result (first
+    moments are not identifiable from second-moment observations).
     """
     obs = np.array([(float(a), float(v)) for a, v in observations]).reshape(-1, 2)
     if not len(obs):
@@ -386,6 +386,9 @@ def central_nnls(observations, n, mean_alpha=0.0):
     Q = float(n) * k_s(angles[:, None] - regular_subdivision(n))
     design = Q @ (fold[:, None] == np.arange(needed))
     u, _ = _nnls_solve(w[:, None] * design, w * ys)
+    lam = np.fft.fft(u[fold]).real.min()
+    if lam < _PSD_REPAIR_FLOOR * max(1.0, float(u.max())):
+        raise SolverError(f"NNLS fit is not positive semidefinite (min eigenvalue {lam:.3e})")
     return CentralFaceMoments(n, mean_alpha, u[fold])
 
 

@@ -7,15 +7,14 @@ rotation angle last; the window is padded to whole 4-word counter blocks,
 the unit Philox skips by).  Normal deviates come from uniforms through the
 inverse CDF so the budget stays fixed.  Every estimate is then a
 deterministic function of (seed, sample index) alone: parallel workers
-produce bit-identical results in any configuration, and sums are reduced in
-a fixed chunked order.
+produce bit-identical results in any configuration, and moments are
+reduced in a fixed chunked order.
 
 Zonotope models share one spectral sample block: on the regular grid the map
 from face lengths to Feret diameters is a circular convolution, evaluated
 for a whole chunk of samples with batched real FFTs.  Moments reduce each
-fixed chunk of CHUNK rows to power sums by matrix products and combine the
-chunk partials in a fixed pairwise tree, for sampled and for observed
-diameter tables alike.
+fixed chunk of CHUNK rows to a centered state and merge the states in a
+fixed pairwise tree, for sampled and for observed diameter tables alike.
 """
 
 import math
@@ -280,41 +279,49 @@ class EstimationResult:
         return f"EstimationResult(samples={self.sample_count}, seed={self.seed})"
 
 
-def _tree_sum(parts):
-    """Pairwise combination in fixed order, independent of how parts were produced."""
-    items = list(parts)
-    while len(items) > 1:
-        items = [
-            items[i] + items[i + 1] if i + 1 < len(items) else items[i]
-            for i in range(0, len(items), 2)
-        ]
-    return items[0]
+def chunk_state(h):
+    """Mergeable state (count, mean, M2) of a chunk of rows h, shape (count, n).
+
+    Row 0 of mean and M2 is for h, rows 1..n for the products h_i h_j; M2 sums
+    squared deviations from the chunk mean m.  With d = h - m the products' M2
+    comes from d^T d, (d^2)^T d^2 and (d^2)^T d, so no m^2-sized sums cancel.
+    """
+    count, n = h.shape
+    m = np.add.reduce(h, axis=0) / count
+    x = np.empty((count, 2 * n))  # [d | d^2]: one product x^T x gives all three sums
+    np.subtract(h, m, out=x[:, :n])
+    np.multiply(x[:, :n], x[:, :n], out=x[:, n:])
+    g = x.T @ x
+    s, mm = g[:n, :n], np.outer(m, m)
+    # v[i, j] = m_i^2 sum d_j^2 + 2 m_j sum d_i^2 d_j; v + v^T holds the cross terms
+    v = np.outer(m * m, s.diagonal()) + 2.0 * m * g[n:, :n]
+    m2 = g[n:, n:] + v + v.T + s * (2.0 * mm - s / count)
+    return count, np.vstack([m, mm + s / count]), np.vstack([s.diagonal(), m2])
 
 
-def _chunk_sums(h):
-    """Power sums of one chunk of rows: sum h, h^T h, sum h^2 and (h^2)^T h^2."""
-    sq = h * h
-    return np.add.reduce(h, axis=0), h.T @ h, np.add.reduce(sq, axis=0), sq.T @ sq
+def reduce_states(states, stationary=False):
+    """Process moments from chunk states, merged pairwise in a fixed tree.
 
-
-def _moments_from_sums(parts, samples, stationary):
-    """Moments and standard errors from per-chunk power sums, combined by _tree_sum.
-
+    Two states merge by the update of Chan, Golub & LeVeque ("Algorithms for
+    computing the sample variance", 1983); the tree depends only on the order
+    of `states`, so the result is bit-identical however they were produced.
     Standard errors are the entrywise sample standard deviations divided by
     sqrt(samples).
     """
-    s1, s2, q1, q2 = (_tree_sum([p[k] for p in parts]) for k in range(4))
-    mean = s1 / samples
-    second = s2 / samples
-    var_mean = np.maximum(q1 - samples * mean**2, 0.0) / (samples - 1)
-    var_second = np.maximum(q2 - samples * second**2, 0.0) / (samples - 1)
-    return FeretProcessMoments(
-        mean=mean,
-        second=second,
-        stderr_mean=np.sqrt(var_mean / samples),
-        stderr_second=np.sqrt(var_second / samples),
-        stationary=stationary,
-    )
+    items = list(states)
+    if sum(state[0] for state in items) < 2:
+        raise ParameterError("need at least 2 samples")
+    while len(items) > 1:
+        merged = []
+        for (na, ma, qa), (nb, mb, qb) in zip(items[::2], items[1::2]):
+            delta = mb - ma
+            merged.append((na + nb, ma + delta * (nb / (na + nb)),
+                           qa + qb + delta * delta * (na * nb / (na + nb))))
+        items = merged + items[len(merged) * 2 :]
+    samples, mean, m2 = items[0]
+    stderr = np.sqrt(np.maximum(m2, 0.0) / (samples - 1) / samples)
+    return FeretProcessMoments(mean=mean[0], second=mean[1:], stderr_mean=stderr[0],
+                               stderr_second=stderr[1:], stationary=stationary)
 
 
 def empirical_moments(h, stationary=False):
@@ -325,11 +332,8 @@ def empirical_moments(h, stationary=False):
     streamed estimate bit for bit.
     """
     h = np.ascontiguousarray(np.atleast_2d(np.asarray(h, dtype=float)))
-    samples = h.shape[0]
-    if samples < 2:
-        raise ParameterError("need at least 2 samples")
-    parts = [_chunk_sums(h[s : s + CHUNK]) for s in range(0, samples, CHUNK)]
-    return _moments_from_sums(parts, samples, stationary)
+    states = [chunk_state(h[s : s + CHUNK]) for s in range(0, len(h), CHUNK)]
+    return reduce_states(states, stationary)
 
 
 def feret_sample_block(model, n, seed, start, count):
@@ -349,29 +353,24 @@ def estimate_process_moments(model, n, samples, seed, threads=None):
 
     Samples are generated in fixed chunks of CHUNK rows, each drawn as one
     sample block (for zonotope models a batched spectral convolution).  Each
-    chunk reduces to its power sums, the second-order ones as matrix
-    products h^T h and (h^2)^T (h^2), and chunk partials combine in a fixed
-    tree, so the result is bit-identical for any worker count.  Standard
-    errors are the entrywise sample standard deviations divided by
-    sqrt(samples).
+    chunk reduces to its centered state (`chunk_state`), and the states
+    merge in a fixed pairwise tree (`reduce_states`), so the result is
+    bit-identical for any worker count.  Standard errors are the entrywise
+    sample standard deviations divided by sqrt(samples).
     """
-    if samples < 2:
-        raise ParameterError("need at least 2 samples")
     threads = worker_count(threads)
     starts = list(range(0, samples, CHUNK))
 
     def work(start):
         count = min(CHUNK, samples - start)
-        return _chunk_sums(feret_sample_block(model, n, seed, start, count))
+        return chunk_state(feret_sample_block(model, n, seed, start, count))
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, starts))
+            states = list(pool.map(work, starts))
     else:
-        parts = [work(s) for s in starts]
-    return EstimationResult(
-        _moments_from_sums(parts, samples, model.is_isotropic), samples, seed
-    )
+        states = [work(s) for s in starts]
+    return EstimationResult(reduce_states(states, model.is_isotropic), samples, seed)
 
 
 def pipeline_estimate(model, n, samples, seed, threads=None):

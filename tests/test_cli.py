@@ -11,6 +11,7 @@ from zonofit import (
     CentralFaceMoments,
     ConvexPolygon,
     Disk,
+    Fixed,
     IsotropicRectangle,
     Mixture,
     ParameterError,
@@ -305,6 +306,22 @@ class TestEstimate:
         np.testing.assert_allclose(rep["central"]["v_alpha"], [1.25, 0.75],
                                    atol=0.15)
 
+    def test_irregular_nnls_not_psd_exit_3(self, tmp_path, capsys):
+        # NNLS keeps v >= 0 but not Circ(v) PSD: on this valid table of
+        # unit squares at 7 jittered angles the fit is not PSD, a numeric
+        # failure rather than invalid input
+        model = IsotropicRectangle(Fixed([1.0, 1.0]))
+        jitter = np.random.default_rng(0).uniform(-0.1, 0.1, 7)
+        angles = np.sort((regular_subdivision(7) + jitter) % np.pi)
+        h = np.array([sample_shape(model, k, seed=0).feret(angles) for k in range(200)])
+        p = tmp_path / "jittered.csv"
+        serialize.write_sample_csv(p, angles, h)
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(p), "--n", "2", "--solver", "nnls"
+        )
+        assert code == 3 and out == ""
+        assert "not positive semidefinite" in err and "min eigenvalue -" in err
+
     def test_irregular_lag_pooling_matches_pair_loop(self, monkeypatch):
         def pooled_by_loop(theta, h):
             second = (h.T @ h) / h.shape[0]
@@ -530,7 +547,9 @@ class TestSimulate:
         _, h = serialize.read_sample_csv(tmp_path / "run.csv")
         m = serialize.moments_from_dict(summary["moments"])
         assert h.shape == (samples, 3)
-        np.testing.assert_array_equal(m.second, empirical_moments(h).second)
+        table = empirical_moments(h)
+        for name in ("mean", "second", "stderr_mean", "stderr_second"):
+            np.testing.assert_array_equal(getattr(m, name), getattr(table, name))
 
     def test_invalid_seed_writes_no_table(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

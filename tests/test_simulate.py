@@ -265,6 +265,37 @@ class TestMomentEstimates:
         with pytest.raises(ParameterError, match="2 samples"):
             empirical_moments(np.ones((1, 3)))
 
+    @staticmethod
+    def two_pass(h):
+        # reference statistics from the (N, n, n) product tensor, centered
+        # after a first pass for the means
+        N = len(h)
+        ref = {}
+        for name, x in (("mean", h), ("second", h[:, :, None] * h[:, None, :])):
+            ref[name] = x.mean(axis=0)
+            sq_dev = ((x - ref[name]) ** 2).sum(axis=0)
+            ref["stderr_" + name] = np.sqrt(sq_dev / (N - 1) / N)
+        return ref
+
+    def test_large_offset_does_not_cancel(self):
+        # three chunks of 1e6 + 1e-3 N(0, 1), true stderr_mean 1e-5: variances
+        # formed as raw power sums minus N mean^2 cancel to 0 on this input
+        h = 1e6 + 1e-3 * np.random.default_rng(3).standard_normal((10_000, 4))
+        m = empirical_moments(h)
+        ref = self.two_pass(h)
+        for name, rtol in (("mean", 1e-12), ("second", 1e-12),
+                           ("stderr_mean", 1e-6), ("stderr_second", 1e-6)):
+            np.testing.assert_allclose(getattr(m, name), ref[name], rtol=rtol, atol=0)
+        np.testing.assert_allclose(m.stderr_mean, 1e-5, rtol=0.05)
+
+    def test_merged_chunks_match_two_pass(self):
+        # three uneven chunks merged in the pairwise tree
+        h = np.random.default_rng(4).lognormal(0.0, 0.5, size=(2 * CHUNK + 7, 5))
+        m = empirical_moments(h)
+        ref = self.two_pass(h)
+        for name in ("mean", "second", "stderr_mean", "stderr_second"):
+            np.testing.assert_allclose(getattr(m, name), ref[name], rtol=1e-12, atol=0)
+
 
 class TestPipeline:
     def test_deterministic_disk_central_moments(self):
