@@ -3,9 +3,10 @@
 The interpolation route solves F alpha = H on the regular n-direction grid;
 the rotation-optimized route additionally searches the grid offset that
 minimizes the Hausdorff distance to the target.  The offset scan evaluates
-blocks of offsets at once: one circulant solve for all their interpolants,
-their widths on the sup grid as one FFT circular convolution, and their sups
-refined in lockstep.
+blocks of offsets at once: one circulant solve for all their interpolants
+and their widths on the sup grid as one FFT circular convolution, written
+into a workspace that each distance kernel allocates once.  One golden
+section search then refines the sups of up to _LANES offsets in lockstep.
 """
 
 import numpy as np
@@ -22,6 +23,9 @@ NEGATIVE_FACE_TOL = -1e-9
 
 #: Offsets the scan evaluates together; bounds its (block, sup grid) arrays.
 _BLOCK = 16
+
+#: Offsets whose sups one golden loop refines; bounds its (lanes, n) arrays.
+_LANES = 256
 
 
 def _interpolating_alpha(x, n, offset=0.0):
@@ -70,9 +74,13 @@ def _distance_kernel(x, n):
     such G >= SUP_GRID_SIZE (the metrics grid whenever n divides it).  There
     H_z(j pi/G) = sum_i alpha_i |sin((j - i G/n) pi/G - t)| is the circular
     convolution of the face lengths, upsampled by G/n, with a |sin| table
-    whose rfft is the n-point DFT of alpha tiled.  Each grid maximum is then
-    refined by golden section, all offsets of a block in lockstep, and kept
-    unless the refinement beats it.
+    whose rfft is the n-point DFT of alpha tiled.  Offsets go through this
+    grid pass in blocks of _BLOCK, each filling rows of one workspace that the
+    kernel allocates once: the table and the widths, (_BLOCK, G) floats, and
+    the table's spectrum and the tiled DFT, (_BLOCK, G/2 + 1) complex.  The
+    grid maxima of up to _LANES offsets are then refined by one golden
+    section search in lockstep, and each is kept unless the refinement beats
+    it.  The returned array is fresh, never a view of the workspace.
     """
     size = int(n)
     while size < SUP_GRID_SIZE:
@@ -83,28 +91,46 @@ def _distance_kernel(x, n):
     theta = regular_subdivision(n)
     tiled = np.arange(size // 2 + 1) % n
     step = np.pi / size
+    rows = _BLOCK
+    table, widths = np.empty((rows, size)), np.empty((rows, size))
+    spectrum, dft = np.empty((2, rows, size // 2 + 1), dtype=complex)
 
     def block(t):
+        """(alpha, grid-peak angle, grid max of |H_x - H_z|) for the offsets t."""
+        p = len(t)
         alpha = _interpolating_alpha(x, n, t)
-        table = np.abs(np.outer(np.cos(t), sin_eta) - np.outer(np.sin(t), cos_eta))
-        spectrum = np.fft.rfft(table, axis=1) * np.fft.fft(alpha, axis=0)[tiled].T
-        gaps = np.abs(np.fft.irfft(spectrum, size, axis=1) - hx)
-        i = np.argmax(gaps, axis=1)
-        grid_max = gaps[np.arange(len(t)), i]
+        tab, wid, spec, tile = table[:p], widths[:p], spectrum[:p], dft[:p]
+        np.multiply.outer(np.cos(t), sin_eta, out=tab)
+        np.subtract(tab, np.multiply.outer(np.sin(t), cos_eta, out=wid), out=tab)
+        np.abs(tab, out=tab)
+        np.fft.rfft(tab, axis=1, out=spec)
+        # tiled is in range; the default mode='raise' would buffer `out`
+        np.take(np.fft.fft(alpha, axis=0).T, tiled, axis=1, out=tile, mode="clip")
+        spec *= tile
+        np.fft.irfft(spec, size, axis=1, out=wid)
+        np.subtract(wid, hx, out=wid)
+        np.abs(wid, out=wid)
+        i = np.argmax(wid, axis=1)
+        return alpha, eta[i], wid[np.arange(p), i]
+
+    def refined(t):
+        """Distances for the offsets t: the grid pass, then one golden loop."""
+        parts = [block(t[s:s + rows]) for s in range(0, len(t), rows)]
+        alpha, peak, grid_max = (np.concatenate(c, axis=-1) for c in zip(*parts))
 
         def gap(e):
             hz = np.einsum("pi,ip->p", np.abs(np.sin((e - t)[:, None] - theta)), alpha)
             return np.abs(np.asarray(x.feret(e), dtype=float) - hz)
 
-        _, v = golden_section_max(gap, eta[i] - step, eta[i] + step, SUP_ANGLE_TOL)
+        _, v = golden_section_max(gap, peak - step, peak + step, SUP_ANGLE_TOL)
         return 0.5 * np.where(grid_max >= v, grid_max, v)
 
     def distances(t):
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         out = np.empty(flat.size)
-        for s in range(0, flat.size, _BLOCK):
-            out[s:s + _BLOCK] = block(flat[s:s + _BLOCK])
+        for s in range(0, flat.size, _LANES):
+            out[s:s + _LANES] = refined(flat[s:s + _LANES])
         return out.reshape(t.shape)
 
     return distances
@@ -149,9 +175,14 @@ def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
     `angle_tol`.  A refined offset replaces its grid offset only when it is
     strictly better, so ties break toward the smallest offset.  Each reported
     distance is hausdorff_distance of x and the interpolant at its offset.
+    The scan ranks offsets by the kernel's sup estimate, which can order a
+    near-flat profile differently, so the best offset stays a candidate for
+    the worst: d_worst >= d_best always holds.
     """
     refine = _offset_scan(x, n, grid_points, angle_tol)
-    return _with_distance(x, refine(-1.0)), _with_distance(x, refine(1.0))
+    best = _with_distance(x, refine(-1.0))
+    worst = _with_distance(x, refine(1.0))
+    return best, worst if worst[1] >= best[1] else best
 
 
 def cinf_approximate(x, n, grid_points=256, angle_tol=1e-6):
@@ -173,7 +204,10 @@ def offset_distances(x, n, offsets):
 def worst_offset(x, n, grid_points=256, angle_tol=1e-6):
     """Rotation offset maximizing the interpolant distance: returns (tau, distance).
 
-    The worst offset of `scan_offsets`, without refining the best one.
+    The worst offset the scan of `scan_offsets` finds, without refining the
+    best one.  Unlike `scan_offsets`, it does not fall back to the best
+    offset, so on a near-flat profile its distance can lie below
+    `cinf_approximate`'s by the sup search's tolerance.
     """
     return _with_distance(x, _offset_scan(x, n, grid_points, angle_tol)(1.0))
 

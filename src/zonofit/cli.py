@@ -259,7 +259,6 @@ def cmd_estimate(args):
         n = m.n
         if args.n is not None and args.n != n:
             raise ParameterError(f"input has n={n} angles, requested n={args.n}")
-        diag = stationarity_diagnostic(m)
         isotropized = not m.stationary
         stat = isotropize_moments(m) if isotropized else m
         if args.solver == "linear":
@@ -267,6 +266,8 @@ def cmd_estimate(args):
         else:
             central = _nnls_central(stat.theta, stat.second,
                                     float(stat.mean.mean()), n)
+        # after the solve, so a non-finite input fails with its solver's message
+        diag = stationarity_diagnostic(m)
     report = {
         "command": "estimate",
         "solver": args.solver,

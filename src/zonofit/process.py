@@ -56,6 +56,12 @@ def _require_finite(**values):
             raise ParameterError(f"{name} must be finite")
 
 
+def _require_finite_moments(m):
+    """Raise ParameterError unless every array of the process moments m is finite."""
+    _require_finite(mean=m.mean, second=m.second, stderr_mean=m.stderr_mean,
+                    stderr_second=m.stderr_second)
+
+
 class FeretProcessMoments:
     """First and second moments of a Feret process on the regular angle grid.
 
@@ -71,6 +77,10 @@ class FeretProcessMoments:
     stationary : bool
         Declares the underlying process stationary (isotropic body), in which
         case the mean is constant and `second` circulant up to noise.
+
+    Moments with NaN or infinite entries are held as given, without the
+    checks on `second`, for `existence_check` to report; the diagnostics and
+    maps that compute with them raise ParameterError before any arithmetic.
     """
 
     def __init__(self, mean, second, stderr_mean=None, stderr_second=None,
@@ -82,15 +92,16 @@ class FeretProcessMoments:
             raise ParameterError("mean must be a nonempty vector")
         if second.shape != (n, n):
             raise ParameterError(f"second must be {n}x{n}, got {second.shape}")
-        scale = max(1.0, float(np.abs(second).max()))
-        if np.abs(second - second.T).max() > 1e-9 * scale:
-            raise ParameterError("second-moment matrix must be symmetric")
-        second = 0.5 * (second + second.T)
-        if second.diagonal().min() < -1e-9 * scale:
-            raise ParameterError("second-moment diagonal must be nonnegative")
-        d = np.maximum(second.diagonal(), 0.0)
-        if np.any(second**2 > np.outer(d, d) + 1e-9 * scale**2):
-            raise ParameterError("second moments violate the Cauchy-Schwarz bound")
+        if np.all(np.isfinite(second)):
+            scale = max(1.0, float(np.abs(second).max()))
+            if np.abs(second - second.T).max() > 1e-9 * scale:
+                raise ParameterError("second-moment matrix must be symmetric")
+            second = 0.5 * (second + second.T)
+            if second.diagonal().min() < -1e-9 * scale:
+                raise ParameterError("second-moment diagonal must be nonnegative")
+            d = np.maximum(second.diagonal(), 0.0)
+            if np.any(second**2 > np.outer(d, d) + 1e-9 * scale**2):
+                raise ParameterError("second moments violate the Cauchy-Schwarz bound")
         for name, arr in (("stderr_mean", stderr_mean), ("stderr_second", stderr_second)):
             if arr is not None:
                 arr = np.asarray(arr, dtype=float)
@@ -242,6 +253,7 @@ def isotropize_moments(m, body=None, dense=1024):
         stderr_mean = np.zeros(n)
         stderr_second = np.zeros((n, n))
     else:
+        _require_finite_moments(m)
         mean_c = float(m.mean.mean())
         lags = _lag_sums(m.second) / n
         stderr_mean = None
@@ -316,8 +328,8 @@ def central_from_feret(m, max_condition=1e12):
     Raises
     ------
     ParameterError
-        If `m` is not flagged stationary (isotropize first), or unless
-        `max_condition` > 0.
+        If `m` is not flagged stationary (isotropize first), if any of its
+        arrays is not finite, or unless `max_condition` > 0.
     SolverError
         If cond(K(0)) exceeds `max_condition`.
     """
@@ -328,6 +340,7 @@ def central_from_feret(m, max_condition=1e12):
             "central moments need stationary process moments; apply "
             "isotropize_moments first"
         )
+    _require_finite_moments(m)
     n = m.n
     K0 = k_matrix(n)
     cond = K0.condition_number()
@@ -401,6 +414,7 @@ def c0_random_moments(m, n):
     """
     if n != m.n:
         raise ParameterError(f"moment grid has n={m.n}, requested n={n}")
+    _require_finite_moments(m)
     F = feret_matrix(n)
     mean = F.solve(m.mean)
     second = F.solve(F.solve(m.second).T).T
@@ -458,6 +472,7 @@ def stationarity_diagnostic(m):
     3 x the provided standard errors plus a roundoff allowance.  Data without
     standard errors is held to the roundoff allowance alone.
     """
+    _require_finite_moments(m)
     atol_mean = 1e-9 * max(1.0, float(np.abs(m.mean).max()))
     atol_second = 1e-9 * max(1.0, float(np.abs(m.second).max()))
     mean_dev = float(np.abs(m.mean - m.mean.mean()).max())

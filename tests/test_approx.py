@@ -1,5 +1,10 @@
 """Grid interpolants, the a priori bound, and rotation-optimized fits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,21 @@ from zonofit import (
 )
 from zonofit import approx
 from zonofit.metrics import SUP_ANGLE_TOL, SUP_GRID_SIZE
+
+
+#: minor page faults of five 256-offset calls of one kernel, after a warm-up
+_FAULT_COUNT = """
+import resource
+import numpy as np
+from zonofit import Ellipse, approx
+distances = approx._distance_kernel(Ellipse(3.0, 1.0, phi=0.4), 8)
+offsets = np.arange(256) * (np.pi / 8 / 256)
+distances(offsets)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    distances(offsets)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 class _FakeBody:
@@ -251,6 +271,20 @@ class TestScanOffsets:
         for t in np.arange(16) * (np.pi / 8 / 16):
             assert evaluated.count(t) == 1
 
+    @pytest.mark.parametrize("x, ns", [
+        (Ellipse(1.0000001, 1.0, 0.2), range(2, 41)),
+        (Disk(0.3), (9, 13, 17, 28, 33)),
+    ], ids=["near_disk_ellipse", "disk"])
+    def test_worst_never_below_best(self, x, ns):
+        # on these near-flat profiles the kernel's sup estimate and
+        # hausdorff_distance order some offsets differently; the best offset
+        # stays a candidate for the worst
+        for n in ns:
+            (tau, d_best), (_, d_worst) = scan_offsets(x, n, grid_points=16)
+            assert d_worst >= d_best
+            z = Zonotope(approx._interpolating_alpha(x, n, tau), t=tau)
+            assert d_best == hausdorff_distance(x, z)
+
 
 class TestDistanceKernel:
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 16, 33, 64])
@@ -274,6 +308,47 @@ class TestDistanceKernel:
                 if SUP_GRID_SIZE % n:
                     tol += (x.lipschitz_bound + z.lipschitz_bound) * SUP_ANGLE_TOL
                 assert d == pytest.approx(hausdorff_distance(x, z), abs=tol)
+
+    @pytest.mark.parametrize("n", [3, 8, 33])
+    def test_independent_of_block_and_lane_counts(self, monkeypatch, unit_square, n):
+        # bodies whose feret bits do not depend on the batch shape of the
+        # angles; SymmetricPolygon.feret goes through a matmul whose bits do
+        shapes = (Ellipse(3.0, 1.0, phi=0.4), Rotated(unit_square, 0.3),
+                  Segment(1.3, 0.7), Disk(1.0))
+        offsets = np.arange(40) * (np.pi / n / 40)
+        for x in shapes:
+            got = []
+            for rows, lanes in ((1, 256), (7, 256), (16, 256), (16, 16), (7, 5)):
+                monkeypatch.setattr(approx, "_BLOCK", rows)
+                monkeypatch.setattr(approx, "_LANES", lanes)
+                got.append(approx._distance_kernel(x, n)(offsets))
+            for d in got[1:]:
+                np.testing.assert_array_equal(d, got[0])
+
+    def test_reused_workspace_leaves_results_alone(self):
+        # the workspace is shared by every call of one kernel: earlier
+        # results must be fresh arrays, and repeated calls repeat their bits
+        distances = approx._distance_kernel(Ellipse(3.0, 1.0, phi=0.4), 8)
+        calls = [0.05 + np.arange(p) * 0.011 for p in (1, 3, 17, 40)]
+        kept = []
+        for t in calls + calls[::-1]:
+            d = distances(t)
+            kept.append((d, d.copy()))
+        for d, copy in kept:
+            np.testing.assert_array_equal(d, copy)
+        for (first, _), (again, _) in zip(kept, kept[::-1]):
+            np.testing.assert_array_equal(first, again)
+
+    def test_no_page_faults_after_warm_up(self):
+        # counted in a fresh interpreter: after other tests the allocator may
+        # keep freed blocks and hide the faults of fresh temporaries; fresh
+        # (_BLOCK, G) temporaries per block took about 28k
+        pytest.importorskip("resource")
+        env = dict(os.environ, PYTHONPATH=str(Path(approx.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _FAULT_COUNT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 500
 
     def test_keeps_offset_shape(self):
         distances = approx._distance_kernel(Ellipse(2.0, 1.0), 4)

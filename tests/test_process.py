@@ -508,9 +508,13 @@ class TestInterpolantMoments:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_moments_typed_error(self, bad):
-        m = FeretProcessMoments([1.0, 1.0], [[1.0, bad], [bad, 1.0]])
-        with pytest.raises(ParameterError, match="finite"):
-            c0_random_moments(m, 2)
+        # raised before any arithmetic, which would warn on inf
+        m = FeretProcessMoments([1.0, 1.0], [[1.0, bad], [bad, 1.0]], stationary=True)
+        maps = (lambda m: c0_random_moments(m, 2), central_from_feret,
+                isotropize_moments, stationarity_diagnostic)
+        for f in maps:
+            with pytest.raises(ParameterError, match="second must be finite"):
+                f(m)
 
 
 class TestIsotropize:
