@@ -160,12 +160,6 @@ def _offset_scan(x, n, grid_points, angle_tol):
     return refine
 
 
-def _with_distance(x, fit):
-    """(tau, z) -> (tau, Hausdorff distance from x to z)."""
-    tau, z = fit
-    return tau, hausdorff_distance(x, z)
-
-
 def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
     """Best and worst rotation offsets: returns ((tau_best, d_best), (tau_worst, d_worst)).
 
@@ -180,8 +174,7 @@ def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
     the worst: d_worst >= d_best always holds.
     """
     refine = _offset_scan(x, n, grid_points, angle_tol)
-    best = _with_distance(x, refine(-1.0))
-    worst = _with_distance(x, refine(1.0))
+    best, worst = [(tau, hausdorff_distance(x, z)) for tau, z in (refine(-1.0), refine(1.0))]
     return best, worst if worst[1] >= best[1] else best
 
 
@@ -204,12 +197,10 @@ def offset_distances(x, n, offsets):
 def worst_offset(x, n, grid_points=256, angle_tol=1e-6):
     """Rotation offset maximizing the interpolant distance: returns (tau, distance).
 
-    The worst offset the scan of `scan_offsets` finds, without refining the
-    best one.  Unlike `scan_offsets`, it does not fall back to the best
-    offset, so on a near-flat profile its distance can lie below
-    `cinf_approximate`'s by the sup search's tolerance.
+    The worst offset of `scan_offsets`, so its distance is never below
+    `cinf_approximate`'s.
     """
-    return _with_distance(x, _offset_scan(x, n, grid_points, angle_tol)(1.0))
+    return scan_offsets(x, n, grid_points, angle_tol)[1]
 
 
 def contains(z, x, tol=1e-9, grid=1024):

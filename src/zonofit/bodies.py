@@ -275,45 +275,59 @@ def feret_feasibility_check(samples, angle_tol=1e-9):
     H(t + b) <= H(t) + 2|sin(b/2)| H(t + (b + pi)/2) on every triple of
     sampled angles that forms such a pattern (within `angle_tol`).
 
-    Returns a FeasibilityReport with worst violation magnitudes.
+    Returns a FeasibilityReport with worst violation magnitudes.  NaN values
+    never raise a violation; non-finite angles raise ParameterError.
     """
     pairs = [(float(a), float(v)) for a, v in samples]
     if not pairs:
         raise ParameterError("need at least one sample")
-    ang = np.array([p[0] for p in pairs])
-    val = np.array([p[1] for p in pairs])
+    ang, val = np.array(pairs).T
+    if not np.all(np.isfinite(ang)):
+        raise ParameterError("sample angles must be finite")
 
     negativity = max(0.0, float(-val.min()))
 
+    # neighbours in angle mod pi, the last and first wrapping around
     red = np.mod(ang, np.pi)
     order = np.argsort(red)
-    periodicity = 0.0
-    for ii in range(len(order) - 1):
-        i, j = order[ii], order[ii + 1]
-        if red[j] - red[i] <= angle_tol:
-            periodicity = max(periodicity, abs(val[i] - val[j]))
-    # wrap-around pair (angles near 0 and near pi coincide mod pi)
-    if len(order) >= 2:
-        i, j = order[0], order[-1]
-        if red[i] + np.pi - red[j] <= angle_tol:
-            periodicity = max(periodicity, abs(val[i] - val[j]))
+    r, v = red[order], val[order]
+    close = np.diff(r, append=r[0] + np.pi) <= angle_tol
+    jumps = np.abs(np.diff(v, append=v[0]))
+    periodicity = float(np.max(jumps, initial=0.0, where=close & (jumps > 0.0)))
 
     # each pair (i, j) looks up the first sampled angle k nearest mod pi to
-    # its chord midpoint; pairs with none within angle_tol are skipped
+    # its chord midpoint c; pairs with none within angle_tol are skipped.  The
+    # gap to c, as computed, grows from c along the sorted distinct angles on
+    # either side, so the nearest angles are the runs of equal gaps next to c
+    u, first = np.unique(red, return_index=True)
+
+    def gap(c, pos):
+        g = np.mod(u[pos] - c, np.pi)
+        return np.minimum(g, np.pi - g)
+
     subadd = 0.0
     triples = 0
     m = len(pairs)
-    for i in range(m):
-        j = np.delete(np.arange(m), i)
-        beta = ang[j] - ang[i]
-        mid = ang[i] + (beta + np.pi) / 2.0
-        gap = np.mod(red - np.mod(mid, np.pi)[:, None], np.pi)
-        gap = np.minimum(gap, np.pi - gap)
-        k = np.argmin(gap, axis=1)
-        hit = ~(gap[np.arange(m - 1), k] > angle_tol)
+    rows = max(1, min(m // 8, 8192 // m))
+    for lo in range(0, m, rows):
+        i = np.arange(lo, min(lo + rows, m))[:, None]
+        beta = ang - ang[i]
+        c = np.mod(ang[i] + (beta + np.pi) / 2.0, np.pi)
+        after = np.searchsorted(u, c) % len(u)
+        nearest = np.minimum(gap(c, after), gap(c, after - 1))
+        k = np.full(c.shape, m)
+        for pos, step in ((after, 1), (after - 1, -1)):
+            tie = np.ones(c.shape, dtype=bool)
+            for _ in range(len(u)):
+                tie &= gap(c, pos) == nearest
+                if not tie.any():
+                    break
+                k = np.where(tie, np.minimum(k, first[pos]), k)
+                pos = (pos + step) % len(u)
+        hit = ~(nearest > angle_tol) & (i != np.arange(m))
         triples += int(np.count_nonzero(hit))
-        excess = (val[j] - (val[i] + 2.0 * np.abs(np.sin(beta / 2.0)) * val[k]))[hit]
+        excess = val - (val[i] + 2.0 * np.abs(np.sin(beta / 2.0)) * val[k])
         # NaN never raises the worst violation, as with max()
-        subadd = max(subadd, float(np.max(excess, initial=0.0, where=excess > 0.0)))
+        subadd = max(subadd, float(np.max(excess, initial=0.0, where=hit & (excess > 0.0))))
 
-    return FeasibilityReport(negativity, periodicity, max(0.0, subadd), triples)
+    return FeasibilityReport(negativity, periodicity, subadd, triples)

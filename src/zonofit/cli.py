@@ -231,43 +231,35 @@ def _nnls_central(theta, second, mean_h, n):
 
 def cmd_estimate(args):
     path = args.input
+    h = None
     if path.endswith(".csv"):
         theta, h = serialize.read_sample_csv(path)
         m = empirical_moments(h)
-        mean_diam = float(np.mean(h.max(axis=1)))
     else:
         m = serialize.moments_from_dict(_read_json(path))
         if not hasattr(m, "stationary"):
             raise ParameterError("estimate needs Feret-process moments as input")
-        mean_diam = float(m.mean.max())
+        theta = m.theta
 
-    if path.endswith(".csv") and not np.allclose(theta, m.theta, atol=1e-9):
-        if args.solver != "nnls":
-            raise ParameterError(
-                "the linear solver needs samples on the regular grid "
-                "theta_i = (i-1) pi / n; use --solver nnls for other designs"
-            )
-        if args.n is None:
-            raise ParameterError(
-                "samples are not on the regular grid; pass --n and --solver nnls"
-            )
-        n = args.n
-        central = _nnls_central(theta, m.second, float(m.mean.mean()), n)
-        diag = None
-        isotropized = False
+    regular = np.allclose(theta, m.theta, atol=1e-9)
+    if not regular and args.solver != "nnls":
+        raise ParameterError(
+            "the linear solver needs samples on the regular grid "
+            "theta_i = (i-1) pi / n; use --solver nnls for other designs"
+        )
+    if not regular and args.n is None:
+        raise ParameterError(
+            "samples are not on the regular grid; pass --n and --solver nnls"
+        )
+    n = m.n if regular else args.n
+    if args.n is not None and args.n != n:
+        raise ParameterError(f"input has n={n} angles, requested n={args.n}")
+    isotropized = regular and not m.stationary
+    if args.solver == "linear":
+        central = central_from_feret(isotropize_moments(m) if isotropized else m,
+                                     max_condition=args.max_condition)
     else:
-        n = m.n
-        if args.n is not None and args.n != n:
-            raise ParameterError(f"input has n={n} angles, requested n={args.n}")
-        isotropized = not m.stationary
-        stat = isotropize_moments(m) if isotropized else m
-        if args.solver == "linear":
-            central = central_from_feret(stat, max_condition=args.max_condition)
-        else:
-            central = _nnls_central(stat.theta, stat.second,
-                                    float(stat.mean.mean()), n)
-        # after the solve, so a non-finite input fails with its solver's message
-        diag = stationarity_diagnostic(m)
+        central = _nnls_central(theta, m.second, float(m.mean.mean()), n)
     report = {
         "command": "estimate",
         "solver": args.solver,
@@ -275,11 +267,25 @@ def cmd_estimate(args):
         "isotropized": isotropized,
         "central": serialize.moments_to_dict(central),
     }
-    if diag is not None:
+    if regular:
+        # after the solve, so a non-finite input fails with its solver's message
+        diag = stationarity_diagnostic(m)
         report["stationarity"] = {"passed": diag.passed, **vars(diag)}
     if args.epsilon is not None:
         if not 0.0 < args.epsilon <= 1.0:
             raise ParameterError(f"epsilon must be in (0, 1], got {args.epsilon}")
+        # an upper bound on E[diam]: from moments E[U] / 2, as U >= 2 diam; from
+        # a table, the diameter lies within g/2 of a table angle mod pi, g the
+        # largest gap between them, so the table's max H is >= diam cos(g/2)
+        if h is None:
+            mean_diam = existence_check(m).perimeter_mean / 2.0
+        else:
+            red = np.sort(np.mod(theta, np.pi))
+            gap = float(np.diff(red, append=red[0] + np.pi).max())
+            if gap >= np.pi:
+                raise ParameterError(
+                    "the confidence bound needs two table angles distinct mod pi")
+            mean_diam = float(np.mean(h.max(axis=1))) / np.cos(gap / 2.0)
         report["epsilon"] = args.epsilon
         report["confidence_bound"] = confidence_bound(args.epsilon, n, mean_diam)
     if args.format == "csv":

@@ -11,6 +11,7 @@ averaging, and supporting diagnostics.
 
 import numpy as np
 
+from .approx import hausdorff_bound
 from .bodies import regular_subdivision
 from .circulant import CirculantMatrix, feret_matrix
 from .errors import ParameterError, SolverError, UnderdeterminedError
@@ -276,17 +277,14 @@ def feret_second_lags(face_second, n):
 
     For an isotropic zonotope on the regular grid with face moments
     C[i, j] = E[alpha_i alpha_j] (not necessarily circulant),
-    E[H(s) H(s + theta_d)] = sum_ij C[i, j] k_s(theta_d + theta_i - theta_j).
-    Cyclically shifting the face distribution leaves the result unchanged.
+    E[H(s) H(s + theta_d)] = sum_ij C[i, j] k_s(theta_d + theta_i - theta_j),
+    which is K(0) times the cyclic-diagonal sums of C.  Cyclically shifting the
+    face distribution leaves the result unchanged.
     """
     C = np.asarray(face_second, dtype=float)
     if C.shape != (n, n):
         raise ParameterError(f"face second-moment matrix must be {n}x{n}")
-    diag_sums = _lag_sums(C)[_palindrome_index(n)]
-    th = regular_subdivision(n)
-    return np.array(
-        [float(np.dot(diag_sums, k_s(th[d] + th))) for d in range(n)]
-    )
+    return k_matrix(n).matvec(_lag_sums(C))
 
 
 def forward_zonotope_moments(c):
@@ -431,14 +429,10 @@ def c0_random_moments(m, n):
 
 
 def confidence_bound(epsilon, n, mean_diameter):
-    """Markov bound a with P(d_H(X, X0) > a) <= epsilon for the grid interpolant."""
+    """Markov bound a with P(d_H(X, X0) > a) <= epsilon, from mean_diameter >= E[diam X]."""
     if epsilon <= 0:
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
-    if mean_diameter < 0:
-        raise ParameterError(f"mean diameter must be >= 0, got {mean_diameter}")
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"need an integer n >= 2, got {n!r}")
-    return (6.0 + 2.0 * np.sqrt(2.0)) / epsilon * np.sin(np.pi / (2.0 * n)) * mean_diameter
+    return hausdorff_bound(n, mean_diameter) / epsilon
 
 
 class StationarityReport:

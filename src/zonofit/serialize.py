@@ -37,26 +37,18 @@ from .zonotopes import Zonotope
 CSV_VERSION_LINE = "# zonofit v1"
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+def _numpy_default(obj):
+    """json.dumps hook: numpy arrays to lists, numpy scalars to Python scalars."""
     if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps(obj):
     """Deterministic JSON text (sorted keys, trailing newline)."""
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, default=_numpy_default, sort_keys=True, indent=2) + "\n"
 
 
 def write_json(path, obj):

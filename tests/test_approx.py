@@ -181,7 +181,17 @@ class TestWorstOffset:
             _, z = cinf_approximate(x, n, grid_points=64)
             best = hausdorff_distance(x, z)
             _, worst = worst_offset(x, n, grid_points=64)
-            assert worst >= best - 1e-9
+            assert worst >= best
+
+    @pytest.mark.parametrize("x, ns", [
+        (Ellipse(1.0000001, 1.0, 0.2), range(2, 41)),
+        (Disk(0.3), (9, 13, 17, 28, 33)),
+    ], ids=["near_disk_ellipse", "disk"])
+    def test_never_below_cinf_on_flat_profiles(self, x, ns):
+        for n in ns:
+            _, z = cinf_approximate(x, n, grid_points=16)
+            _, worst = worst_offset(x, n, grid_points=16)
+            assert worst >= hausdorff_distance(x, z)
 
     def test_disk_flat_profile(self):
         _, worst = worst_offset(Disk(1.0), 3, grid_points=32)
@@ -230,13 +240,13 @@ class TestScanOffsets:
 
     @pytest.mark.parametrize("scan, refinements", [
         (cinf_approximate, 1),
-        (worst_offset, 1),
+        (worst_offset, 2),
         (scan_offsets, 2),
     ], ids=lambda v: getattr(v, "__name__", str(v)))
     def test_objective_calls(self, monkeypatch, scan, refinements):
-        # cinf_approximate refines only the best offset and worst_offset only
-        # the worst: every distance evaluation is a grid point or a golden
-        # step, and each grid offset is evaluated exactly once
+        # cinf_approximate refines only the best offset, worst_offset and
+        # scan_offsets both: every distance evaluation is a grid point or a
+        # golden step, and each grid offset is evaluated exactly once
         evaluated = []
         golden_steps = []
         kernel = approx._distance_kernel

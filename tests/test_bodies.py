@@ -169,6 +169,74 @@ def _triples_by_loop(samples, angle_tol=1e-9):
     return max(0.0, subadd), triples
 
 
+def _report_by_row_loop(samples, angle_tol=1e-9):
+    """The row-by-row check feret_feasibility_check ran before it sorted the angles."""
+    pairs = [(float(a), float(v)) for a, v in samples]
+    ang = np.array([p[0] for p in pairs])
+    val = np.array([p[1] for p in pairs])
+    negativity = max(0.0, float(-val.min()))
+    red = np.mod(ang, np.pi)
+    order = np.argsort(red)
+    periodicity = 0.0
+    for ii in range(len(order) - 1):
+        i, j = order[ii], order[ii + 1]
+        if red[j] - red[i] <= angle_tol:
+            periodicity = max(periodicity, abs(val[i] - val[j]))
+    if len(order) >= 2:
+        i, j = order[0], order[-1]
+        if red[i] + np.pi - red[j] <= angle_tol:
+            periodicity = max(periodicity, abs(val[i] - val[j]))
+    subadd = 0.0
+    triples = 0
+    m = len(pairs)
+    for i in range(m):
+        j = np.delete(np.arange(m), i)
+        beta = ang[j] - ang[i]
+        mid = ang[i] + (beta + np.pi) / 2.0
+        gap = np.mod(red - np.mod(mid, np.pi)[:, None], np.pi)
+        gap = np.minimum(gap, np.pi - gap)
+        k = np.argmin(gap, axis=1)
+        hit = ~(gap[np.arange(m - 1), k] > angle_tol)
+        triples += int(np.count_nonzero(hit))
+        excess = (val[j] - (val[i] + 2.0 * np.abs(np.sin(beta / 2.0)) * val[k]))[hit]
+        subadd = max(subadd, float(np.max(excess, initial=0.0, where=excess > 0.0)))
+    return (negativity, float(periodicity), max(0.0, subadd), triples)
+
+
+def test_feasibility_report_matches_row_loop():
+    # duplicates mod pi, angles outside [0, pi), and chord midpoints within
+    # roundoff or angle_tol of several samples, so nearest-angle ties occur
+    rng = np.random.default_rng(5)
+    for trial in range(240):
+        m = int(rng.integers(1, 50))
+        kind = trial % 4
+        if kind == 0:
+            g = int(rng.integers(2, 2 * m + 3))
+            th = rng.integers(0, g, size=m) * (np.pi / g)
+        elif kind == 1:
+            th = rng.uniform(-7.0, 7.0, m)
+        elif kind == 2:
+            th = rng.integers(0, 7, size=m) * (np.pi / 7) + rng.choice(
+                [0.0, 1e-10, -1e-10, 5e-10, 2e-9], size=m)
+        else:
+            th = np.repeat(rng.uniform(0.0, np.pi, m // 3 + 1), 3)[:m]
+        th = th + np.pi * rng.integers(-2, 3, size=m)
+        h = rng.uniform(-0.1, 2.0, m)
+        if trial % 11 == 0:
+            h[rng.integers(0, m)] = np.nan
+        tol = (1e-9, 1e-12, 1e-6, 0.0)[trial % 4]
+        samples = list(zip(th, h))
+        rep = feret_feasibility_check(samples, tol)
+        got = (rep.negativity, rep.periodicity_gap, rep.subadditivity, rep.triples_checked)
+        assert got == _report_by_row_loop(samples, tol)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feasibility_rejects_non_finite_angles(bad):
+    with pytest.raises(ParameterError, match="angles must be finite"):
+        feret_feasibility_check([(0.0, 1.0), (bad, 1.0), (1.0, 1.0)])
+
+
 def test_feasibility_triples_match_pairwise_loop():
     rng = np.random.default_rng(11)
     x = Ellipse(2.0, 0.7, 0.4)

@@ -21,6 +21,7 @@ from zonofit import (
     deterministic_process_moments,
     empirical_moments,
     forward_zonotope_moments,
+    hausdorff_bound,
     isotropize_moments,
     k_s,
     regular_subdivision,
@@ -437,8 +438,40 @@ class TestEstimate:
         )
         rep = json.loads(out)
         assert rep["epsilon"] == 0.1
-        expected = (6.0 + 2.0 * np.sqrt(2.0)) / 0.1 * np.sin(np.pi / 4.0) * (4.0 / np.pi)
+        # the moments route bounds E[diam] by E[U] / 2 = 2 for the unit square
+        expected = (6.0 + 2.0 * np.sqrt(2.0)) / 0.1 * np.sin(np.pi / 4.0) * 2.0
         assert rep["confidence_bound"] == pytest.approx(expected, abs=1e-9)
+
+    def test_epsilon_bound_covers_true_mean_diameter(self, tmp_path, capsys):
+        # every rectangle of the model has diameter sqrt(1.3^2 + 0.7^2); both
+        # routes must bound E[diam] from above, not by a grid maximum
+        base = str(tmp_path / "run")
+        code, _, _ = run_cli(
+            capsys, "simulate", "--model", "isotropic_rectangle:1.3,0.7",
+            "--n", "16", "--samples", "4000", "--seed", "3", "--out", base,
+        )
+        assert code == 0
+        moments = tmp_path / "moments.json"
+        serialize.write_json(moments, serialize.read_json(base + ".json")["moments"])
+        truth = hausdorff_bound(16, np.hypot(1.3, 0.7)) / 0.1
+        for path in (base + ".csv", str(moments)):
+            code, out, _ = run_cli(
+                capsys, "estimate", "--input", path, "--epsilon", "0.1"
+            )
+            assert code == 0
+            assert json.loads(out)["confidence_bound"] >= truth
+
+    def test_epsilon_bound_needs_two_table_angles(self, tmp_path, capsys):
+        # a single angle mod pi leaves a gap of pi, so no diameter bound
+        theta = np.array([0.3, 0.3 + np.pi])
+        p = tmp_path / "one_angle.csv"
+        serialize.write_sample_csv(p, theta, np.ones((4, 2)))
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(p), "--n", "1", "--solver", "nnls",
+            "--epsilon", "0.1",
+        )
+        assert code == 2 and out == ""
+        assert "two table angles distinct mod pi" in err
 
     def test_bad_epsilon(self, tmp_path, capsys):
         p = tmp_path / "moments.json"

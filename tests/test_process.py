@@ -575,7 +575,8 @@ class TestIsotropize:
 
 @pytest.mark.parametrize("n", [2, 3, 8, 17])
 def test_lag_sums_match_per_lag_loops(n):
-    # the lag averages and diagonal sums the per-lag loops computed, bit for bit
+    # the lag averages and diagonal sums the per-lag loops computed, bit for
+    # bit; feret_second_lags, one K(0) product, matches its old loop to roundoff
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n))
     i = np.arange(n)
@@ -586,7 +587,8 @@ def test_lag_sums_match_per_lag_loops(n):
     assert np.array_equal(_lag_sums(a)[(-i) % n], sums)
     th = regular_subdivision(n)
     lags = [float(np.dot(sums, k_s(th[d] + th))) for d in range(n)]
-    assert np.array_equal(feret_second_lags(a, n), lags)
+    np.testing.assert_allclose(feret_second_lags(a, n), lags, rtol=0.0,
+                               atol=4e-15 * np.abs(lags).max())
 
 
 class TestConfidenceBound:

@@ -173,6 +173,19 @@ def test_dumps_handles_numpy_bool():
     assert '"flag": true' in dumps({"flag": np.bool_(True)})
 
 
+def test_dumps_numpy_values_match_python_values():
+    numpy_obj = {"x": np.float32(0.1), "y": (np.int32(3), np.arange(2.0)),
+                 "z": [np.float64(1e-300), np.array([[True], [False]])]}
+    python_obj = {"x": float(np.float32(0.1)), "y": [3, [0.0, 1.0]],
+                  "z": [1e-300, [[True], [False]]]}
+    assert dumps(numpy_obj) == dumps(python_obj)
+
+
+def test_dumps_rejects_other_objects():
+    with pytest.raises(TypeError, match="object is not JSON serializable"):
+        dumps({"a": object()})
+
+
 def test_format_csv_version_line_and_reprs():
     text = format_csv(["x", "y"], [(1, 0.1), (2, 1.0 / 3.0)])
     lines = text.splitlines()
