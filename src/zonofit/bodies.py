@@ -5,7 +5,7 @@ direction u(theta) = (-sin theta, cos theta), i.e. the distance between the
 two supporting lines orthogonal to u(theta).  For a body that is symmetric
 about the origin, H = 2h where h is the support function, H is pi-periodic,
 and H determines the body.  Every shape here evaluates H on scalar or array
-angles and carries a Lipschitz bound on H used for grid-error control.
+angles; `feret` and `is_smooth` are the whole interface of a body.
 """
 
 import numpy as np
@@ -19,6 +19,12 @@ def direction(theta):
     return np.stack([-np.sin(t), np.cos(t)], axis=-1)
 
 
+def caliper_width(points, theta):
+    """Width of a point set along u(theta): the spread of its projections."""
+    proj = direction(theta) @ points.T
+    return proj.max(axis=-1) - proj.min(axis=-1)
+
+
 def regular_subdivision(n):
     """Angles theta_i = (i-1)*pi/n for i = 1..n."""
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -29,17 +35,11 @@ def regular_subdivision(n):
 class SymmetricConvexBody:
     """Base class: a centrally symmetric convex set evaluated via H(theta)."""
 
-    kind = "abstract"
     #: True when H is smooth (no kinks); drives quadrature panel counts.
     is_smooth = True
 
     def feret(self, theta):
         """Feret diameter at angle(s) theta; returns a scalar for scalar input."""
-        raise NotImplementedError
-
-    @property
-    def lipschitz_bound(self):
-        """Upper bound on |H(s) - H(t)| / |s - t|."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -52,7 +52,6 @@ class Segment(SymmetricConvexBody):
     H(theta) = length * |sin(angle - theta)|.
     """
 
-    kind = "segment"
     is_smooth = False
 
     def __init__(self, length, angle=0.0):
@@ -64,18 +63,12 @@ class Segment(SymmetricConvexBody):
     def feret(self, theta):
         return self.length * np.abs(np.sin(self.angle - np.asarray(theta, dtype=float)))
 
-    @property
-    def lipschitz_bound(self):
-        return self.length
-
     def __repr__(self):
         return f"Segment(length={self.length}, angle={self.angle})"
 
 
 class Disk(SymmetricConvexBody):
     """Centered disk of radius r; H is the constant 2r."""
-
-    kind = "disk"
 
     def __init__(self, r):
         if r < 0:
@@ -84,10 +77,6 @@ class Disk(SymmetricConvexBody):
 
     def feret(self, theta):
         return np.full_like(np.asarray(theta, dtype=float), 2.0 * self.r)
-
-    @property
-    def lipschitz_bound(self):
-        return 0.0
 
     def __repr__(self):
         return f"Disk(r={self.r})"
@@ -98,8 +87,6 @@ class Ellipse(SymmetricConvexBody):
 
     H(theta) = 2 * sqrt(a^2 sin^2(theta - phi) + b^2 cos^2(theta - phi)).
     """
-
-    kind = "ellipse"
 
     def __init__(self, a, b, phi=0.0):
         if a < 0 or b < 0:
@@ -112,10 +99,6 @@ class Ellipse(SymmetricConvexBody):
         t = np.asarray(theta, dtype=float) - self.phi
         return 2.0 * np.sqrt((self.a * np.sin(t)) ** 2 + (self.b * np.cos(t)) ** 2)
 
-    @property
-    def lipschitz_bound(self):
-        return 2.0 * max(self.a, self.b)
-
     def __repr__(self):
         return f"Ellipse(a={self.a}, b={self.b}, phi={self.phi})"
 
@@ -127,7 +110,6 @@ class SymmetricPolygon(SymmetricConvexBody):
     sets that do not match their own point reflection within `tol`.
     """
 
-    kind = "polygon"
     is_smooth = False
 
     def __init__(self, vertices, tol=1e-9):
@@ -146,13 +128,7 @@ class SymmetricPolygon(SymmetricConvexBody):
         self.center = center
 
     def feret(self, theta):
-        u = direction(theta)
-        proj = u @ self.vertices.T
-        return proj.max(axis=-1) - proj.min(axis=-1)
-
-    @property
-    def lipschitz_bound(self):
-        return 2.0 * float(np.hypot(self.vertices[:, 0], self.vertices[:, 1]).max())
+        return caliper_width(self.vertices, theta)
 
     def __repr__(self):
         return f"SymmetricPolygon({len(self.vertices)} vertices)"
@@ -160,8 +136,6 @@ class SymmetricPolygon(SymmetricConvexBody):
 
 class MinkowskiSum(SymmetricConvexBody):
     """Minkowski sum of symmetric bodies; H is the sum of the parts' H."""
-
-    kind = "minkowski_sum"
 
     def __init__(self, parts):
         parts = list(parts)
@@ -177,18 +151,12 @@ class MinkowskiSum(SymmetricConvexBody):
             total = total + p.feret(t)
         return total
 
-    @property
-    def lipschitz_bound(self):
-        return sum(p.lipschitz_bound for p in self.parts)
-
     def __repr__(self):
         return f"MinkowskiSum({self.parts!r})"
 
 
 class Rotated(SymmetricConvexBody):
     """Body rotated counterclockwise by `angle`: H(theta) = H_base(theta - angle)."""
-
-    kind = "rotated"
 
     def __init__(self, body, angle):
         self.body = body
@@ -198,18 +166,12 @@ class Rotated(SymmetricConvexBody):
     def feret(self, theta):
         return self.body.feret(np.asarray(theta, dtype=float) - self.angle)
 
-    @property
-    def lipschitz_bound(self):
-        return self.body.lipschitz_bound
-
     def __repr__(self):
         return f"Rotated({self.body!r}, angle={self.angle})"
 
 
 class Scaled(SymmetricConvexBody):
     """Body scaled by a real factor r: H(theta) = |r| * H_base(theta)."""
-
-    kind = "scaled"
 
     def __init__(self, body, factor):
         self.body = body
@@ -219,22 +181,8 @@ class Scaled(SymmetricConvexBody):
     def feret(self, theta):
         return abs(self.factor) * self.body.feret(theta)
 
-    @property
-    def lipschitz_bound(self):
-        return abs(self.factor) * self.body.lipschitz_bound
-
     def __repr__(self):
         return f"Scaled({self.body!r}, factor={self.factor})"
-
-
-def rotate(body, angle):
-    """Counterclockwise rotation, returning a rotated view of the body."""
-    return Rotated(body, angle)
-
-
-def scale(body, factor):
-    """Homothety by a real factor (negative factors flip, same body by symmetry)."""
-    return Scaled(body, factor)
 
 
 class FeasibilityReport:

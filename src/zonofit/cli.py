@@ -9,6 +9,7 @@ ZONOFIT_THREADS worker cap of the library's sampler does not apply to it.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -337,41 +338,43 @@ def cmd_simulate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.
+
+    Each command's handler is looked up by name when it runs (see `main`),
+    so a parser built earlier keeps serving a module whose `cmd_*` functions
+    were replaced since.
+    """
     parser = argparse.ArgumentParser(
         prog="zonofit",
         description="Zonotope description and approximation of symmetric "
                     "convex shapes from Feret diameters.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="random stream seed (default 0)")
-    common.add_argument("--out", default=None,
-                        help="output path (default stdout; simulate: base name)")
-    common.add_argument("--format", choices=["json", "csv"], default=None,
-                        help="output format (default depends on command)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("approximate", parents=[common],
-                       help="fit one zonotope to one shape")
+    def command(name, summary, fmt):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=["json", "csv"], default=fmt,
+                       help=f"output format (default {fmt})")
+        return p
+
+    p = command("approximate", "fit one zonotope to one shape", "json")
     p.add_argument("--shape", required=True,
                    help="shape spec: shorthand, inline JSON, or .json path")
     p.add_argument("--n", type=int, required=True, help="number of face directions")
     p.add_argument("--mode", choices=["c0", "cinf"], default="c0")
     p.add_argument("--grid", type=int, default=256,
                    help="offset scan resolution for cinf (default 256)")
-    p.set_defaults(func=cmd_approximate, default_format="json")
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="accuracy table over n for unit-perimeter ellipses")
+    p = command("sweep", "accuracy table over n for unit-perimeter ellipses", "csv")
     p.add_argument("--n", required=True, help="n values: a:b range or comma list")
     p.add_argument("--k", default="1,2,4,8", help="axis ratios, comma list")
     p.add_argument("--grid", type=int, default=128,
                    help="offset scan resolution (default 128)")
-    p.set_defaults(func=cmd_sweep, default_format="csv")
 
-    p = sub.add_parser("estimate", parents=[common],
-                       help="central face moments from samples or moments")
+    p = command("estimate", "central face moments from samples or moments", "json")
     p.add_argument("--input", required=True,
                    help="sample table (.csv) or Feret moments (.json)")
     p.add_argument("--n", type=int, default=None,
@@ -381,23 +384,23 @@ def build_parser():
                    help="reject the moment solve above this condition number")
     p.add_argument("--epsilon", type=float, default=None,
                    help="also report the (1-epsilon) interpolant distance bound")
-    p.set_defaults(func=cmd_estimate, default_format="json")
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate",
                        help="sample a model, write sample CSV + estimate JSON")
     p.add_argument("--model", required=True,
                    help="model spec: shorthand, inline JSON, or .json path")
     p.add_argument("--n", type=int, required=True, help="number of grid angles")
     p.add_argument("--samples", type=int, required=True)
-    p.set_defaults(func=cmd_simulate, default_format="json")
+    p.add_argument("--seed", type=int, default=0,
+                   help="random stream seed (default 0)")
+    p.add_argument("--out", default=None,
+                   help="base name of the .csv and .json outputs (default zonofit_run)")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
-    return args.func(args)
+    return globals()["cmd_" + args.command](args)
 
 
 def entry(argv=None):

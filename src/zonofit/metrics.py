@@ -1,8 +1,8 @@
 """Metric and integral functionals of symmetric convex bodies.
 
 Suprema over angle are taken on a fixed 4096-point grid over [0, pi) followed
-by golden-section refinement around the grid maximum; grid error before
-refinement is bounded by the shapes' Lipschitz constants times the grid step.
+by golden-section refinement around the grid maximum.  Bodies and convex
+polygons alike are evaluated through their `feret` method.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ from scipy.integrate import simpson
 from .bodies import regular_subdivision
 from .circulant import feret_matrix
 from .errors import ParameterError
-from .polygons import ConvexPolygon
 
 SUP_GRID_SIZE = 4096
 SUP_ANGLE_TOL = 1e-8
@@ -72,15 +71,14 @@ def golden_section_max(f, a, b, tol):
     return best_x, best_v
 
 
-def sup_over_angles(f, grid_values=None, tol=SUP_ANGLE_TOL):
-    """sup over [0, pi) of a pi-periodic scalar function.
+def sup_over_angles(f, tol=SUP_ANGLE_TOL):
+    """sup over [0, pi) of a pi-periodic function.
 
-    `f` maps a scalar angle to a float; `grid_values` may carry precomputed
-    values of f on the module grid to avoid re-evaluation.  Returns
-    (angle, value) of the refined maximum.
+    `f` maps an array of angles to an array of values and a scalar angle to a
+    scalar; it is evaluated on the module grid, then refined around the grid
+    maximum.  Returns (angle, value) of the refined maximum.
     """
-    if grid_values is None:
-        grid_values = np.asarray(f(_SUP_GRID))
+    grid_values = np.asarray(f(_SUP_GRID))
     i = int(np.argmax(grid_values))
     step = np.pi / SUP_GRID_SIZE
     lo, hi = _SUP_GRID[i] - step, _SUP_GRID[i] + step
@@ -93,28 +91,15 @@ def sup_over_angles(f, grid_values=None, tol=SUP_ANGLE_TOL):
 def hausdorff_distance(x, y):
     """Hausdorff distance between two symmetric bodies: (1/2) sup |H_x - H_y|.
 
-    Either argument may also be a ConvexPolygon, compared through its width
+    Either argument may also be a ConvexPolygon, compared through its Feret
     function.
     """
-    gx = np.asarray(_feret_of(x, _SUP_GRID), dtype=float)
-    gy = np.asarray(_feret_of(y, _SUP_GRID), dtype=float)
-
-    def gap(t):
-        return abs(float(_feret_of(x, t)) - float(_feret_of(y, t)))
-
-    _, v = sup_over_angles(gap, grid_values=np.abs(gx - gy))
-    return 0.5 * v
+    return 0.5 * sup_over_angles(lambda t: np.abs(x.feret(t) - y.feret(t)))[1]
 
 
 def diameter(x):
     """sup of H over angles (the usual set diameter for symmetric bodies)."""
-    g = np.asarray(_feret_of(x, _SUP_GRID), dtype=float)
-
-    def f(t):
-        return float(_feret_of(x, t))
-
-    _, v = sup_over_angles(f, grid_values=g)
-    return v
+    return sup_over_angles(x.feret)[1]
 
 
 def perimeter_cauchy(x, panels=None):
@@ -132,20 +117,13 @@ def perimeter_cauchy(x, panels=None):
     return float(simpson(np.asarray(x.feret(t), dtype=float), x=t))
 
 
-def _feret_of(obj, theta):
-    """Width evaluation shared by symmetric bodies and general convex polygons."""
-    if isinstance(obj, ConvexPolygon):
-        return obj.width(theta)
-    return obj.feret(theta)
-
-
 def mixed_area_with_zonotope(x, z):
     """Mixed area W(x, z) of a convex set x with a zonotope z.
 
     Equals (1/2) sum_i alpha_i H_x(theta_i + t); x may be any SymmetricConvexBody
     or a ConvexPolygon (symmetry of x is not required).
     """
-    h = np.asarray(_feret_of(x, z.theta + z.t), dtype=float)
+    h = np.asarray(x.feret(z.theta + z.t), dtype=float)
     return 0.5 * float(np.dot(z.alpha, h))
 
 
@@ -156,8 +134,8 @@ def mixed_area_limit(y, x, n):
     when x is symmetric.  y may be an arbitrary convex polygon.
     """
     th = regular_subdivision(n)
-    hy = np.asarray(_feret_of(y, th), dtype=float)
-    hx = np.asarray(_feret_of(x, th), dtype=float)
+    hy = np.asarray(y.feret(th), dtype=float)
+    hx = np.asarray(x.feret(th), dtype=float)
     alpha = feret_matrix(n).solve(hx)
     return 0.5 * float(np.dot(hy, alpha))
 

@@ -6,6 +6,7 @@ cross-check route for mixed-area and zonotope computations.
 
 import numpy as np
 
+from .bodies import caliper_width
 from .errors import ParameterError
 
 
@@ -41,12 +42,9 @@ class ConvexPolygon:
         x, y = v[:, 0], v[:, 1]
         return 0.5 * float(np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
-    def width(self, theta):
-        """Caliper width along u(theta) = (-sin theta, cos theta)."""
-        t = np.asarray(theta, dtype=float)
-        u = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        proj = u @ self.vertices.T
-        return proj.max(axis=-1) - proj.min(axis=-1)
+    def feret(self, theta):
+        """Feret (caliper) diameter along u(theta) = (-sin theta, cos theta)."""
+        return caliper_width(self.vertices, theta)
 
     def perimeter(self):
         v = self.vertices

@@ -19,6 +19,8 @@ from .nnls import nnls as _nnls_solve
 
 _PALINDROME_TOL = 1e-8
 _PSD_REPAIR_FLOOR = -1e-8
+#: points of the auxiliary grid on which isotropize_moments integrates a body
+_ISOTROPIZE_GRID = 1024
 
 
 def k_s(t):
@@ -130,11 +132,12 @@ class CentralFaceMoments:
 
     `mean_alpha` is the common face-length mean; `v_alpha[d]` is
     E[alpha_1 alpha_(1+d)], which by exchangeability under cyclic shifts is a
-    palindrome: v[d] = v[n-d].  Circ(v_alpha) must be positive semidefinite;
-    eigenvalues in (-1e-8, 0) are clamped to zero (`psd_repaired` records
-    this), larger violations are rejected.  Note v_alpha[0] >= mean_alpha^2
-    is deliberately not required: non-zonotopal inputs can produce a smaller
-    second moment.
+    palindrome: v[d] = v[n-d].  Circ(v_alpha) must be positive semidefinite.
+    Relative to max(1, max|v|), eigenvalues down to -n eps are FFT roundoff
+    and left alone, those in [-1e-8, -n eps) are clamped to zero
+    (`psd_repaired` records this), and larger violations are rejected.  Note
+    v_alpha[0] >= mean_alpha^2 is deliberately not required: non-zonotopal
+    inputs can produce a smaller second moment.
     """
 
     def __init__(self, n, mean_alpha, v_alpha, stderr_mean_alpha=None,
@@ -159,7 +162,7 @@ class CentralFaceMoments:
                 f"Circ(v_alpha) is not positive semidefinite (min eigenvalue "
                 f"{lam.min():.3e})"
             )
-        self.psd_repaired = bool(lam.min() < 0.0)
+        self.psd_repaired = bool(lam.min() < -n * np.finfo(float).eps * scale)
         if self.psd_repaired:
             v = np.fft.ifft(np.maximum(lam, 0.0)).real
         self.n = int(n)
@@ -229,7 +232,7 @@ def _stationary_matrix(lags):
     return CirculantMatrix(_symmetric(lags)).dense()
 
 
-def isotropize_moments(m, body=None, dense=1024):
+def isotropize_moments(m, body=None):
     """Rotation-average process moments to their stationary counterpart.
 
     The isotropized process has mean (1/pi) integral of E[H] and second
@@ -237,14 +240,14 @@ def isotropize_moments(m, body=None, dense=1024):
     available the integrals use the periodic trapezoid rule on the n-grid,
     which is coarse for small n.  When the source is a deterministic analytic
     body, pass it as `body`: the integrals then use an auxiliary dense grid
-    of at least `dense` points (rounded up to a multiple of n so lag shifts
-    are exact), with error O(dense^-2) even for kinked H.
+    of at least 1024 points (rounded up to a multiple of n so lag shifts are
+    exact), with error O(size^-2) even for kinked H.
 
     Applying the map to already-stationary moments reproduces them.
     """
     n = m.n
     if body is not None:
-        grid_n = int(-(-dense // n) * n)
+        grid_n = int(-(-_ISOTROPIZE_GRID // n) * n)
         g = regular_subdivision(grid_n)
         h = np.asarray(body.feret(g), dtype=float)
         mean_c = float(h.mean())

@@ -11,7 +11,7 @@ rotation offset t.  Closed forms:
 
 import numpy as np
 
-from .bodies import SymmetricConvexBody, regular_subdivision
+from .bodies import SymmetricConvexBody, direction, regular_subdivision
 from .errors import ParameterError
 from .polygons import ConvexPolygon
 
@@ -30,7 +30,6 @@ class Zonotope(SymmetricConvexBody):
         Rotation offset applied to every direction.
     """
 
-    kind = "zonotope"
     is_smooth = False
 
     def __init__(self, alpha, theta=None, t=0.0):
@@ -61,15 +60,8 @@ class Zonotope(SymmetricConvexBody):
         self.n = len(alpha)
 
     def feret(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        if self.n == 0:
-            return np.zeros_like(eta)
-        gaps = eta[..., None] - self.t - self.theta
+        gaps = np.asarray(eta, dtype=float)[..., None] - self.t - self.theta
         return np.abs(np.sin(gaps)) @ self.alpha
-
-    @property
-    def lipschitz_bound(self):
-        return float(self.alpha.sum())
 
     def perimeter(self):
         """2 * sum of face lengths."""
@@ -77,8 +69,6 @@ class Zonotope(SymmetricConvexBody):
 
     def area(self):
         """(1/2) sum_{i,j} alpha_i alpha_j |sin(theta_i - theta_j)|."""
-        if self.n == 0:
-            return 0.0
         s = np.abs(np.sin(self.theta[:, None] - self.theta[None, :]))
         return 0.5 * float(self.alpha @ s @ self.alpha)
 
@@ -114,5 +104,4 @@ def point_in_zonotope(point, z, tol=1e-9):
     if z.n == 0:
         return bool(np.hypot(p[0], p[1]) <= tol)
     ang = z.theta + z.t
-    u = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-    return bool(np.all(np.abs(u @ p) <= 0.5 * z.feret(ang) + tol))
+    return bool(np.all(np.abs(direction(ang) @ p) <= 0.5 * z.feret(ang) + tol))

@@ -594,6 +594,41 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestParser:
+    # each command's defaults differ from the previous command's
+    COMMANDS = [
+        ["approximate", "--shape", "square", "--n", "3"],
+        ["sweep", "--n", "2,3", "--k", "1,2", "--grid", "8"],
+        ["approximate", "--shape", "segment:1,0.3", "--n", "2", "--format", "csv"],
+        ["estimate", "--input", "run.csv"],
+        ["sweep", "--n", "2", "--k", "3", "--grid", "8", "--format", "json"],
+        ["estimate", "--input", "run.csv", "--format", "csv"],
+    ]
+
+    def test_one_parser_serves_consecutive_commands(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert entry(["simulate", "--model", "isotropic_square", "--n", "4",
+                      "--samples", "50", "--out", "run"]) == 0
+        capsys.readouterr()
+        separate = []
+        for argv in self.COMMANDS:
+            cli.build_parser.cache_clear()
+            separate.append(run_cli(capsys, *argv))
+        cli.build_parser.cache_clear()
+        consecutive = [run_cli(capsys, *argv) for argv in self.COMMANDS]
+        assert consecutive == separate
+        assert all(code == 0 for code, _, _ in consecutive)
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_commands_are_looked_up_when_they_run(self, capsys, monkeypatch):
+        # a parser built before a command was replaced runs the replacement
+        cli.build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "cmd_sweep", lambda args: calls.append(args.n) or 0)
+        assert entry(["sweep", "--n", "2"]) == 0
+        assert calls == ["2"]
+
+
 class TestExitCodes:
     def test_unknown_shape_is_2(self, capsys):
         code, _, err = run_cli(capsys, "approximate", "--shape", "frisbee:1",
@@ -607,6 +642,18 @@ class TestExitCodes:
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
             entry(["bogus-command"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["approximate", "--shape", "disk:1", "--n", "2", "--seed", "1"],
+        ["sweep", "--n", "2", "--seed", "1"],
+        ["estimate", "--input", "run.csv", "--seed", "1"],
+        ["simulate", "--model", "isotropic_square", "--n", "2", "--samples", "10",
+         "--format", "csv"],
+    ])
+    def test_options_a_command_does_not_read_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            entry(argv)
         assert exc.value.code == 2
 
     def test_unwritable_out_is_2(self, tmp_path, capsys):

@@ -17,7 +17,12 @@ from zonofit import (
     perimeter_cauchy,
     steiner_mixed_area,
 )
-from zonofit.metrics import golden_section_max, sup_over_angles
+from zonofit.metrics import (
+    SUP_ANGLE_TOL,
+    SUP_GRID_SIZE,
+    golden_section_max,
+    sup_over_angles,
+)
 
 
 def test_golden_section_max():
@@ -64,6 +69,36 @@ def test_sup_over_angles_refines_past_the_grid():
     ang, v = sup_over_angles(f)
     assert v == pytest.approx(1.0, abs=1e-12)
     assert ang == pytest.approx(peak, abs=1e-6)
+
+
+_GRID = np.arange(SUP_GRID_SIZE) * (np.pi / SUP_GRID_SIZE)
+
+
+def _sup_from_grid_values(f, grid_values):
+    """sup of f given its values on the sup grid: the grid maximum, refined by a
+    golden-section search on the two grid steps around it."""
+    i = int(np.argmax(grid_values))
+    step = np.pi / SUP_GRID_SIZE
+    _, v = golden_section_max(f, _GRID[i] - step, _GRID[i] + step, SUP_ANGLE_TOL)
+    return float(grid_values[i]) if grid_values[i] >= v else float(v)
+
+
+def test_distances_match_grid_values_and_scalar_closure(unit_square):
+    # oracle: grid values evaluated once, plus a scalar closure for the
+    # refinement, which is how these functionals are spelled out by hand
+    zonotope = Zonotope([0.7, 1.3, 0.4], theta=[0.1, 1.2, 2.5], t=0.05)
+    shapes = [Ellipse(3.0, 1.0, 0.4), unit_square, Segment(1.3, 0.7), zonotope,
+              zonotope.vertices(), c0_approximate(Ellipse(2.0, 1.0, 0.2), 5)]
+    for x in shapes:
+        want = _sup_from_grid_values(lambda t: float(x.feret(t)),
+                                     np.asarray(x.feret(_GRID), dtype=float))
+        assert diameter(x) == want
+        for y in shapes:
+            gap = np.abs(np.asarray(x.feret(_GRID), dtype=float)
+                         - np.asarray(y.feret(_GRID), dtype=float))
+            want = 0.5 * _sup_from_grid_values(
+                lambda t: abs(float(x.feret(t)) - float(y.feret(t))), gap)
+            assert hausdorff_distance(x, y) == want
 
 
 def test_hausdorff_identity_and_disks(unit_square):

@@ -4,6 +4,7 @@ import pytest
 from zonofit import (
     ConvexPolygon,
     ParameterError,
+    SymmetricPolygon,
     Zonotope,
     minkowski_sum_polygons,
 )
@@ -33,7 +34,18 @@ def test_width_matches_projection():
     for th in np.linspace(0, np.pi, 9):
         u = np.array([-np.sin(th), np.cos(th)])
         p = SQ.vertices @ u
-        assert SQ.width(th) == pytest.approx(p.max() - p.min(), abs=1e-14)
+        assert SQ.feret(th) == pytest.approx(p.max() - p.min(), abs=1e-14)
+
+
+def test_feret_matches_symmetric_polygon_bitwise():
+    # one caliper-width routine serves both polygon classes
+    verts = Zonotope([0.7, 1.3, 0.4], theta=[0.1, 1.2, 2.5]).vertices().vertices
+    th = np.linspace(-1.0, 4.0, 257)
+    sym = SymmetricPolygon(verts)
+    poly = ConvexPolygon(sym.vertices)
+    np.testing.assert_array_equal(poly.feret(th), sym.feret(th))
+    for t in th[:9]:
+        assert poly.feret(t) == sym.feret(t)
 
 
 def test_minkowski_sum_known_cases():
@@ -62,4 +74,4 @@ def test_minkowski_sum_against_hull_oracle():
         hull = ConvexHull(cloud)
         assert s.area() == pytest.approx(hull.volume, abs=1e-10)
         for th in np.linspace(0, np.pi, 7):
-            assert s.width(th) == pytest.approx(pa.width(th) + pb.width(th), abs=1e-10)
+            assert s.feret(th) == pytest.approx(pa.feret(th) + pb.feret(th), abs=1e-10)

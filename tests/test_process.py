@@ -120,6 +120,16 @@ class TestMomentClasses:
         assert c.psd_repaired
         assert np.fft.fft(c.v_alpha).real.min() >= -1e-15
 
+    def test_central_moments_fft_roundoff_not_repaired(self):
+        # a palindrome from a nonnegative spectrum with zeros: the FFT gives
+        # those zeros back as roundoff of either sign, which is no violation
+        lam = np.array([0.5, 3.5, 0.0, 0.0, 3.0, 0.0, 0.0, 3.5])
+        v = np.fft.ifft(lam).real
+        assert np.fft.fft(v).real.min() < 0.0
+        c = CentralFaceMoments(8, 1.0, v)
+        assert not c.psd_repaired
+        np.testing.assert_array_equal(c.v_alpha, v)
+
     def test_central_moments_psd_violation_rejected(self):
         with pytest.raises(ParameterError, match="positive semidefinite"):
             CentralFaceMoments(2, 1.0, [1.0, 1.0 + 1e-6])

@@ -27,6 +27,16 @@ def test_constructor_validation():
     assert not Zonotope([1.0, 1.0], theta=[0.0, 1.0]).regular
 
 
+def test_empty_zonotope_is_the_origin():
+    z = Zonotope([])
+    th = np.linspace(0.0, np.pi, 12).reshape(3, 4)
+    np.testing.assert_array_equal(z.feret(th), np.zeros((3, 4)))
+    assert np.shape(z.feret(0.3)) == ()
+    assert z.feret(0.3) == 0.0
+    assert z.area() == 0.0
+    assert point_in_zonotope([0.0, 0.0], z)
+
+
 def test_feret_known_values():
     sq = Zonotope([1.0, 1.0])
     assert sq.feret(np.pi / 4) == pytest.approx(np.sqrt(2), abs=1e-12)
@@ -94,7 +104,7 @@ def test_vertices_drop_roundoff_faces():
     assert len(poly.vertices) == 8
     assert poly.area() == pytest.approx(z.area(), abs=1e-12)
     for th in np.linspace(0, np.pi, 9):
-        assert poly.width(th) == pytest.approx(float(z.feret(th)), abs=1e-12)
+        assert poly.feret(th) == pytest.approx(float(z.feret(th)), abs=1e-12)
 
 
 def test_vertices_consistent_with_widths_and_area():
@@ -107,7 +117,7 @@ def test_vertices_consistent_with_widths_and_area():
         poly = z.vertices()
         assert poly.area() == pytest.approx(z.area(), abs=1e-12)
         for th in np.linspace(0, np.pi, 9):
-            assert poly.width(th) == pytest.approx(float(z.feret(th)), abs=1e-12)
+            assert poly.feret(th) == pytest.approx(float(z.feret(th)), abs=1e-12)
 
 
 def test_point_membership():
