@@ -2,11 +2,14 @@
 
 The interpolation route solves F alpha = H on the regular n-direction grid;
 the rotation-optimized route additionally searches the grid offset that
-minimizes the Hausdorff distance to the target.  The offset scan evaluates
-blocks of offsets at once: one circulant solve for all their interpolants
-and their widths on the sup grid as one FFT circular convolution, written
-into a workspace that each distance kernel allocates once.  One golden
-section search then refines the sups of up to _LANES offsets in lockstep.
+minimizes the Hausdorff distance to the target.  The distance kernel
+evaluates blocks of offsets at once: one circulant solve for all their
+interpolants and their widths on the sup grid as one FFT circular
+convolution, written into a workspace that each kernel allocates once.  One
+golden section search then refines the sups of up to _LANES offsets in
+lockstep.  The offset scan calls the kernel once on a grid of offsets, then
+refines the best and the worst grid offset by a section search whose every
+step is one kernel call on _BLOCK probes of each bracket.
 """
 
 import numpy as np
@@ -21,7 +24,8 @@ from .zonotopes import Zonotope
 #: anything below this is rejected as inconsistent input.
 NEGATIVE_FACE_TOL = -1e-9
 
-#: Offsets the scan evaluates together; bounds its (block, sup grid) arrays.
+#: Offsets the kernel evaluates together, and the probes of one section-search
+#: step; bounds the kernel's (block, sup grid) arrays.
 _BLOCK = 16
 
 #: Offsets whose sups one golden loop refines; bounds its (lanes, n) arrays.
@@ -80,7 +84,9 @@ def _distance_kernel(x, n):
     the table's spectrum and the tiled DFT, (_BLOCK, G/2 + 1) complex.  The
     grid maxima of up to _LANES offsets are then refined by one golden
     section search in lockstep, and each is kept unless the refinement beats
-    it.  The returned array is fresh, never a view of the workspace.
+    it.  Every call pays for one grid pass and one sup refinement, so the
+    offset scan batches its probes: one call per section-search step.  The
+    returned array is fresh, never a view of the workspace.
     """
     size = int(n)
     while size < SUP_GRID_SIZE:
@@ -115,6 +121,9 @@ def _distance_kernel(x, n):
 
     def refined(t):
         """Distances for the offsets t: the grid pass, then one golden loop."""
+        p = len(t)
+        # einsum sums a lone lane's terms in another order than many lanes'
+        t = np.repeat(t, 2) if p == 1 else t
         parts = [block(t[s:s + rows]) for s in range(0, len(t), rows)]
         alpha, peak, grid_max = (np.concatenate(c, axis=-1) for c in zip(*parts))
 
@@ -123,7 +132,7 @@ def _distance_kernel(x, n):
             return np.abs(np.asarray(x.feret(e), dtype=float) - hz)
 
         _, v = golden_section_max(gap, peak - step, peak + step, SUP_ANGLE_TOL)
-        return 0.5 * np.where(grid_max >= v, grid_max, v)
+        return 0.5 * np.where(grid_max >= v, grid_max, v)[:p]
 
     def distances(t):
         t = np.asarray(t, dtype=float)
@@ -136,8 +145,9 @@ def _distance_kernel(x, n):
     return distances
 
 
-def _offset_scan(x, n, grid_points, angle_tol):
-    """Scan for `scan_offsets`; refine(sign) refines the grid max of sign * distance."""
+def _offset_scan(x, n, grid_points, angle_tol, signs):
+    """Scan for `scan_offsets`: (tau, Zonotope) at the refined first grid max
+    of sign * distance, for each sign, the signs searched in lockstep."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
     if not isinstance(grid_points, (int, np.integer)) or grid_points < 1:
@@ -148,16 +158,26 @@ def _offset_scan(x, n, grid_points, angle_tol):
     step = period / grid_points
     offsets = np.arange(grid_points) * step
     distances = _distance_kernel(x, n)
-    values = distances(offsets)
-
-    def refine(sign):
-        i = int(np.argmax(sign * values))
-        lo, hi = max(0.0, offsets[i] - step), min(period, offsets[i] + step)
-        t, v = golden_section_max(lambda t: sign * distances(t), lo, hi, angle_tol)
-        tau = float(t) if v > sign * values[i] else float(offsets[i])
-        return tau, Zonotope(_interpolating_alpha(x, n, tau), t=tau)
-
-    return refine
+    signs = np.asarray(signs, dtype=float)
+    objective = np.multiply.outer(signs, distances(offsets))
+    i = np.argmax(objective, axis=1)
+    tau, best = offsets[i], objective[np.arange(len(signs)), i]
+    # each bracket's ends and _BLOCK evenly spaced probes between them; the
+    # objective has period pi/n, so a bracket may reach past [0, pi/n) and
+    # every bracket keeps the same width
+    frac = np.arange(_BLOCK + 2) / (_BLOCK + 1)
+    lo, width = tau - step, 2.0 * step
+    while width > angle_tol:
+        points = np.add.outer(lo, width * frac)
+        probes = points[:, 1:-1] % period
+        values = signs[:, None] * distances(probes)
+        j = np.argmax(values, axis=1)
+        r = np.arange(len(j))
+        better = values[r, j] > best
+        tau = np.where(better, probes[r, j], tau)
+        best = np.where(better, values[r, j], best)
+        lo, width = points[r, j], width * 2.0 / (_BLOCK + 1)
+    return [(t, Zonotope(_interpolating_alpha(x, n, t), t=t)) for t in tau.tolist()]
 
 
 def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
@@ -165,16 +185,18 @@ def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
 
     Evaluates the interpolant distance once at each of `grid_points` offsets
     over [0, pi/n) (the objective's period), then refines the first grid
-    minimum and the first grid maximum by golden-section search to
-    `angle_tol`.  A refined offset replaces its grid offset only when it is
-    strictly better, so ties break toward the smallest offset.  Each reported
-    distance is hausdorff_distance of x and the interpolant at its offset.
-    The scan ranks offsets by the kernel's sup estimate, which can order a
-    near-flat profile differently, so the best offset stays a candidate for
-    the worst: d_worst >= d_best always holds.
+    minimum and the first grid maximum to `angle_tol` by a section search:
+    each step evaluates _BLOCK evenly spaced probes of both brackets in one
+    kernel call and keeps the probes on either side of the first best one.
+    A probe replaces the running offset only when it is strictly better, so
+    ties break toward the smallest offset.  Each reported distance is
+    hausdorff_distance of x and the interpolant at its offset.  The scan
+    ranks offsets by the kernel's sup estimate, which can order a near-flat
+    profile differently, so the best offset stays a candidate for the worst:
+    d_worst >= d_best always holds.
     """
-    refine = _offset_scan(x, n, grid_points, angle_tol)
-    best, worst = [(tau, hausdorff_distance(x, z)) for tau, z in (refine(-1.0), refine(1.0))]
+    best, worst = [(tau, hausdorff_distance(x, z))
+                   for tau, z in _offset_scan(x, n, grid_points, angle_tol, (-1.0, 1.0))]
     return best, worst if worst[1] >= best[1] else best
 
 
@@ -184,7 +206,7 @@ def cinf_approximate(x, n, grid_points=256, angle_tol=1e-6):
     The best offset of `scan_offsets`, without refining the worst one.  The
     returned distance never exceeds the unrotated interpolant's distance.
     """
-    return _offset_scan(x, n, grid_points, angle_tol)(-1.0)
+    return _offset_scan(x, n, grid_points, angle_tol, (-1.0,))[0]
 
 
 def offset_distances(x, n, offsets):

@@ -20,8 +20,13 @@ def direction(theta):
 
 
 def caliper_width(points, theta):
-    """Width of a point set along u(theta): the spread of its projections."""
-    proj = direction(theta) @ points.T
+    """Width of a point set along u(theta): the spread of its projections.
+
+    Elementwise, so the bits of one angle's width never depend on the shape
+    of the angle array, as a matmul's can.
+    """
+    u = direction(theta)
+    proj = u[..., :1] * points[:, 0] + u[..., 1:] * points[:, 1]
     return proj.max(axis=-1) - proj.min(axis=-1)
 
 

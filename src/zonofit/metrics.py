@@ -19,23 +19,6 @@ _SUP_GRID = regular_subdivision(SUP_GRID_SIZE)
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _lanes(cond):
-    """True when cond holds more than one lane's bool."""
-    return isinstance(cond, np.ndarray) and cond.size > 1
-
-
-def _select(cond, x, y):
-    """np.where(cond, x, y) for operands shaped like cond, without its cost
-    for a single lane."""
-    if _lanes(cond):
-        return np.where(cond, x, y)
-    return x if cond else y
-
-
-def _any(cond):
-    return cond.any() if _lanes(cond) else cond
-
-
 def golden_section_max(f, a, b, tol):
     """Maximum of f on [a, b] by golden-section search; returns (x, f(x)).
 
@@ -49,25 +32,29 @@ def golden_section_max(f, a, b, tol):
     """
     if not tol > 0:
         raise ParameterError(f"golden-section tolerance must be > 0, got {tol!r}")
+    if np.ndim(a):
+        select, any_ = np.where, np.any
+    else:
+        select, any_ = (lambda cond, x, y: x if cond else y), bool
     w = _INVPHI * (b - a)
     c, d = b - w, a + w
     fc, fd = f(c), f(d)
     left = fc >= fd
-    best_x, best_v = _select(left, c, d), _select(left, fc, fd)
-    while _any(b - a > tol):
+    best_x, best_v = select(left, c, d), select(left, fc, fd)
+    while any_(b - a > tol):
         # left lanes keep [a, d] and evaluate a new c; the others keep [c, b]
         # and evaluate a new d
-        a, b = _select(left, a, c), _select(left, d, b)
+        a, b = select(left, a, c), select(left, d, b)
         w = _INVPHI * (b - a)
-        x = _select(left, b - w, a + w)
+        x = select(left, b - w, a + w)
         fx = f(x)
-        c, d = _select(left, x, d), _select(left, c, x)
-        fc, fd = _select(left, fx, fd), _select(left, fc, fx)
+        c, d = select(left, x, d), select(left, c, x)
+        fc, fd = select(left, fx, fd), select(left, fc, fx)
         left = fc >= fd
-        v = _select(left, fc, fd)
+        v = select(left, fc, fd)
         better = v > best_v
-        best_x = _select(better, _select(left, c, d), best_x)
-        best_v = _select(better, v, best_v)
+        best_x = select(better, select(left, c, d), best_x)
+        best_v = select(better, v, best_v)
     return best_x, best_v
 
 

@@ -14,3 +14,9 @@ def sampled_width(points, theta):
     u = np.array([-np.sin(theta), np.cos(theta)])
     p = np.asarray(points) @ u
     return p.max() - p.min()
+
+
+@pytest.fixture
+def regular_hexagon():
+    k = np.arange(6) * (np.pi / 3.0) + 0.1
+    return SymmetricPolygon(np.stack([np.cos(k), np.sin(k)], axis=1))

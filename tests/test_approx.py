@@ -1,8 +1,10 @@
 """Grid interpolants, the a priori bound, and rotation-optimized fits."""
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +221,12 @@ class TestOffsetDistances:
             z = Zonotope(alpha, t=t)
             assert v == pytest.approx(hausdorff_distance(x, z), abs=1e-9)
 
+    def test_same_bits_in_one_call_or_one_at_a_time(self, regular_hexagon):
+        offsets = 0.01 + np.arange(40) * (np.pi / 8 / 40)
+        whole = offset_distances(regular_hexagon, 8, offsets)
+        single = [offset_distances(regular_hexagon, 8, t) for t in offsets]
+        np.testing.assert_array_equal(whole, single)
+
     def test_period_pi_over_n(self):
         x = Ellipse(2.0, 1.0, phi=0.9)
         vals = offset_distances(x, 4, [0.1, 0.1 + np.pi / 4.0])
@@ -239,48 +247,74 @@ class TestScanOffsets:
                 assert tau == tau_c
                 assert d_best == hausdorff_distance(x, z)
 
-    @pytest.mark.parametrize("scan, refinements", [
+    @pytest.mark.parametrize("scan, lanes", [
         (cinf_approximate, 1),
         (worst_offset, 2),
         (scan_offsets, 2),
     ], ids=lambda v: getattr(v, "__name__", str(v)))
-    def test_objective_calls(self, monkeypatch, scan, refinements):
-        # cinf_approximate refines only the best offset, worst_offset and
-        # scan_offsets both: every distance evaluation is a grid point or a
-        # golden step, and each grid offset is evaluated exactly once
-        evaluated = []
-        golden_steps = []
+    def test_objective_calls(self, monkeypatch, scan, lanes):
+        # one grid call evaluates each grid offset exactly once; every later
+        # call is one section-search step with at most _BLOCK probes for each
+        # searched offset: the best one for cinf_approximate, the best and
+        # the worst as lanes of the same calls for worst_offset and
+        # scan_offsets, which so make no more calls than cinf_approximate
+        calls = []
         kernel = approx._distance_kernel
-        golden = approx.golden_section_max
 
         def counted_kernel(x, n):
             distances = kernel(x, n)
 
             def counted(t):
-                evaluated.extend(np.ravel(t).tolist())
+                calls.append(np.array(t))
                 return distances(t)
 
             return counted
 
-        def counted_golden(f, a, b, tol):
-            if np.ndim(a):
-                # the kernel's lockstep sup refinement, not an offset search
-                return golden(f, a, b, tol)
-            golden_steps.append(0)
-
-            def step(t):
-                golden_steps[-1] += 1
-                return f(t)
-
-            return golden(step, a, b, tol)
-
         monkeypatch.setattr(approx, "_distance_kernel", counted_kernel)
-        monkeypatch.setattr(approx, "golden_section_max", counted_golden)
-        scan(Ellipse(3.0, 1.0, phi=0.4), 8, grid_points=16)
-        assert len(golden_steps) == refinements
-        assert len(evaluated) == 16 + sum(golden_steps)
-        for t in np.arange(16) * (np.pi / 8 / 16):
+        x, n, grid_points, angle_tol = Ellipse(3.0, 1.0, phi=0.4), 8, 16, 1e-6
+        refinements = []
+        for run in (cinf_approximate, scan):
+            calls.clear()
+            run(x, n, grid_points=grid_points, angle_tol=angle_tol)
+            refinements.append(calls[1:])
+        grid = np.arange(grid_points) * (np.pi / n / grid_points)
+        evaluated = np.concatenate([np.ravel(t) for t in calls]).tolist()
+        for t in grid:
             assert evaluated.count(t) == 1
+        np.testing.assert_array_equal(calls[0], grid)
+        probes = refinements[-1]
+        assert probes[0].shape == (lanes, approx._BLOCK)
+        for t in probes:
+            assert t.ndim == 2 and t.shape[0] <= lanes and t.shape[1] <= approx._BLOCK
+        step = np.pi / n / grid_points
+        bound = np.ceil(np.log(2 * step / angle_tol) / np.log((approx._BLOCK + 1) / 2)) + 1
+        assert len(probes) <= bound
+        assert len(probes) <= len(refinements[0])
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_section_search_reaches_the_dense_minimum(self, n):
+        # the refined distance is hausdorff_distance, the scans below are the
+        # kernel's sup estimate; the two differ by roundoff-sized amounts, so
+        # d_best is bounded only from above
+        x = Ellipse(3.0, 1.0, phi=0.4)
+        (_, d_best), _ = scan_offsets(x, n)
+        period = np.pi / n
+        step = period / 256
+        grid = offset_distances(x, n, np.arange(256) * step)
+        assert d_best <= grid.min()
+        assert d_best <= hausdorff_distance(x, c0_approximate(x, n))
+        t = np.argmin(grid) * step
+        dense = offset_distances(x, n, np.linspace(t - step, t + step, 4097) % period)
+        assert d_best <= dense.min() + 1e-6
+
+    def test_ties_break_toward_the_smallest_offset(self, monkeypatch):
+        # no probe is strictly better than grid offset 0
+        monkeypatch.setattr(approx, "_distance_kernel",
+                            lambda x, n: lambda t: np.full(np.shape(t), 0.25))
+        x = Ellipse(3.0, 1.0, phi=0.4)
+        (tau_best, _), (tau_worst, _) = scan_offsets(x, 8, grid_points=16)
+        assert tau_best == tau_worst == 0.0
+        assert cinf_approximate(x, 8, grid_points=16)[0] == 0.0
 
     @pytest.mark.parametrize("x, ns", [
         (Ellipse(1.0000001, 1.0, 0.2), range(2, 41)),
@@ -324,7 +358,8 @@ class TestDistanceKernel:
     @pytest.mark.parametrize("n", [3, 8, 33])
     def test_independent_of_block_and_lane_counts(self, monkeypatch, unit_square, n):
         # bodies whose feret bits do not depend on the batch shape of the
-        # angles; SymmetricPolygon.feret goes through a matmul whose bits do
+        # angles; the hexagon's case is
+        # TestOffsetDistances::test_same_bits_in_one_call_or_one_at_a_time
         shapes = (Ellipse(3.0, 1.0, phi=0.4), Rotated(unit_square, 0.3),
                   Segment(1.3, 0.7), Disk(1.0))
         offsets = np.arange(40) * (np.pi / n / 40)
@@ -361,6 +396,21 @@ class TestDistanceKernel:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) < 500
+
+    def test_workspace_freed_without_garbage_collection(self):
+        # a reference cycle through the kernel's closures would keep each
+        # scan's 2 MB workspace alive until the collector runs
+        x = Ellipse(3.0, 1.0, phi=0.4)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                cinf_approximate(x, 16, grid_points=16)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert current < 2 ** 20
 
     def test_keeps_offset_shape(self):
         distances = approx._distance_kernel(Ellipse(2.0, 1.0), 4)

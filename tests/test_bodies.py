@@ -84,6 +84,16 @@ def test_polygon_feret(unit_square):
     assert np.allclose(shifted.feret(th), unit_square.feret(th))
 
 
+def test_polygon_feret_bits_independent_of_angle_shape(regular_hexagon):
+    # each angle's width is computed elementwise: a matmul's bits can depend
+    # on the shape of the angle array
+    th = np.linspace(0.0, np.pi, 128).reshape(8, 16)
+    whole = regular_hexagon.feret(th)
+    for col in range(th.shape[1]):
+        np.testing.assert_array_equal(regular_hexagon.feret(th[:, col:col + 1]),
+                                      whole[:, col:col + 1])
+
+
 def test_asymmetric_polygon_rejected():
     with pytest.raises(SymmetryError):
         SymmetricPolygon([[1.0, 0.0], [0.0, 1.0], [-1.0, -0.5]])
