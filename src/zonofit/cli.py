@@ -31,7 +31,6 @@ from .process import (
     central_nnls,
     confidence_bound,
     existence_check,
-    isotropize_moments,
     stationarity_diagnostic,
 )
 from .simulate import (
@@ -178,6 +177,8 @@ def cmd_approximate(args):
 
 def cmd_sweep(args):
     ns = parse_int_list(args.n)
+    if not ns:
+        raise ParameterError("need at least one n value")
     ks = _float_args(args.k, args.k)
     if not ks:
         raise ParameterError("need at least one axis ratio")
@@ -255,17 +256,15 @@ def cmd_estimate(args):
     n = m.n if regular else args.n
     if args.n is not None and args.n != n:
         raise ParameterError(f"input has n={n} angles, requested n={args.n}")
-    isotropized = regular and not m.stationary
     if args.solver == "linear":
-        central = central_from_feret(isotropize_moments(m) if isotropized else m,
-                                     max_condition=args.max_condition)
+        central = central_from_feret(m, max_condition=args.max_condition)
     else:
         central = _nnls_central(theta, m.second, float(m.mean.mean()), n)
     report = {
         "command": "estimate",
         "solver": args.solver,
         "n": n,
-        "isotropized": isotropized,
+        "isotropized": regular and not m.stationary,
         "central": serialize.moments_to_dict(central),
     }
     if regular:

@@ -217,7 +217,6 @@ def deterministic_process_moments(body, n):
         second=np.outer(h, h),
         stderr_mean=np.zeros(n),
         stderr_second=np.zeros((n, n)),
-        stationary=False,
     )
 
 
@@ -316,31 +315,27 @@ def expected_area(c):
 
 
 def central_from_feret(m, max_condition=1e12):
-    """Recover central face moments from stationary Feret-process moments.
+    """Recover central face moments from Feret-process moments on the regular grid.
 
     Inverts mean = (2/pi) n E[alpha_1] and V[H] = n K(0) V[alpha] in the
     spectral domain of the circulant K(0).  The lag vector is the average of
     `m.second` over its n cyclic diagonals, symmetrized: the sufficient
     statistic of a stationary process, where row 0 alone would discard n - 1
-    of the n rows.  Standard errors, when present on `m`, are averaged along
-    the same diagonals and propagate through the linear map by conservative
+    of the n rows.  With the mean averaged over the grid, it is the grid
+    route of `isotropize_moments`, so it isotropizes non-stationary moments.
+    Standard errors, when present on `m`, are averaged along the same
+    diagonals and propagate through the linear map by conservative
     absolute-value row sums.  `max_condition` is the only conditioning check.
 
     Raises
     ------
     ParameterError
-        If `m` is not flagged stationary (isotropize first), if any of its
-        arrays is not finite, or unless `max_condition` > 0.
+        If any array of `m` is not finite, or unless `max_condition` > 0.
     SolverError
         If cond(K(0)) exceeds `max_condition`.
     """
     if not max_condition > 0:
         raise ParameterError(f"max_condition must be positive, got {max_condition!r}")
-    if not m.stationary:
-        raise ParameterError(
-            "central moments need stationary process moments; apply "
-            "isotropize_moments first"
-        )
     _require_finite_moments(m)
     n = m.n
     K0 = k_matrix(n)

@@ -294,6 +294,7 @@ def write_sample_csv(path, theta, h):
     `h` is one (samples, len(theta)) array, or an iterable without a length
     that yields such row blocks; each block is written as one string, under
     consecutive sample ids, and the file is opened once the first exists.
+    A block that is not 1-D or 2-D (a list of blocks, say) raises ParameterError.
     """
     theta = np.asarray(theta, dtype=float).tolist()
     row = "".join("{0},%r,{%d!r}\n" % (t, j + 1) for j, t in enumerate(theta))
@@ -303,8 +304,9 @@ def write_sample_csv(path, theta, h):
         f.write(f"{CSV_VERSION_LINE}\nsample_id,theta,h\n")
         while block is not None:
             block = np.atleast_2d(np.asarray(block, dtype=float))
-            if block.shape[1] != len(theta):
-                raise ParameterError(f"{block.shape[1]} angles per sample, need {len(theta)}")
+            if block.ndim != 2 or block.shape[1] != len(theta):
+                raise ParameterError(f"need 1-D or 2-D blocks of {len(theta)} angles per "
+                                     f"sample, got shape {block.shape}")
             text = [row.format(i, *r) for i, r in enumerate(block.tolist(), start)]
             f.write("".join(text))
             block, start = next(blocks, None), start + len(block)

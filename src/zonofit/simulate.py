@@ -26,7 +26,7 @@ from scipy.special import ndtri
 
 from .bodies import Ellipse, regular_subdivision
 from .errors import ParameterError
-from .process import FeretProcessMoments, central_from_feret, isotropize_moments
+from .process import FeretProcessMoments, central_from_feret
 from .zonotopes import Zonotope
 
 CHUNK = 4096
@@ -267,18 +267,6 @@ def sample_shape(model, stream_index, seed):
     return model.sample_one(_uniform_block(seed, stream_index * blocks, words))
 
 
-class EstimationResult:
-    """Estimated process moments together with the sample count and seed."""
-
-    def __init__(self, moments, sample_count, seed):
-        self.moments = moments
-        self.sample_count = int(sample_count)
-        self.seed = int(seed)
-
-    def __repr__(self):
-        return f"EstimationResult(samples={self.sample_count}, seed={self.seed})"
-
-
 def chunk_state(h):
     """Mergeable state (count, mean, M2) of a chunk of rows h, shape (count, n).
 
@@ -324,16 +312,16 @@ def reduce_states(states, stationary=False):
                                stderr_second=stderr[1:], stationary=stationary)
 
 
-def empirical_moments(h, stationary=False):
+def empirical_moments(h):
     """Feret-process moments from an observed diameter table of shape (samples, n).
 
     The table is reduced in the same CHUNK-row pieces and the same order as
     `estimate_process_moments`, so a table of sampled diameters gives the
-    streamed estimate bit for bit.
+    streamed estimate bit for bit.  The moments are not flagged stationary.
     """
     h = np.ascontiguousarray(np.atleast_2d(np.asarray(h, dtype=float)))
     states = [chunk_state(h[s : s + CHUNK]) for s in range(0, len(h), CHUNK)]
-    return reduce_states(states, stationary)
+    return reduce_states(states)
 
 
 def feret_sample_block(model, n, seed, start, count):
@@ -349,14 +337,15 @@ def feret_sample_block(model, n, seed, start, count):
 
 
 def estimate_process_moments(model, n, samples, seed, threads=None):
-    """Empirical first and second Feret-process moments on the regular n-grid.
+    """Empirical Feret-process moments on the regular n-grid, as FeretProcessMoments.
 
-    Samples are generated in fixed chunks of CHUNK rows, each drawn as one
-    sample block (for zonotope models a batched spectral convolution).  Each
-    chunk reduces to its centered state (`chunk_state`), and the states
-    merge in a fixed pairwise tree (`reduce_states`), so the result is
-    bit-identical for any worker count.  Standard errors are the entrywise
-    sample standard deviations divided by sqrt(samples).
+    Flagged stationary for an isotropic model.  Samples are generated in
+    fixed chunks of CHUNK rows, each drawn as one sample block (for zonotope
+    models a batched spectral convolution).  Each chunk reduces to its
+    centered state (`chunk_state`), and the states merge in a fixed pairwise
+    tree (`reduce_states`), so the result is bit-identical for any worker
+    count.  Standard errors are the entrywise sample standard deviations
+    divided by sqrt(samples).
     """
     threads = worker_count(threads)
     starts = list(range(0, samples, CHUNK))
@@ -370,13 +359,11 @@ def estimate_process_moments(model, n, samples, seed, threads=None):
             states = list(pool.map(work, starts))
     else:
         states = [work(s) for s in starts]
-    return EstimationResult(reduce_states(states, model.is_isotropic), samples, seed)
+    return reduce_states(states, model.is_isotropic)
 
 
 def pipeline_estimate(model, n, samples, seed, threads=None):
-    """Sample -> process moments -> (isotropize if needed) -> central face moments."""
-    est = estimate_process_moments(model, n, samples, seed, threads=threads)
-    m = est.moments
-    if not m.stationary:
-        m = isotropize_moments(m)
-    return central_from_feret(m)
+    """Sample -> process moments -> central face moments (the lag average of
+    `central_from_feret` isotropizes the moments of a non-isotropic model)."""
+    return central_from_feret(estimate_process_moments(model, n, samples, seed,
+                                                       threads=threads))

@@ -87,10 +87,9 @@ def test_criterion_01_analytic_random_square():
 def test_criterion_02_monte_carlo_matches_analytic():
     t0 = time.perf_counter()
     problems = []
-    est = estimate_process_moments(
+    m = estimate_process_moments(
         IsotropicZonotope(2, Fixed([1.0, 1.0])), 2, 100_000, seed=2024
     )
-    m = est.moments
     _check(problems,
            np.all(np.abs(m.mean - MEAN_H_SQUARE) <= 3.0 * m.stderr_mean),
            "estimated E[H] more than 3 stderr from 4/pi")

@@ -197,11 +197,13 @@ class TestSweep:
         assert len(rep["rows"]) == 3
         assert rep["rows"][0]["mode"] == "c0_best"
 
-    def test_empty_range_header_only(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--n", "5:4", "--k", "1")
-        assert code == 0
-        assert out.splitlines() == [serialize.CSV_VERSION_LINE,
-                                    "n,k,d_hausdorff,bound,mode"]
+    @pytest.mark.parametrize("ns", ["5:2", ","])
+    def test_empty_n_list_exit_2(self, capsys, ns):
+        # like an empty --k list: a table without rows is not a result
+        code, out, err = run_cli(capsys, "sweep", "--n", ns, "--k", "2")
+        assert code == 2
+        assert out == ""
+        assert "need at least one n" in err
 
     def test_one_scan_per_row_group(self, capsys, monkeypatch):
         # best and worst offsets come from one scan: every grid offset's
@@ -482,6 +484,15 @@ class TestEstimate:
         assert code == 2
         assert "epsilon" in err
 
+    def test_non_feret_json_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "central.json"
+        central = CentralFaceMoments(2, 1.0, [1.0, 1.0])
+        serialize.write_json(p, serialize.moments_to_dict(central))
+        code, out, err = run_cli(capsys, "estimate", "--input", str(p))
+        assert code == 2
+        assert out == ""
+        assert "needs Feret-process moments" in err
+
     def test_n_mismatch(self, tmp_path, capsys):
         p = tmp_path / "moments.json"
         self.write_square_moments(p)
@@ -520,6 +531,21 @@ class TestSimulate:
         assert h.shape == (200, 2)
         m = serialize.moments_from_dict(summary["moments"])
         np.testing.assert_allclose(m.mean, h.mean(axis=0), atol=1e-12)
+
+    def test_model_json_inline_and_file(self, tmp_path, capsys, monkeypatch):
+        # the JSON spec of a model draws the same samples as its shorthand
+        monkeypatch.chdir(tmp_path)
+        spec = json.dumps({"kind": "isotropic_rectangle",
+                           "sides": {"dist": "fixed", "value": [1.3, 0.7]}})
+        (tmp_path / "model.json").write_text(spec)
+        for out, model in (("short", "isotropic_rectangle:1.3,0.7"),
+                           ("inline", spec), ("file", "model.json")):
+            code, _, _ = run_cli(capsys, "simulate", "--model", model, "--n", "4",
+                                 "--samples", "50", "--seed", "3", "--out", out)
+            assert code == 0
+        want = (tmp_path / "short.csv").read_bytes()
+        assert (tmp_path / "inline.csv").read_bytes() == want
+        assert (tmp_path / "file.csv").read_bytes() == want
 
     def test_byte_identical_runs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -11,7 +11,10 @@ from zonofit import (
     Disk,
     Ellipse,
     FeretProcessMoments,
+    IsotropicEllipse,
+    IsotropicRectangle,
     ParameterError,
+    Segment,
     SolverError,
     UnderdeterminedError,
     c0_random_moments,
@@ -19,6 +22,7 @@ from zonofit import (
     central_nnls,
     confidence_bound,
     deterministic_process_moments,
+    empirical_moments,
     estimate_process_moments,
     existence_check,
     expected_area,
@@ -35,7 +39,7 @@ from zonofit import (
     stationarity_diagnostic,
 )
 from zonofit.process import _lag_sums
-from zonofit.simulate import IsotropicZonotope, LogNormal
+from zonofit.simulate import IsotropicZonotope, LogNormal, feret_sample_block
 
 MEAN_H_SQUARE = 4.0 / np.pi
 SECOND_H_SQUARE = (np.pi + 2.0) / np.pi
@@ -242,11 +246,34 @@ class TestCentralRecovery:
                 assert c1.mean_alpha == pytest.approx(mean_alpha, abs=1e-10)
                 np.testing.assert_allclose(c1.v_alpha, v, atol=1e-10)
 
-    def test_requires_stationary(self):
-        m = deterministic_process_moments(Disk(1.0), 4)
-        assert not m.stationary
-        with pytest.raises(ParameterError, match="stationary"):
-            central_from_feret(m)
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 17, 64])
+    def test_lag_average_is_the_isotropization(self, n, unit_square):
+        # unflagged moments: the solve's own lag average stands in for
+        # isotropize_moments, up to roundoff amplified by cond(K(0))
+        tables = [feret_sample_block(model, n, seed=n, start=0, count=300)
+                  for model in (IsotropicRectangle(LogNormal(2, sigma=0.3)),
+                                IsotropicEllipse(LogNormal(2, sigma=0.3)))]
+        bodies = (unit_square, Ellipse(3.0, 1.0, 0.4), Segment(2.0, 0.3))
+        cases = ([empirical_moments(h) for h in tables]
+                 + [deterministic_process_moments(body, n) for body in bodies])
+        tol = k_matrix(n).condition_number() * 1e-15
+        for m in cases:
+            assert not m.stationary
+            got = central_from_feret(m)
+            want = central_from_feret(isotropize_moments(m))
+            scale = np.abs(want.v_alpha).max()
+            assert np.abs(got.v_alpha - want.v_alpha).max() <= tol * scale
+            assert got.mean_alpha == pytest.approx(want.mean_alpha, rel=1e-15, abs=0.0)
+            se_scale = np.abs(want.stderr_v_alpha).max()
+            assert (np.abs(got.stderr_v_alpha - want.stderr_v_alpha).max()
+                    <= 1e-15 * se_scale)
+            if n == 16:
+                assert np.array_equal(got.v_alpha, want.v_alpha)
+                assert got.mean_alpha == want.mean_alpha
+            if n != 64:
+                # at n = 64 the square's smallest eigenvalue sits at the
+                # -n eps roundoff floor, so either side may repair it
+                assert got.psd_repaired == want.psd_repaired
 
     def test_condition_limit(self):
         m = isotropize_moments(deterministic_process_moments(Disk(1.0), 16))
@@ -343,7 +370,7 @@ def _lognormal_lag_observations(n, seed, samples=4000):
     """Lag-averaged Monte-Carlo second moments of a lognormal isotropic zonotope."""
     est = estimate_process_moments(IsotropicZonotope(n, LogNormal(n, sigma=0.3)), n,
                                    samples, seed)
-    lags = _lag_sums(est.moments.second) / n
+    lags = _lag_sums(est.second) / n
     th = regular_subdivision(n)
     return [(th[d], lags[d]) for d in range(n // 2 + 1)]
 
@@ -499,7 +526,7 @@ class TestInterpolantMoments:
     @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
     def test_matches_dense_inverse(self, n):
         model = IsotropicZonotope(n, LogNormal(n, sigma=0.3))
-        m = estimate_process_moments(model, n, 512, seed=n).moments
+        m = estimate_process_moments(model, n, 512, seed=n)
         fm = c0_random_moments(m, n)
         # the moments themselves: the inline column-wise FFT solve, bit for bit
         lam = feret_matrix(n).spectrum()[:, None]

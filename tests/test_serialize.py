@@ -304,6 +304,18 @@ def test_sample_csv_writer_rejects_wrong_angle_count(tmp_path):
         write_sample_csv(tmp_path / "a.csv", [0.0, 1.0], np.ones((2, 3)))
 
 
+def test_sample_csv_writer_rejects_blocks_of_blocks(tmp_path):
+    # a list or a 3-D array has a length, so it is read as one block: its
+    # rows would be written as list reprs that the reader rejects
+    theta = [0.0, 1.0, 2.0]
+    h = np.arange(18.0).reshape(2, 3, 3)
+    for name, blocks in (("3d", h), ("list", [h[0], h[1]]), ("tuple", (h[0], h[1]))):
+        path = tmp_path / f"{name}.csv"
+        with pytest.raises(ParameterError, match=r"got shape \(2, 3, 3\)"):
+            write_sample_csv(path, theta, blocks)
+        assert "[" not in path.read_text()
+
+
 def test_sample_csv_writer_opens_file_after_first_block(tmp_path):
     def failing():
         raise ParameterError("no samples")

@@ -162,19 +162,17 @@ class TestReproducibility:
             model = IsotropicZonotope(n, LogNormal(n))
             r1 = estimate_process_moments(model, n, samples, seed=5, threads=1)
             r4 = estimate_process_moments(model, n, samples, seed=5, threads=4)
-            np.testing.assert_array_equal(r1.moments.mean, r4.moments.mean)
-            np.testing.assert_array_equal(r1.moments.second, r4.moments.second)
-            np.testing.assert_array_equal(r1.moments.stderr_mean, r4.moments.stderr_mean)
-            np.testing.assert_array_equal(
-                r1.moments.stderr_second, r4.moments.stderr_second
-            )
+            np.testing.assert_array_equal(r1.mean, r4.mean)
+            np.testing.assert_array_equal(r1.second, r4.second)
+            np.testing.assert_array_equal(r1.stderr_mean, r4.stderr_mean)
+            np.testing.assert_array_equal(r1.stderr_second, r4.stderr_second)
 
     def test_estimate_bitwise_across_runs(self):
         model = IsotropicRectangle(LogNormal(2))
         a = estimate_process_moments(model, 2, 500, seed=123)
         b = estimate_process_moments(model, 2, 500, seed=123)
-        np.testing.assert_array_equal(a.moments.mean, b.moments.mean)
-        np.testing.assert_array_equal(a.moments.second, b.moments.second)
+        np.testing.assert_array_equal(a.mean, b.mean)
+        np.testing.assert_array_equal(a.second, b.second)
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.delenv("ZONOFIT_THREADS", raising=False)
@@ -207,8 +205,8 @@ class TestMomentEstimates:
         ):
             samples = CHUNK + 7
             h = feret_sample_block(model, n, seed=21, start=0, count=samples)
-            direct = empirical_moments(h, stationary=True)
-            streamed = estimate_process_moments(model, n, samples, seed=21).moments
+            direct = empirical_moments(h)
+            streamed = estimate_process_moments(model, n, samples, seed=21)
             for name in ("mean", "second", "stderr_mean", "stderr_second"):
                 np.testing.assert_array_equal(
                     getattr(direct, name), getattr(streamed, name)
@@ -230,14 +228,13 @@ class TestMomentEstimates:
 
     def test_deterministic_model_zero_stderr(self):
         est = estimate_process_moments(DeterministicBody(Disk(1.0)), 4, 10, seed=0)
-        np.testing.assert_array_equal(est.moments.stderr_mean, np.zeros(4))
-        assert not est.moments.stationary
+        np.testing.assert_array_equal(est.stderr_mean, np.zeros(4))
+        assert not est.stationary
 
     def test_isotropic_square_mean_within_3_sigma(self):
-        est = estimate_process_moments(
+        m = estimate_process_moments(
             IsotropicZonotope(2, Fixed([1.0, 1.0])), 2, 10_000, seed=99
         )
-        m = est.moments
         assert np.all(np.abs(m.mean - 4.0 / np.pi) <= 3.0 * m.stderr_mean + 1e-12)
         assert np.all(
             np.abs(m.second - (np.pi + 2.0) / np.pi) <= 3.0 * m.stderr_second + 1e-12
@@ -250,14 +247,13 @@ class TestMomentEstimates:
         atoms = np.array([np.full(n, 0.5), np.full(n, 1.5)])
         weights = [0.4, 0.6]
         model = IsotropicZonotope(n, Mixture(atoms, weights))
-        est = estimate_process_moments(model, n, 20_000, seed=31)
+        m = estimate_process_moments(model, n, 20_000, seed=31)
         # all faces equal within a sample: E[alpha_i alpha_j] = E[s^2]
         s2 = 0.4 * 0.25 + 0.6 * 2.25
         mean_alpha = 0.4 * 0.5 + 0.6 * 1.5
         ref = forward_zonotope_moments(
             CentralFaceMoments(n, mean_alpha, np.full(n, s2))
         )
-        m = est.moments
         assert np.all(np.abs(m.mean - ref.mean) <= 3.0 * m.stderr_mean + 1e-12)
         assert np.all(np.abs(m.second - ref.second) <= 3.0 * m.stderr_second + 1e-12)
 
