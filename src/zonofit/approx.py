@@ -225,14 +225,14 @@ def worst_offset(x, n, grid_points=256, angle_tol=1e-6):
     return scan_offsets(x, n, grid_points, angle_tol)[1]
 
 
-def contains(z, x, tol=1e-9, grid=1024):
+def contains(z, x):
     """True when the zonotope z contains the symmetric body x.
 
-    Checks H_x <= H_z + tol at the zonotope's face directions and on a
-    `grid`-point angle grid; sufficient in practice because H_z is piecewise
+    Checks H_x <= H_z + 1e-9 at the zonotope's face directions and on a
+    1024-point angle grid; sufficient in practice because H_z is piecewise
     trigonometric between faces.
     """
-    angles = np.concatenate([z.theta + z.t, regular_subdivision(grid)])
+    angles = np.concatenate([z.theta + z.t, regular_subdivision(1024)])
     hx = np.asarray(x.feret(angles), dtype=float)
     hz = np.asarray(z.feret(angles), dtype=float)
-    return bool(np.all(hx <= hz + tol))
+    return bool(np.all(hx <= hz + 1e-9))

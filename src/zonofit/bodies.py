@@ -112,22 +112,22 @@ class SymmetricPolygon(SymmetricConvexBody):
     """Convex polygon that is centrally symmetric about its vertex centroid.
 
     The construction recenters the vertices on the centroid and rejects vertex
-    sets that do not match their own point reflection within `tol`.
+    sets that do not match their own point reflection within 1e-9.
     """
 
     is_smooth = False
 
-    def __init__(self, vertices, tol=1e-9):
+    def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 2:
             raise ParameterError("polygon needs an (m, 2) vertex array with m >= 2")
         center = v.mean(axis=0)
         v = v - center
         for p in v:
-            if np.min(np.hypot(v[:, 0] + p[0], v[:, 1] + p[1])) > tol:
+            if np.min(np.hypot(v[:, 0] + p[0], v[:, 1] + p[1])) > 1e-9:
                 raise SymmetryError(
                     "vertex set is not centrally symmetric within tolerance "
-                    f"{tol:g} (offending vertex {p + center})"
+                    f"1e-09 (offending vertex {p + center})"
                 )
         self.vertices = v
         self.center = center

@@ -27,6 +27,7 @@ from .bodies import Disk, Ellipse, Segment, SymmetricPolygon, regular_subdivisio
 from .errors import SolverError, UnderdeterminedError, ZonofitError, ParameterError
 from .metrics import diameter, hausdorff_distance, perimeter_cauchy
 from .process import (
+    FeretProcessMoments,
     central_from_feret,
     central_nnls,
     confidence_bound,
@@ -193,7 +194,6 @@ def cmd_sweep(args):
         for n in ns:
             bound = hausdorff_bound(n, dia)
             (_, d_best), (_, d_worst) = scan_offsets(x, n, grid_points=args.grid)
-            rows.append((n, k, d_best, bound, "c0_best"))
             rows.append((n, k, d_worst, bound, "c0_worst"))
             rows.append((n, k, d_best, bound, "cinf"))
     rows.sort(key=lambda r: (r[1], r[0], r[4]))
@@ -239,7 +239,7 @@ def cmd_estimate(args):
         m = empirical_moments(h)
     else:
         m = serialize.moments_from_dict(_read_json(path))
-        if not hasattr(m, "stationary"):
+        if not isinstance(m, FeretProcessMoments):
             raise ParameterError("estimate needs Feret-process moments as input")
         theta = m.theta
 
@@ -264,7 +264,6 @@ def cmd_estimate(args):
         "command": "estimate",
         "solver": args.solver,
         "n": n,
-        "isotropized": regular and not m.stationary,
         "central": serialize.moments_to_dict(central),
     }
     if regular:
@@ -314,7 +313,7 @@ def cmd_simulate(args):
             yield h
 
     serialize.write_sample_csv(csv_path, regular_subdivision(args.n), blocks())
-    moments = reduce_states(states, model.is_isotropic)
+    moments = reduce_states(states)
     diag = stationarity_diagnostic(moments)
     exist = existence_check(moments)
     summary = {

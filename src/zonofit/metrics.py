@@ -58,7 +58,7 @@ def golden_section_max(f, a, b, tol):
     return best_x, best_v
 
 
-def sup_over_angles(f, tol=SUP_ANGLE_TOL):
+def sup_over_angles(f):
     """sup over [0, pi) of a pi-periodic function.
 
     `f` maps an array of angles to an array of values and a scalar angle to a
@@ -69,7 +69,7 @@ def sup_over_angles(f, tol=SUP_ANGLE_TOL):
     i = int(np.argmax(grid_values))
     step = np.pi / SUP_GRID_SIZE
     lo, hi = _SUP_GRID[i] - step, _SUP_GRID[i] + step
-    x, v = golden_section_max(f, lo, hi, tol)
+    x, v = golden_section_max(f, lo, hi, SUP_ANGLE_TOL)
     if grid_values[i] >= v:
         return float(_SUP_GRID[i]), float(grid_values[i])
     return float(np.mod(x, np.pi)), float(v)
@@ -89,17 +89,14 @@ def diameter(x):
     return sup_over_angles(x.feret)[1]
 
 
-def perimeter_cauchy(x, panels=None):
+def perimeter_cauchy(x):
     """Perimeter via Cauchy's formula: integral of H over [0, pi].
 
     Composite Simpson with 2048 panels; 8192 when H has kinks (polygonal
     shapes), where the quadrature order degrades to roughly O(panels^-2)
     around each kink.
     """
-    if panels is None:
-        panels = 2048 if x.is_smooth else 8192
-    if panels % 2 != 0 or panels < 2:
-        raise ParameterError(f"panel count must be a positive even integer, got {panels}")
+    panels = 2048 if x.is_smooth else 8192
     t = np.linspace(0.0, np.pi, panels + 1)
     return float(simpson(np.asarray(x.feret(t), dtype=float), x=t))
 

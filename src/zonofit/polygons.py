@@ -14,23 +14,24 @@ class ConvexPolygon:
     """Convex polygon with counterclockwise vertices; 1 or 2 vertices allowed.
 
     Vertices must be in convex position and ordered counterclockwise (cross
-    products of consecutive edges >= -tol).  Degenerate inputs (a point or a
-    segment) are accepted so Minkowski sums compose.
+    products of consecutive edges >= -1e-12 times the squared coordinate
+    scale, and no consecutive vertices within 1e-12).  Degenerate inputs (a
+    point or a segment) are accepted so Minkowski sums compose.
     """
 
-    def __init__(self, vertices, tol=1e-12):
+    def __init__(self, vertices):
         v = np.atleast_2d(np.asarray(vertices, dtype=float))
         if v.ndim != 2 or v.shape[1] != 2 or len(v) == 0:
             raise ParameterError("polygon needs an (m, 2) vertex array")
         if len(v) >= 2:
             d = np.diff(np.vstack([v, v[:1]]), axis=0)
-            if np.any(np.hypot(d[:, 0], d[:, 1]) <= tol):
+            if np.any(np.hypot(d[:, 0], d[:, 1]) <= 1e-12):
                 raise ParameterError("repeated consecutive vertices")
         if len(v) >= 3:
             e = np.diff(np.vstack([v, v[:2]]), axis=0)
             cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
             scale = max(1.0, float(np.abs(v).max()) ** 2)
-            if np.any(cross < -tol * scale):
+            if np.any(cross < -1e-12 * scale):
                 raise ParameterError("vertices are not in counterclockwise convex position")
         self.vertices = v
 

@@ -35,11 +35,11 @@ def k_s(t):
     )
 
 
-def k_matrix(n, t=0.0):
-    """Circulant kernel matrix K(t) with entries k_s(t + theta_i - theta_j)."""
+def k_matrix(n):
+    """Circulant kernel matrix K(0) with entries k_s(theta_i - theta_j)."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"need a positive integer n, got {n!r}")
-    return CirculantMatrix(k_s(t + regular_subdivision(n)))
+    return CirculantMatrix(k_s(regular_subdivision(n)))
 
 
 def _palindrome_index(n):
@@ -68,6 +68,9 @@ def _require_finite_moments(m):
 class FeretProcessMoments:
     """First and second moments of a Feret process on the regular angle grid.
 
+    Held as measured: `stationarity_diagnostic` measures how far they are
+    from stationary, and `central_from_feret` lag-averages them either way.
+
     Parameters
     ----------
     mean : (n,) array
@@ -77,17 +80,13 @@ class FeretProcessMoments:
         and satisfy the Cauchy-Schwarz inequality entrywise.
     stderr_mean, stderr_second : arrays or None
         Standard errors when the moments are Monte-Carlo estimates.
-    stationary : bool
-        Declares the underlying process stationary (isotropic body), in which
-        case the mean is constant and `second` circulant up to noise.
 
     Moments with NaN or infinite entries are held as given, without the
     checks on `second`, for `existence_check` to report; the diagnostics and
     maps that compute with them raise ParameterError before any arithmetic.
     """
 
-    def __init__(self, mean, second, stderr_mean=None, stderr_second=None,
-                 stationary=False):
+    def __init__(self, mean, second, stderr_mean=None, stderr_second=None):
         mean = np.asarray(mean, dtype=float)
         second = np.asarray(second, dtype=float)
         n = len(mean)
@@ -118,13 +117,9 @@ class FeretProcessMoments:
         self.second = second
         self.stderr_mean = None if stderr_mean is None else np.asarray(stderr_mean, float)
         self.stderr_second = None if stderr_second is None else np.asarray(stderr_second, float)
-        self.stationary = bool(stationary)
 
     def __repr__(self):
-        return (
-            f"FeretProcessMoments(n={self.n}, stationary={self.stationary}, "
-            f"estimated={self.stderr_mean is not None})"
-        )
+        return f"FeretProcessMoments(n={self.n}, estimated={self.stderr_mean is not None})"
 
 
 class CentralFaceMoments:
@@ -270,7 +265,6 @@ def isotropize_moments(m, body=None):
         second=_stationary_matrix(lags),
         stderr_mean=stderr_mean,
         stderr_second=stderr_second,
-        stationary=True,
     )
 
 
@@ -298,9 +292,7 @@ def forward_zonotope_moments(c):
     n = c.n
     mean = np.full(n, (2.0 / np.pi) * n * c.mean_alpha)
     lags = float(n) * k_matrix(n).matvec(c.v_alpha)
-    return FeretProcessMoments(
-        mean=mean, second=_stationary_matrix(lags), stationary=True
-    )
+    return FeretProcessMoments(mean=mean, second=_stationary_matrix(lags))
 
 
 def expected_perimeter(c):

@@ -164,14 +164,15 @@ def distribution_from_dict(d):
 def model_to_dict(model):
     """JSON-ready description of a random-shape model."""
     if isinstance(model, DeterministicBody):
-        return {"kind": model.kind, "body": shape_to_dict(model.body)}
+        return {"kind": "deterministic_body", "body": shape_to_dict(model.body)}
     if isinstance(model, IsotropicZonotope):
-        return {"kind": model.kind, "n": model.n,
+        return {"kind": "isotropic_zonotope", "n": model.n,
                 "faces": distribution_to_dict(model.sizes)}
     if isinstance(model, IsotropicRectangle):
-        return {"kind": model.kind, "sides": distribution_to_dict(model.sizes)}
+        return {"kind": "isotropic_rectangle", "sides": distribution_to_dict(model.sizes)}
     if isinstance(model, IsotropicEllipse):
-        return {"kind": model.kind, "semiaxes": distribution_to_dict(model.semiaxes)}
+        return {"kind": "isotropic_ellipse",
+                "semiaxes": distribution_to_dict(model.semiaxes)}
     raise ParameterError(f"cannot serialize model of type {type(model).__name__}")
 
 
@@ -210,7 +211,6 @@ def moments_to_dict(m):
             "second": m.second.tolist(),
             "stderr_mean": _maybe_list(m.stderr_mean),
             "stderr_second": _maybe_list(m.stderr_second),
-            "stationary": m.stationary,
         }
     if isinstance(m, CentralFaceMoments):
         return {
@@ -236,19 +236,24 @@ def moments_to_dict(m):
 
 
 def moments_from_dict(d):
-    """Inverse of moments_to_dict, dispatching on the 'type' key."""
+    """Inverse of moments_to_dict, dispatching on the 'type' key.
+
+    Feret moments whose "n" or "theta" is not the regular grid of their "mean"
+    (within 1e-9) raise ParameterError; an older file's "stationary" is ignored.
+    """
     if not isinstance(d, dict) or "type" not in d:
         raise ParameterError("moment description must be an object with a 'type' key")
     t = d["type"]
     if t == "feret_moments":
         _require(d, "mean", "second")
-        return FeretProcessMoments(
-            mean=d["mean"],
-            second=d["second"],
-            stderr_mean=d.get("stderr_mean"),
-            stderr_second=d.get("stderr_second"),
-            stationary=bool(d.get("stationary", False)),
-        )
+        m = FeretProcessMoments(d["mean"], d["second"], d.get("stderr_mean"),
+                                d.get("stderr_second"))
+        if d.get("n", m.n) != m.n:
+            raise ParameterError(f"feret_moments has n={d['n']!r} but {m.n} means")
+        theta = np.asarray(d.get("theta", m.theta), dtype=float)
+        if theta.shape != (m.n,) or not np.allclose(theta, m.theta, atol=1e-9):
+            raise ParameterError(f"feret_moments theta is not the regular {m.n}-grid")
+        return m
     if t == "central_face_moments":
         _require(d, "n", "mean_alpha", "v_alpha")
         return CentralFaceMoments(
@@ -294,19 +299,28 @@ def write_sample_csv(path, theta, h):
     `h` is one (samples, len(theta)) array, or an iterable without a length
     that yields such row blocks; each block is written as one string, under
     consecutive sample ids, and the file is opened once the first exists.
-    A block that is not 1-D or 2-D (a list of blocks, say) raises ParameterError.
+    A block that is not a 1-D or 2-D array of len(theta) columns (a list of
+    blocks, say) raises ParameterError; when that block is the first, no file
+    is created.
     """
     theta = np.asarray(theta, dtype=float).tolist()
     row = "".join("{0},%r,{%d!r}\n" % (t, j + 1) for j, t in enumerate(theta))
-    blocks = iter((h,) if hasattr(h, "__len__") else h)
+    need = f"need 1-D or 2-D blocks of {len(theta)} angles per sample"
+
+    def checked(block):
+        try:
+            block = np.atleast_2d(np.asarray(block, dtype=float))
+        except ValueError as e:
+            raise ParameterError(f"{need}: {e}") from e
+        if block.ndim != 2 or block.shape[1] != len(theta):
+            raise ParameterError(f"{need}, got shape {block.shape}")
+        return block
+
+    blocks = map(checked, (h,) if hasattr(h, "__len__") else h)
     block, start = next(blocks, None), 0
     with open(path, "w", newline="") as f:
         f.write(f"{CSV_VERSION_LINE}\nsample_id,theta,h\n")
         while block is not None:
-            block = np.atleast_2d(np.asarray(block, dtype=float))
-            if block.ndim != 2 or block.shape[1] != len(theta):
-                raise ParameterError(f"need 1-D or 2-D blocks of {len(theta)} angles per "
-                                     f"sample, got shape {block.shape}")
             text = [row.format(i, *r) for i, r in enumerate(block.tolist(), start)]
             f.write("".join(text))
             block, start = next(blocks, None), start + len(block)

@@ -134,8 +134,6 @@ class LogNormal(SizeDistribution):
 class RandomShapeModel:
     """Base for shape-valued random models; see the concrete kinds below."""
 
-    kind = "abstract"
-    is_isotropic = True
     #: uniform words consumed per sample
     words_per_sample = 0
 
@@ -151,8 +149,6 @@ class RandomShapeModel:
 class DeterministicBody(RandomShapeModel):
     """A fixed symmetric convex body; consumes no randomness."""
 
-    kind = "deterministic_body"
-    is_isotropic = False
     words_per_sample = 0
 
     def __init__(self, body):
@@ -216,8 +212,6 @@ class IsotropicZonotope(_IsotropicZonotopeBase):
     uniform on [0, pi).
     """
 
-    kind = "isotropic_zonotope"
-
     def __init__(self, n, faces):
         super().__init__(int(n), faces)
         self.n = int(n)
@@ -226,16 +220,12 @@ class IsotropicZonotope(_IsotropicZonotopeBase):
 class IsotropicRectangle(_IsotropicZonotopeBase):
     """Uniformly rotated rectangle with random side lengths (a 2-direction zonotope)."""
 
-    kind = "isotropic_rectangle"
-
     def __init__(self, sides):
         super().__init__(2, sides)
 
 
 class IsotropicEllipse(RandomShapeModel):
     """Uniformly rotated ellipse with random semiaxes (a, b)."""
-
-    kind = "isotropic_ellipse"
 
     def __init__(self, semiaxes):
         if semiaxes.dim != 2:
@@ -287,14 +277,15 @@ def chunk_state(h):
     return count, np.vstack([m, mm + s / count]), np.vstack([s.diagonal(), m2])
 
 
-def reduce_states(states, stationary=False):
-    """Process moments from chunk states, merged pairwise in a fixed tree.
+def reduce_states(states):
+    """Feret-process moments from chunk states, merged pairwise in a fixed tree.
 
     Two states merge by the update of Chan, Golub & LeVeque ("Algorithms for
     computing the sample variance", 1983); the tree depends only on the order
     of `states`, so the result is bit-identical however they were produced.
     Standard errors are the entrywise sample standard deviations divided by
-    sqrt(samples).
+    sqrt(samples).  The moments are what the samples measured; how far they
+    are from stationary is `stationarity_diagnostic`'s to report.
     """
     items = list(states)
     if sum(state[0] for state in items) < 2:
@@ -309,7 +300,7 @@ def reduce_states(states, stationary=False):
     samples, mean, m2 = items[0]
     stderr = np.sqrt(np.maximum(m2, 0.0) / (samples - 1) / samples)
     return FeretProcessMoments(mean=mean[0], second=mean[1:], stderr_mean=stderr[0],
-                               stderr_second=stderr[1:], stationary=stationary)
+                               stderr_second=stderr[1:])
 
 
 def empirical_moments(h):
@@ -317,7 +308,7 @@ def empirical_moments(h):
 
     The table is reduced in the same CHUNK-row pieces and the same order as
     `estimate_process_moments`, so a table of sampled diameters gives the
-    streamed estimate bit for bit.  The moments are not flagged stationary.
+    streamed estimate bit for bit.
     """
     h = np.ascontiguousarray(np.atleast_2d(np.asarray(h, dtype=float)))
     states = [chunk_state(h[s : s + CHUNK]) for s in range(0, len(h), CHUNK)]
@@ -339,13 +330,13 @@ def feret_sample_block(model, n, seed, start, count):
 def estimate_process_moments(model, n, samples, seed, threads=None):
     """Empirical Feret-process moments on the regular n-grid, as FeretProcessMoments.
 
-    Flagged stationary for an isotropic model.  Samples are generated in
-    fixed chunks of CHUNK rows, each drawn as one sample block (for zonotope
-    models a batched spectral convolution).  Each chunk reduces to its
-    centered state (`chunk_state`), and the states merge in a fixed pairwise
-    tree (`reduce_states`), so the result is bit-identical for any worker
-    count.  Standard errors are the entrywise sample standard deviations
-    divided by sqrt(samples).
+    The moments hold what the samples measured, for an isotropic model and a
+    fixed body alike.  Samples are generated in fixed chunks of CHUNK rows,
+    each drawn as one sample block (for zonotope models a batched spectral
+    convolution).  Each chunk reduces to its centered state (`chunk_state`),
+    and the states merge in a fixed pairwise tree (`reduce_states`), so the
+    result is bit-identical for any worker count.  Standard errors are the
+    entrywise sample standard deviations divided by sqrt(samples).
     """
     threads = worker_count(threads)
     starts = list(range(0, samples, CHUNK))
@@ -359,7 +350,7 @@ def estimate_process_moments(model, n, samples, seed, threads=None):
             states = list(pool.map(work, starts))
     else:
         states = [work(s) for s in starts]
-    return reduce_states(states, model.is_isotropic)
+    return reduce_states(states)
 
 
 def pipeline_estimate(model, n, samples, seed, threads=None):

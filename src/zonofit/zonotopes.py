@@ -98,10 +98,10 @@ class Zonotope(SymmetricConvexBody):
         return f"Zonotope(n={self.n}, {tag}t={self.t:.6g})"
 
 
-def point_in_zonotope(point, z, tol=1e-9):
-    """Slab membership test: |<p, u(theta_i + t)>| <= H(theta_i + t)/2 for all faces."""
+def point_in_zonotope(point, z):
+    """Slab test: |<p, u(theta_i + t)>| <= H(theta_i + t)/2 + 1e-9 for every face."""
     p = np.asarray(point, dtype=float)
     if z.n == 0:
-        return bool(np.hypot(p[0], p[1]) <= tol)
+        return bool(np.hypot(p[0], p[1]) <= 1e-9)
     ang = z.theta + z.t
-    return bool(np.all(np.abs(direction(ang) @ p) <= 0.5 * z.feret(ang) + tol))
+    return bool(np.all(np.abs(direction(ang) @ p) <= 0.5 * z.feret(ang) + 1e-9))

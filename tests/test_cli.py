@@ -10,8 +10,10 @@ from zonofit import (
     CHUNK,
     CentralFaceMoments,
     ConvexPolygon,
+    DeterministicBody,
     Disk,
     Fixed,
+    IsotropicEllipse,
     IsotropicRectangle,
     Mixture,
     ParameterError,
@@ -67,14 +69,14 @@ class TestParsing:
 
     def test_model_shorthands(self):
         m = parse_model("deterministic:disk:1.0")
-        assert m.kind == "deterministic_body"
+        assert isinstance(m, DeterministicBody) and isinstance(m.body, Disk)
         sq = parse_model("isotropic_square")
         assert isinstance(sq, IsotropicRectangle)
         np.testing.assert_array_equal(sq.sizes.value, [1.0, 1.0])
         np.testing.assert_array_equal(
             parse_model("isotropic_rectangle:1,2").sizes.value, [1.0, 2.0]
         )
-        assert parse_model("isotropic_ellipse:3,1").kind == "isotropic_ellipse"
+        assert isinstance(parse_model("isotropic_ellipse:3,1"), IsotropicEllipse)
 
     def test_model_errors(self):
         with pytest.raises(ParameterError, match="cannot parse"):
@@ -167,7 +169,7 @@ class TestSweep:
         assert lines[0] == serialize.CSV_VERSION_LINE
         assert lines[1] == "n,k,d_hausdorff,bound,mode"
         rows = [ln.split(",") for ln in lines[2:]]
-        assert len(rows) == 9
+        assert len(rows) == 6
         # unit-perimeter disk has radius 1/2pi; the best grid zonotope sits
         # at distance R (sec(pi/2n) - 1) for every offset
         R = 1.0 / (2.0 * np.pi)
@@ -184,7 +186,7 @@ class TestSweep:
         rows = [ln.split(",") for ln in out.splitlines()[2:]]
         keys = [(float(r[1]), int(r[0]), r[4]) for r in rows]
         assert keys == sorted(keys)
-        assert {r[4] for r in rows} == {"c0_best", "c0_worst", "cinf"}
+        assert {r[4] for r in rows} == {"c0_worst", "cinf"}
         for r in rows:
             assert float(r[2]) <= float(r[3])
 
@@ -194,8 +196,8 @@ class TestSweep:
             "--format", "json",
         )
         rep = json.loads(out)
-        assert len(rep["rows"]) == 3
-        assert rep["rows"][0]["mode"] == "c0_best"
+        assert len(rep["rows"]) == 2
+        assert rep["rows"][0]["mode"] == "c0_worst"
 
     @pytest.mark.parametrize("ns", ["5:2", ","])
     def test_empty_n_list_exit_2(self, capsys, ns):
@@ -245,7 +247,7 @@ class TestEstimate:
         code, out, _ = run_cli(capsys, "estimate", "--input", str(p))
         assert code == 0
         rep = json.loads(out)
-        assert rep["solver"] == "linear" and not rep["isotropized"]
+        assert rep["solver"] == "linear"
         assert rep["central"]["mean_alpha"] == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(rep["central"]["v_alpha"], [1.0, 1.0], atol=1e-10)
         assert rep["stationarity"]["passed"]
@@ -283,7 +285,6 @@ class TestEstimate:
         code, out, _ = run_cli(capsys, "estimate", "--input", str(p))
         assert code == 0
         rep = json.loads(out)
-        assert rep["isotropized"]
         assert rep["central"]["mean_alpha"] == pytest.approx(np.pi / 3.0, abs=1e-9)
         v = (4.0 / 3.0) / (k_s(0.0) + 2.0 * k_s(np.pi / 3.0))
         np.testing.assert_allclose(rep["central"]["v_alpha"], v, atol=1e-9)
@@ -493,6 +494,17 @@ class TestEstimate:
         assert out == ""
         assert "needs Feret-process moments" in err
 
+    @pytest.mark.parametrize("keys", [{"n": 7}, {"theta": [0.0, 0.1, 0.2, 0.3]}])
+    def test_moments_off_their_own_grid_exit_2(self, tmp_path, capsys, keys):
+        # 4 moments that say n = 7 or give an irregular theta are not solved
+        # as if they lay on the regular 4-grid
+        p = tmp_path / "moments.json"
+        m = deterministic_process_moments(Segment(1.0, 0.3), 4)
+        serialize.write_json(p, {**serialize.moments_to_dict(m), **keys})
+        code, out, err = run_cli(capsys, "estimate", "--input", str(p), "--solver", "nnls")
+        assert code == 2 and out == ""
+        assert "feret_moments" in err
+
     def test_n_mismatch(self, tmp_path, capsys):
         p = tmp_path / "moments.json"
         self.write_square_moments(p)
@@ -513,6 +525,43 @@ class TestEstimate:
 
 
 class TestSimulate:
+    def test_simulate_and_estimate_key_sets(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "simulate", "--model", "isotropic_rectangle:1.3,0.7", "--n", "4",
+                "--samples", "50", "--out", "run")
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert set(summary) == {"command", "model", "n", "samples", "seed", "moments",
+                                "stationarity", "existence", "samples_csv"}
+        assert set(summary["moments"]) == {"type", "n", "theta", "mean", "second",
+                                           "stderr_mean", "stderr_second"}
+        code, out, _ = run_cli(capsys, "estimate", "--input", "run.csv")
+        assert code == 0
+        assert set(json.loads(out)) == {"command", "solver", "n", "central",
+                                        "stationarity"}
+        code, out, _ = run_cli(capsys, "estimate", "--input", "run.csv",
+                               "--epsilon", "0.5")
+        assert set(json.loads(out)) == {"command", "solver", "n", "central",
+                                        "stationarity", "epsilon", "confidence_bound"}
+
+    @pytest.mark.parametrize("solver", ["linear", "nnls"])
+    def test_stationary_key_of_older_files_changes_nothing(self, tmp_path, capsys,
+                                                           monkeypatch, solver):
+        # simulate JSON used to carry "stationary": true in its moments; the
+        # central block from such a file is the one from the same moments
+        # without it, and from the sample table the moments came from
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "simulate", "--model", "isotropic_rectangle:1.3,0.7", "--n", "8",
+                "--samples", "3000", "--seed", "5", "--out", "run")
+        moments = json.loads((tmp_path / "run.json").read_text())["moments"]
+        serialize.write_json(tmp_path / "new.json", moments)
+        serialize.write_json(tmp_path / "old.json", {**moments, "stationary": True})
+        centrals = []
+        for path in ("old.json", "new.json", "run.csv"):
+            code, out, _ = run_cli(capsys, "estimate", "--input", path, "--solver", solver)
+            assert code == 0
+            centrals.append(json.loads(out)["central"])
+        assert centrals[0] == centrals[1] == centrals[2]
+
     def test_files_and_summary(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(

@@ -59,8 +59,6 @@ def test_golden_section_needs_positive_tolerance(tol):
     # a tolerance the bracket can never reach would loop forever
     with pytest.raises(ParameterError):
         golden_section_max(lambda t: t, 0.0, 1.0, tol)
-    with pytest.raises(ParameterError):
-        sup_over_angles(np.cos, tol=tol)
 
 def test_sup_over_angles_refines_past_the_grid():
     # peak deliberately placed off the 4096-point grid

@@ -179,7 +179,7 @@ class TestForwardMap:
         # E[alpha] = 1 and E[alpha_i alpha_j] = 1.
         c = CentralFaceMoments(2, 1.0, [1.0, 1.0])
         m = forward_zonotope_moments(c)
-        assert m.stationary
+        assert stationarity_diagnostic(m).passed
         np.testing.assert_allclose(m.mean, MEAN_H_SQUARE, atol=1e-12)
         np.testing.assert_allclose(
             m.second, SECOND_H_SQUARE * np.ones((2, 2)), atol=1e-12
@@ -248,7 +248,7 @@ class TestCentralRecovery:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 17, 64])
     def test_lag_average_is_the_isotropization(self, n, unit_square):
-        # unflagged moments: the solve's own lag average stands in for
+        # moments as measured: the solve's own lag average stands in for
         # isotropize_moments, up to roundoff amplified by cond(K(0))
         tables = [feret_sample_block(model, n, seed=n, start=0, count=300)
                   for model in (IsotropicRectangle(LogNormal(2, sigma=0.3)),
@@ -258,7 +258,6 @@ class TestCentralRecovery:
                  + [deterministic_process_moments(body, n) for body in bodies])
         tol = k_matrix(n).condition_number() * 1e-15
         for m in cases:
-            assert not m.stationary
             got = central_from_feret(m)
             want = central_from_feret(isotropize_moments(m))
             scale = np.abs(want.v_alpha).max()
@@ -287,7 +286,6 @@ class TestCentralRecovery:
             second=SECOND_H_SQUARE * np.ones((2, 2)),
             stderr_mean=np.full(2, 0.01),
             stderr_second=np.full((2, 2), 0.02),
-            stationary=True,
         )
         c = central_from_feret(m)
         assert c.stderr_mean_alpha == pytest.approx(np.pi / (2 * n) * 0.01, abs=1e-15)
@@ -302,8 +300,7 @@ class TestCentralRecovery:
         fwd = forward_zonotope_moments(c0)
         lag_se = 0.01 * (1.0 + np.cos(2.0 * regular_subdivision(n)))
         se_second = lag_se[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
-        m = FeretProcessMoments(fwd.mean, fwd.second, np.full(n, 0.01), se_second,
-                                stationary=True)
+        m = FeretProcessMoments(fwd.mean, fwd.second, np.full(n, 0.01), se_second)
         c = central_from_feret(m)
         K0 = k_matrix(n).dense()
         sym_map = 0.5 * (np.eye(n) + np.eye(n)[(-np.arange(n)) % n])
@@ -342,14 +339,13 @@ class TestCentralRecovery:
         assert np.abs(c.v_alpha - truth).max() <= 5e-3 * truth.max()
 
     def test_lag_average_of_non_circulant_input(self):
-        # a stationary flag on a non-circulant matrix: the solve reads the
-        # average over the cyclic diagonals, not row 0
+        # a non-circulant matrix: the solve reads the average over the cyclic
+        # diagonals, not row 0
         n = 4
         fwd = forward_zonotope_moments(CentralFaceMoments(n, 1.0, [4.0, 2.0, 1.0, 2.0]))
         tilt = np.diag([0.2, -0.2, 0.2, -0.2])
         se = np.diag([0.4, 0.0, 0.0, 0.0])
-        m = FeretProcessMoments(fwd.mean, fwd.second + tilt, np.zeros(n), se,
-                                stationary=True)
+        m = FeretProcessMoments(fwd.mean, fwd.second + tilt, np.zeros(n), se)
         c = central_from_feret(m)
         np.testing.assert_allclose(c.v_alpha, [4.0, 2.0, 1.0, 2.0], atol=1e-12)
         K0 = k_matrix(n).dense()
@@ -546,7 +542,7 @@ class TestInterpolantMoments:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_moments_typed_error(self, bad):
         # raised before any arithmetic, which would warn on inf
-        m = FeretProcessMoments([1.0, 1.0], [[1.0, bad], [bad, 1.0]], stationary=True)
+        m = FeretProcessMoments([1.0, 1.0], [[1.0, bad], [bad, 1.0]])
         maps = (lambda m: c0_random_moments(m, 2), central_from_feret,
                 isotropize_moments, stationarity_diagnostic)
         for f in maps:
@@ -560,7 +556,7 @@ class TestIsotropize:
         iso = isotropize_moments(m)
         np.testing.assert_allclose(iso.mean, m.mean, atol=1e-12)
         np.testing.assert_allclose(iso.second, m.second, atol=1e-12)
-        assert iso.stationary
+        assert stationarity_diagnostic(iso).passed
 
     def test_body_route_square_mean(self, unit_square):
         # Rotation-averaged width of the unit square is 4/pi.
@@ -581,7 +577,7 @@ class TestIsotropize:
         m = deterministic_process_moments(unit_square, 4)
         iso = isotropize_moments(m)
         np.testing.assert_allclose(iso.mean, (1.0 + np.sqrt(2.0)) / 2.0, atol=1e-12)
-        assert iso.stationary
+        assert stationarity_diagnostic(iso).passed
         # second moments depend only on the lag
         np.testing.assert_allclose(iso.second[0, 1], iso.second[1, 2], atol=1e-14)
 

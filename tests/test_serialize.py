@@ -112,13 +112,13 @@ def test_distribution_round_trip(dist):
         IsotropicRectangle(Mixture([[1.0, 2.0], [2.0, 1.0]], [0.5, 0.5])),
         IsotropicEllipse(Fixed([3.0, 1.0])),
     ],
-    ids=lambda m: m.kind,
+    ids=lambda m: model_to_dict(m)["kind"],
 )
 def test_model_round_trip(model):
     d = model_to_dict(model)
     back = model_from_dict(d)
     assert model_to_dict(back) == d
-    assert back.kind == model.kind
+    assert type(back) is type(model)
     assert back.words_per_sample == model.words_per_sample
 
 
@@ -134,8 +134,40 @@ def test_process_moments_round_trip():
     back = moments_from_dict(moments_to_dict(m))
     np.testing.assert_array_equal(back.mean, m.mean)
     np.testing.assert_array_equal(back.second, m.second)
-    assert back.stationary
     assert back.stderr_mean is None
+    assert set(moments_to_dict(m)) == {"type", "n", "theta", "mean", "second",
+                                       "stderr_mean", "stderr_second"}
+
+
+def test_process_moments_ignore_stationary_key():
+    # files written before the declaration was dropped still load
+    m = forward_zonotope_moments(CentralFaceMoments(3, 1.0, [2.0, 1.0, 1.0]))
+    for flag in (True, False):
+        back = moments_from_dict({**moments_to_dict(m), "stationary": flag})
+        np.testing.assert_array_equal(back.mean, m.mean)
+        np.testing.assert_array_equal(back.second, m.second)
+        assert not hasattr(back, "stationary")
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("n", 7, "n=7"),
+    ("n", 3, "n=3"),
+    ("theta", [0.0, 0.1, 0.2, 0.3], "regular 4-grid"),
+    ("theta", (np.arange(4) * np.pi / 4 + 2e-9).tolist(), "regular 4-grid"),
+    ("theta", (np.arange(5) * np.pi / 5).tolist(), "regular 4-grid"),
+])
+def test_process_moments_must_match_their_grid(key, value, match):
+    d = moments_to_dict(deterministic_process_moments(Disk(1.0), 4))
+    with pytest.raises(ParameterError, match=match):
+        moments_from_dict({**d, key: value})
+
+
+def test_process_moments_grid_keys_optional():
+    d = moments_to_dict(deterministic_process_moments(Disk(1.0), 4))
+    d["theta"] = (np.arange(4) * np.pi / 4 + 5e-10).tolist()
+    assert moments_from_dict(d).n == 4
+    del d["n"], d["theta"]
+    assert moments_from_dict(d).n == 4
 
 
 def test_central_moments_round_trip():
@@ -313,7 +345,21 @@ def test_sample_csv_writer_rejects_blocks_of_blocks(tmp_path):
         path = tmp_path / f"{name}.csv"
         with pytest.raises(ParameterError, match=r"got shape \(2, 3, 3\)"):
             write_sample_csv(path, theta, blocks)
-        assert "[" not in path.read_text()
+        assert not path.exists()
+
+
+def test_sample_csv_writer_checks_first_block_before_creating_file(tmp_path):
+    theta = [0.0, 1.0, 2.0]
+    h = np.arange(15.0).reshape(5, 3)
+    ragged = tmp_path / "ragged.csv"
+    with pytest.raises(ParameterError, match="angles per sample"):
+        write_sample_csv(ragged, theta, [h[:2], h[2:]])
+    assert not ragged.exists()
+    for name, blocks in (("array", h[:, :2]), ("stream", iter([h[:, :2], h]))):
+        path = tmp_path / f"{name}.csv"
+        with pytest.raises(ParameterError, match=r"got shape \(5, 2\)"):
+            write_sample_csv(path, theta, blocks)
+        assert not path.exists()
 
 
 def test_sample_csv_writer_opens_file_after_first_block(tmp_path):
@@ -393,7 +439,7 @@ def test_sample_csv_skips_comments_and_blank_lines(tmp_path):
 
 
 @pytest.mark.parametrize("row", ["0,0.5", "0,0.5,1.0,2.0", "1.5,0.5,1.0", "a,0.5,1.0",
-                                 "0,0.5,"])
+                                 "0,0.5,", "0,0.5,1.0 # note"])
 def test_sample_csv_malformed_rows(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"sample_id,theta,h\n0,0.0,1.0\n{row}\n")

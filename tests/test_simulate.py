@@ -229,7 +229,6 @@ class TestMomentEstimates:
     def test_deterministic_model_zero_stderr(self):
         est = estimate_process_moments(DeterministicBody(Disk(1.0)), 4, 10, seed=0)
         np.testing.assert_array_equal(est.stderr_mean, np.zeros(4))
-        assert not est.stationary
 
     def test_isotropic_square_mean_within_3_sigma(self):
         m = estimate_process_moments(
