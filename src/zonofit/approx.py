@@ -8,8 +8,8 @@ interpolants and their widths on the sup grid as one FFT circular
 convolution, written into a workspace that each kernel allocates once.  One
 golden section search then refines the sups of up to _LANES offsets in
 lockstep.  The offset scan calls the kernel once on a grid of offsets, then
-refines the best and the worst grid offset by a section search whose every
-step is one kernel call on _BLOCK probes of each bracket.
+refines the best and the worst grid offset to OFFSET_ANGLE_TOL by a section
+search whose every step is one kernel call on _BLOCK probes of each bracket.
 """
 
 import numpy as np
@@ -23,6 +23,9 @@ from .zonotopes import Zonotope
 #: Face lengths computed from valid Feret data are nonnegative up to roundoff;
 #: anything below this is rejected as inconsistent input.
 NEGATIVE_FACE_TOL = -1e-9
+
+#: Width in radians below which the offset scan stops narrowing its brackets.
+OFFSET_ANGLE_TOL = 1e-6
 
 #: Offsets the kernel evaluates together, and the probes of one section-search
 #: step; bounds the kernel's (block, sup grid) arrays.
@@ -145,15 +148,13 @@ def _distance_kernel(x, n):
     return distances
 
 
-def _offset_scan(x, n, grid_points, angle_tol, signs):
+def _offset_scan(x, n, grid_points, signs):
     """Scan for `scan_offsets`: (tau, Zonotope) at the refined first grid max
     of sign * distance, for each sign, the signs searched in lockstep."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
     if not isinstance(grid_points, (int, np.integer)) or grid_points < 1:
         raise ParameterError(f"grid_points must be an integer >= 1, got {grid_points!r}")
-    if not angle_tol > 0:
-        raise ParameterError(f"angle_tol must be > 0, got {angle_tol!r}")
     period = np.pi / n
     step = period / grid_points
     offsets = np.arange(grid_points) * step
@@ -167,7 +168,7 @@ def _offset_scan(x, n, grid_points, angle_tol, signs):
     # every bracket keeps the same width
     frac = np.arange(_BLOCK + 2) / (_BLOCK + 1)
     lo, width = tau - step, 2.0 * step
-    while width > angle_tol:
+    while width > OFFSET_ANGLE_TOL:
         points = np.add.outer(lo, width * frac)
         probes = points[:, 1:-1] % period
         values = signs[:, None] * distances(probes)
@@ -180,12 +181,12 @@ def _offset_scan(x, n, grid_points, angle_tol, signs):
     return [(t, Zonotope(_interpolating_alpha(x, n, t), t=t)) for t in tau.tolist()]
 
 
-def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
+def scan_offsets(x, n, grid_points=256):
     """Best and worst rotation offsets: returns ((tau_best, d_best), (tau_worst, d_worst)).
 
     Evaluates the interpolant distance once at each of `grid_points` offsets
     over [0, pi/n) (the objective's period), then refines the first grid
-    minimum and the first grid maximum to `angle_tol` by a section search:
+    minimum and the first grid maximum to OFFSET_ANGLE_TOL by a section search:
     each step evaluates _BLOCK evenly spaced probes of both brackets in one
     kernel call and keeps the probes on either side of the first best one.
     A probe replaces the running offset only when it is strictly better, so
@@ -196,17 +197,17 @@ def scan_offsets(x, n, grid_points=256, angle_tol=1e-6):
     d_worst >= d_best always holds.
     """
     best, worst = [(tau, hausdorff_distance(x, z))
-                   for tau, z in _offset_scan(x, n, grid_points, angle_tol, (-1.0, 1.0))]
+                   for tau, z in _offset_scan(x, n, grid_points, (-1.0, 1.0))]
     return best, worst if worst[1] >= best[1] else best
 
 
-def cinf_approximate(x, n, grid_points=256, angle_tol=1e-6):
+def cinf_approximate(x, n, grid_points=256):
     """Best rotation of the grid zonotope: returns (tau, Zonotope with offset tau).
 
     The best offset of `scan_offsets`, without refining the worst one.  The
     returned distance never exceeds the unrotated interpolant's distance.
     """
-    return _offset_scan(x, n, grid_points, angle_tol, (-1.0,))[0]
+    return _offset_scan(x, n, grid_points, (-1.0,))[0]
 
 
 def offset_distances(x, n, offsets):
@@ -216,13 +217,13 @@ def offset_distances(x, n, offsets):
     return _distance_kernel(x, n)(offsets)
 
 
-def worst_offset(x, n, grid_points=256, angle_tol=1e-6):
+def worst_offset(x, n, grid_points=256):
     """Rotation offset maximizing the interpolant distance: returns (tau, distance).
 
     The worst offset of `scan_offsets`, so its distance is never below
     `cinf_approximate`'s.
     """
-    return scan_offsets(x, n, grid_points, angle_tol)[1]
+    return scan_offsets(x, n, grid_points)[1]
 
 
 def contains(z, x):

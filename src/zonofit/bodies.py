@@ -37,6 +37,14 @@ def regular_subdivision(n):
     return np.arange(n) * (np.pi / float(n))
 
 
+def is_regular_subdivision(theta):
+    """True when theta is a nonempty 1-D array of n angles, each within an
+    absolute 1e-9 rad of its regular_subdivision(n) value (i-1)*pi/n."""
+    theta = np.asarray(theta, dtype=float)
+    return bool(theta.ndim == 1 and theta.size
+                and np.all(np.abs(theta - regular_subdivision(theta.size)) <= 1e-9))
+
+
 class SymmetricConvexBody:
     """Base class: a centrally symmetric convex set evaluated via H(theta)."""
 

@@ -2,6 +2,9 @@
 
 Every command is a thin orchestration of library calls; outputs are
 byte-equal to calling the library directly with the same configuration.
+`estimate` takes its input to be on the regular grid exactly when
+`is_regular_subdivision` accepts its angles, and only then runs the linear
+solver; `--solver nnls` pools any grid by lag through the process module.
 Exit codes: 0 success, 2 invalid input, 3 numeric failure, 4 underdetermined
 estimation.  `simulate` draws each chunk of samples once, in table order,
 and feeds it to both the sample table and the moment reducer; the
@@ -23,13 +26,20 @@ from .approx import (
     hausdorff_bound,
     scan_offsets,
 )
-from .bodies import Disk, Ellipse, Segment, SymmetricPolygon, regular_subdivision
+from .bodies import (
+    Disk,
+    Ellipse,
+    Segment,
+    SymmetricPolygon,
+    is_regular_subdivision,
+    regular_subdivision,
+)
 from .errors import SolverError, UnderdeterminedError, ZonofitError, ParameterError
 from .metrics import diameter, hausdorff_distance, perimeter_cauchy
 from .process import (
     FeretProcessMoments,
+    _nnls_central,
     central_from_feret,
-    central_nnls,
     confidence_bound,
     existence_check,
     stationarity_diagnostic,
@@ -206,31 +216,6 @@ def cmd_sweep(args):
     return 0
 
 
-def _nnls_central(theta, second, mean_h, n):
-    """NNLS face moments from a second-moment matrix on any angle grid.
-
-    Under isotropy every angle pair (i, j) observes the covariance lag
-    |theta_i - theta_j|; the pooled (lag, mean E[H H']) pairs feed the
-    least-squares kernel fit.  On the regular grid the pooled means are the
-    cyclic-diagonal averages of `second`.  Raises UnderdeterminedError
-    through central_nnls when the design has too few distinct lags for n.
-    """
-    # lags z and pi - z are equivalent: fold to [0, pi/2], then pool runs of
-    # sorted lags with gaps <= 1e-12, which no rounding boundary can split;
-    # each pool keeps its smallest lag unrounded
-    upper = np.triu_indices(len(theta))
-    z = np.abs(theta[:, None] - theta[None, :])[upper] % np.pi
-    folded = np.minimum(z, np.pi - z)
-    order = np.argsort(folded)
-    starts = np.diff(folded[order], prepend=-np.inf) > 1e-12
-    pool = np.empty_like(order)
-    pool[order] = np.cumsum(starts) - 1
-    lags = folded[order][starts]
-    means = np.bincount(pool, weights=second[upper]) / np.bincount(pool)
-    mean_alpha = np.pi / (2.0 * n) * mean_h
-    return central_nnls(list(zip(lags, means)), n, mean_alpha=mean_alpha)
-
-
 def cmd_estimate(args):
     path = args.input
     h = None
@@ -243,7 +228,7 @@ def cmd_estimate(args):
             raise ParameterError("estimate needs Feret-process moments as input")
         theta = m.theta
 
-    regular = np.allclose(theta, m.theta, atol=1e-9)
+    regular = is_regular_subdivision(theta)
     if not regular and args.solver != "nnls":
         raise ParameterError(
             "the linear solver needs samples on the regular grid "
@@ -271,8 +256,6 @@ def cmd_estimate(args):
         diag = stationarity_diagnostic(m)
         report["stationarity"] = {"passed": diag.passed, **vars(diag)}
     if args.epsilon is not None:
-        if not 0.0 < args.epsilon <= 1.0:
-            raise ParameterError(f"epsilon must be in (0, 1], got {args.epsilon}")
         # an upper bound on E[diam]: from moments E[U] / 2, as U >= 2 diam; from
         # a table, the diameter lies within g/2 of a table angle mod pi, g the
         # largest gap between them, so the table's max H is >= diam cos(g/2)

@@ -18,6 +18,9 @@ from .errors import ParameterError, SolverError, UnderdeterminedError
 from .nnls import nnls as _nnls_solve
 
 _PALINDROME_TOL = 1e-8
+#: angular lags closer than this are one lag, and an angle within it of an
+#: end of [0, pi/2] counts as that end
+_LAG_TOL = 1e-12
 _PSD_REPAIR_FLOOR = -1e-8
 #: points of the auxiliary grid on which isotropize_moments integrates a body
 _ISOTROPIZE_GRID = 1024
@@ -372,9 +375,9 @@ def central_nnls(observations, n, mean_alpha=0.0):
     angles, ys = obs.T
     if not np.all(np.isfinite(ys)):
         raise ParameterError("observations must be finite")
-    if angles.min() < -1e-12 or angles.max() > np.pi / 2 + 1e-12:
+    if angles.min() < -_LAG_TOL or angles.max() > np.pi / 2 + _LAG_TOL:
         raise ParameterError("observation angles must lie in [0, pi/2]")
-    distinct = 1 + int(np.sum(np.diff(np.sort(angles)) > 1e-12))
+    distinct = 1 + int(np.sum(np.diff(np.sort(angles)) > _LAG_TOL))
     needed = n // 2 + 1
     if distinct < needed:
         raise UnderdeterminedError(
@@ -382,7 +385,7 @@ def central_nnls(observations, n, mean_alpha=0.0):
             f"got {distinct}"
         )
     fold = np.minimum(np.arange(n), n - np.arange(n))
-    interior = (angles > 1e-12) & (angles < np.pi / 2 - 1e-12)
+    interior = (angles > _LAG_TOL) & (angles < np.pi / 2 - _LAG_TOL)
     w = np.where(interior, np.sqrt(2.0), 1.0)
     Q = float(n) * k_s(angles[:, None] - regular_subdivision(n))
     design = Q @ (fold[:, None] == np.arange(needed))
@@ -391,6 +394,32 @@ def central_nnls(observations, n, mean_alpha=0.0):
     if lam < _PSD_REPAIR_FLOOR * max(1.0, float(u.max())):
         raise SolverError(f"NNLS fit is not positive semidefinite (min eigenvalue {lam:.3e})")
     return CentralFaceMoments(n, mean_alpha, u[fold])
+
+
+def _nnls_central(theta, second, mean_h, n):
+    """`central_nnls` on a second-moment matrix over any angle grid.
+
+    Under isotropy every angle pair (i, j) observes the covariance lag
+    |theta_i - theta_j|; the pooled (lag, mean E[H H']) pairs feed the
+    least-squares kernel fit, and mean_alpha is (pi/2n) mean_h.  On the
+    regular grid the pooled means are the cyclic-diagonal averages of
+    `second`.  Raises UnderdeterminedError through central_nnls when the
+    design has too few distinct lags for n.
+    """
+    # lags z and pi - z are equivalent: fold to [0, pi/2], then pool runs of
+    # sorted lags with gaps <= _LAG_TOL, which no rounding boundary can split;
+    # each pool keeps its smallest lag unrounded
+    upper = np.triu_indices(len(theta))
+    z = np.abs(theta[:, None] - theta[None, :])[upper] % np.pi
+    folded = np.minimum(z, np.pi - z)
+    order = np.argsort(folded)
+    starts = np.diff(folded[order], prepend=-np.inf) > _LAG_TOL
+    pool = np.empty_like(order)
+    pool[order] = np.cumsum(starts) - 1
+    lags = folded[order][starts]
+    means = np.bincount(pool, weights=second[upper]) / np.bincount(pool)
+    mean_alpha = np.pi / (2.0 * n) * mean_h
+    return central_nnls(list(zip(lags, means)), n, mean_alpha=mean_alpha)
 
 
 def c0_random_moments(m, n):
@@ -419,9 +448,12 @@ def c0_random_moments(m, n):
 
 
 def confidence_bound(epsilon, n, mean_diameter):
-    """Markov bound a with P(d_H(X, X0) > a) <= epsilon, from mean_diameter >= E[diam X]."""
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    """Markov bound a with P(d_H(X, X0) > a) <= epsilon, from mean_diameter >= E[diam X].
+
+    Raises ParameterError unless 0 < epsilon <= 1.
+    """
+    if not 0.0 < epsilon <= 1.0:
+        raise ParameterError(f"epsilon must be in (0, 1], got {epsilon}")
     return hausdorff_bound(n, mean_diameter) / epsilon
 
 

@@ -20,6 +20,7 @@ from .bodies import (
     Scaled,
     Segment,
     SymmetricPolygon,
+    is_regular_subdivision,
 )
 from .errors import ParameterError
 from .process import C0FaceMoments, CentralFaceMoments, FeretProcessMoments
@@ -238,8 +239,9 @@ def moments_to_dict(m):
 def moments_from_dict(d):
     """Inverse of moments_to_dict, dispatching on the 'type' key.
 
-    Feret moments whose "n" or "theta" is not the regular grid of their "mean"
-    (within 1e-9) raise ParameterError; an older file's "stationary" is ignored.
+    Feret moments whose "n" is not the length of their "mean", or whose
+    "theta" fails `is_regular_subdivision` or has another length, raise
+    ParameterError; an older file's "stationary" is ignored.
     """
     if not isinstance(d, dict) or "type" not in d:
         raise ParameterError("moment description must be an object with a 'type' key")
@@ -251,7 +253,7 @@ def moments_from_dict(d):
         if d.get("n", m.n) != m.n:
             raise ParameterError(f"feret_moments has n={d['n']!r} but {m.n} means")
         theta = np.asarray(d.get("theta", m.theta), dtype=float)
-        if theta.shape != (m.n,) or not np.allclose(theta, m.theta, atol=1e-9):
+        if theta.shape != (m.n,) or not is_regular_subdivision(theta):
             raise ParameterError(f"feret_moments theta is not the regular {m.n}-grid")
         return m
     if t == "central_face_moments":
@@ -298,11 +300,14 @@ def write_sample_csv(path, theta, h):
 
     `h` is one (samples, len(theta)) array, or an iterable without a length
     that yields such row blocks; each block is written as one string, under
-    consecutive sample ids, and the file is opened once the first exists.
-    A block that is not a 1-D or 2-D array of len(theta) columns (a list of
-    blocks, say) raises ParameterError; when that block is the first, no file
-    is created.
+    consecutive sample ids.  A block that is not a 1-D or 2-D array of
+    len(theta) columns (a list of blocks, say) raises ParameterError.  The
+    table goes to a temporary file next to `path` that replaces `path` only
+    once every block is written, so a failure at any block leaves `path` as
+    it was and removes the temporary file.
     """
+    import os
+
     theta = np.asarray(theta, dtype=float).tolist()
     row = "".join("{0},%r,{%d!r}\n" % (t, j + 1) for j, t in enumerate(theta))
     need = f"need 1-D or 2-D blocks of {len(theta)} angles per sample"
@@ -318,12 +323,23 @@ def write_sample_csv(path, theta, h):
 
     blocks = map(checked, (h,) if hasattr(h, "__len__") else h)
     block, start = next(blocks, None), 0
-    with open(path, "w", newline="") as f:
-        f.write(f"{CSV_VERSION_LINE}\nsample_id,theta,h\n")
-        while block is not None:
-            text = [row.format(i, *r) for i, r in enumerate(block.tolist(), start)]
-            f.write("".join(text))
-            block, start = next(blocks, None), start + len(block)
+    # mode "x" creates the file as open(path, "w") would, and never reuses
+    # one; a table that replaces a file keeps that file's mode, as open would
+    tmp = f"{path}.{os.getpid()}.tmp"
+    f = open(tmp, "x", newline="")
+    try:
+        with f:
+            f.write(f"{CSV_VERSION_LINE}\nsample_id,theta,h\n")
+            while block is not None:
+                text = [row.format(i, *r) for i, r in enumerate(block.tolist(), start)]
+                f.write("".join(text))
+                block, start = next(blocks, None), start + len(block)
+        if os.path.exists(path):
+            os.chmod(tmp, os.stat(path).st_mode)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _content_lines(f):

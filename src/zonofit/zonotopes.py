@@ -11,7 +11,12 @@ rotation offset t.  Closed forms:
 
 import numpy as np
 
-from .bodies import SymmetricConvexBody, direction, regular_subdivision
+from .bodies import (
+    SymmetricConvexBody,
+    direction,
+    is_regular_subdivision,
+    regular_subdivision,
+)
 from .errors import ParameterError
 from .polygons import ConvexPolygon
 
@@ -26,6 +31,8 @@ class Zonotope(SymmetricConvexBody):
     theta : array_like, optional
         Strictly increasing directions in [0, pi).  Defaults to the regular
         subdivision theta_i = (i-1)pi/n, in which case `regular` is True.
+        Directions that `is_regular_subdivision` accepts are replaced by
+        that grid and also set `regular`.
     t : float
         Rotation offset applied to every direction.
     """
@@ -40,10 +47,7 @@ class Zonotope(SymmetricConvexBody):
             raise ParameterError(
                 f"face lengths must be nonnegative (min was {alpha.min():.3e})"
             )
-        if theta is None:
-            theta = regular_subdivision(len(alpha)) if len(alpha) else np.zeros(0)
-            self.regular = True
-        else:
+        if theta is not None:
             theta = np.atleast_1d(np.asarray(theta, dtype=float))
             if theta.shape != alpha.shape:
                 raise ParameterError("theta and alpha must have the same length")
@@ -51,9 +55,9 @@ class Zonotope(SymmetricConvexBody):
                 raise ParameterError("directions must lie in [0, pi)")
             if theta.size > 1 and np.any(np.diff(theta) <= 0.0):
                 raise ParameterError("directions must be strictly increasing")
-            self.regular = bool(
-                theta.size and np.allclose(theta, regular_subdivision(len(theta)), atol=1e-12)
-            )
+        self.regular = theta is None or is_regular_subdivision(theta)
+        if self.regular:
+            theta = regular_subdivision(len(alpha)) if len(alpha) else np.zeros(0)
         self.alpha = alpha
         self.theta = theta
         self.t = float(t)

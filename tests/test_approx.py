@@ -173,8 +173,6 @@ class TestCinf:
             for grid_points in (0, 2.5):
                 with pytest.raises(ParameterError):
                     scan(Disk(1.0), 3, grid_points=grid_points)
-            with pytest.raises(ParameterError):
-                scan(Disk(1.0), 3, grid_points=4, angle_tol=0.0)
 
 
 class TestWorstOffset:
@@ -271,11 +269,11 @@ class TestScanOffsets:
             return counted
 
         monkeypatch.setattr(approx, "_distance_kernel", counted_kernel)
-        x, n, grid_points, angle_tol = Ellipse(3.0, 1.0, phi=0.4), 8, 16, 1e-6
+        x, n, grid_points = Ellipse(3.0, 1.0, phi=0.4), 8, 16
         refinements = []
         for run in (cinf_approximate, scan):
             calls.clear()
-            run(x, n, grid_points=grid_points, angle_tol=angle_tol)
+            run(x, n, grid_points=grid_points)
             refinements.append(calls[1:])
         grid = np.arange(grid_points) * (np.pi / n / grid_points)
         evaluated = np.concatenate([np.ravel(t) for t in calls]).tolist()
@@ -287,7 +285,8 @@ class TestScanOffsets:
         for t in probes:
             assert t.ndim == 2 and t.shape[0] <= lanes and t.shape[1] <= approx._BLOCK
         step = np.pi / n / grid_points
-        bound = np.ceil(np.log(2 * step / angle_tol) / np.log((approx._BLOCK + 1) / 2)) + 1
+        bound = np.ceil(np.log(2 * step / approx.OFFSET_ANGLE_TOL)
+                        / np.log((approx._BLOCK + 1) / 2)) + 1
         assert len(probes) <= bound
         assert len(probes) <= len(refinements[0])
 

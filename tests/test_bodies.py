@@ -16,6 +16,7 @@ from zonofit import (
     feret_feasibility_check,
     regular_subdivision,
 )
+from zonofit.bodies import is_regular_subdivision
 from conftest import sampled_width
 
 
@@ -32,6 +33,15 @@ def test_regular_subdivision():
     assert np.allclose(regular_subdivision(4), [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4])
     with pytest.raises(ParameterError):
         regular_subdivision(0)
+
+
+def test_is_regular_subdivision():
+    grid = regular_subdivision(4)
+    for theta in (grid, grid + 1e-10, grid - [0.0, 1e-10, 0.0, 1e-10], [0.0]):
+        assert is_regular_subdivision(theta)
+    for theta in (grid + 2e-9, grid + [0.0, 0.0, 0.0, 2e-5], grid[::-1], [], [np.nan],
+                  grid.reshape(2, 2), regular_subdivision(5)[:4]):
+        assert not is_regular_subdivision(theta)
 
 
 def test_segment_feret():

@@ -30,7 +30,7 @@ from zonofit import (
     sample_shape,
     serialize,
 )
-from zonofit import approx, cli, simulate
+from zonofit import approx, cli, process, simulate
 from zonofit.cli import entry, parse_int_list, parse_model, parse_shape, square_body
 from zonofit.process import _lag_sums
 
@@ -338,7 +338,7 @@ class TestEstimate:
             return [(lag, float(np.mean(v))) for lag, v in sorted(seen.items())]
 
         seen_obs = []
-        monkeypatch.setattr(cli, "central_nnls",
+        monkeypatch.setattr(process, "central_nnls",
                             lambda obs, n, mean_alpha: seen_obs.append(obs))
         rng = np.random.default_rng(8)
         for g in (1, 2, 5, 13, 40):
@@ -348,7 +348,7 @@ class TestEstimate:
                 rng.integers(0, 9, g // 2) * (np.pi / 9) + rng.integers(0, 2) * np.pi,
             ]))
             h = rng.uniform(0.5, 2.0, size=(30, len(theta)))
-            cli._nnls_central(theta, (h.T @ h) / h.shape[0], float(h.mean()), 4)
+            process._nnls_central(theta, (h.T @ h) / h.shape[0], float(h.mean()), 4)
             got, want = seen_obs.pop(), pooled_by_loop(theta, h)
             assert [round(lag, 12) for lag, _ in got] == [lag for lag, _ in want]
             np.testing.assert_allclose([v for _, v in got], [v for _, v in want],
@@ -358,11 +358,11 @@ class TestEstimate:
     def test_regular_grid_pooling_is_lag_average(self, monkeypatch, n):
         # at n = 97 and 112 rounding lags to 12 digits splits a lag in two
         seen_obs = []
-        monkeypatch.setattr(cli, "central_nnls",
+        monkeypatch.setattr(process, "central_nnls",
                             lambda obs, n, mean_alpha: seen_obs.append(obs))
         h = np.random.default_rng(n).uniform(0.5, 2.0, size=(10, n))
         second = (h.T @ h) / 10
-        cli._nnls_central(regular_subdivision(n), second, 1.0, n)
+        process._nnls_central(regular_subdivision(n), second, 1.0, n)
         lags, means = np.array(seen_obs.pop()).T
         assert len(lags) == n // 2 + 1
         np.testing.assert_allclose(lags, regular_subdivision(n)[: n // 2 + 1],
@@ -377,6 +377,17 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--input", str(p))
         assert code == 2
         assert "regular grid" in err
+
+    @pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-10, 0), (2e-5, 2)])
+    def test_linear_solver_takes_tables_within_1e_9_of_the_grid(
+            self, tmp_path, capsys, offset, code):
+        theta = regular_subdivision(4) + [0.0, 0.0, 0.0, offset]
+        p = tmp_path / "near.csv"
+        h = np.random.default_rng(3).uniform(1.0, 2.0, size=(50, 4))
+        serialize.write_sample_csv(p, theta, h)
+        got, _, err = run_cli(capsys, "estimate", "--input", str(p))
+        assert got == code
+        assert code == 0 or "regular grid" in err
 
     def test_underdetermined_exit_4(self, tmp_path, capsys):
         theta = np.array([0.0, 1.5])
@@ -494,7 +505,11 @@ class TestEstimate:
         assert out == ""
         assert "needs Feret-process moments" in err
 
-    @pytest.mark.parametrize("keys", [{"n": 7}, {"theta": [0.0, 0.1, 0.2, 0.3]}])
+    @pytest.mark.parametrize("keys", [
+        {"n": 7},
+        {"theta": [0.0, 0.1, 0.2, 0.3]},
+        {"theta": (np.arange(4) * np.pi / 4 + [0.0, 0.0, 0.0, 2e-5]).tolist()},
+    ])
     def test_moments_off_their_own_grid_exit_2(self, tmp_path, capsys, keys):
         # 4 moments that say n = 7 or give an irregular theta are not solved
         # as if they lay on the regular 4-grid

@@ -73,6 +73,18 @@ def test_regular_zonotope_keeps_flag():
     assert shape_from_dict(d).regular
 
 
+@pytest.mark.parametrize("offset, regular", [(0.0, True), (1e-10, True), (1e-6, False)])
+def test_zonotope_theta_survives_round_trip(offset, regular):
+    # directions within 1e-9 rad of the grid are the grid; any others are kept
+    theta = regular_subdivision(4) + [0.0, offset, 0.0, 0.0]
+    z = Zonotope([1.0] * 4, theta=theta)
+    back = shape_from_dict(shape_to_dict(z))
+    assert z.regular == back.regular == regular
+    want = regular_subdivision(4) if regular else theta
+    np.testing.assert_array_equal(z.theta, want)
+    np.testing.assert_array_equal(back.theta, want)
+
+
 def test_shape_dict_errors():
     with pytest.raises(ParameterError, match="kind"):
         shape_from_dict({"r": 1.0})
@@ -155,6 +167,7 @@ def test_process_moments_ignore_stationary_key():
     ("theta", [0.0, 0.1, 0.2, 0.3], "regular 4-grid"),
     ("theta", (np.arange(4) * np.pi / 4 + 2e-9).tolist(), "regular 4-grid"),
     ("theta", (np.arange(5) * np.pi / 5).tolist(), "regular 4-grid"),
+    ("theta", (np.arange(4) * np.pi / 4 + [0.0, 0.0, 0.0, 2e-5]).tolist(), "regular 4-grid"),
 ])
 def test_process_moments_must_match_their_grid(key, value, match):
     d = moments_to_dict(deterministic_process_moments(Disk(1.0), 4))
@@ -360,6 +373,33 @@ def test_sample_csv_writer_checks_first_block_before_creating_file(tmp_path):
         with pytest.raises(ParameterError, match=r"got shape \(5, 2\)"):
             write_sample_csv(path, theta, blocks)
         assert not path.exists()
+
+
+def test_sample_csv_writer_failure_leaves_path_as_it_was(tmp_path):
+    theta = [0.0, 1.0, 2.0]
+    h = np.arange(15.0).reshape(5, 3)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n")
+    for path in (new, old):
+        with pytest.raises(ParameterError, match=r"got shape \(5, 2\)"):
+            write_sample_csv(path, theta, iter([h, h[:, :2]]))
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+
+def test_sample_csv_writer_mode_and_overwrite_match_open(tmp_path):
+    table, plain = tmp_path / "table.csv", tmp_path / "plain.csv"
+    write_sample_csv(table, [0.0], np.ones((3, 1)))
+    with open(plain, "w"):
+        pass
+    assert table.stat().st_mode == plain.stat().st_mode
+    # over an existing file, the table keeps that file's mode
+    for mode in (0o600, 0o640):
+        table.chmod(mode)
+        write_sample_csv(table, [0.0], np.full((1, 1), float(mode)))
+        assert table.stat().st_mode & 0o777 == mode
+        np.testing.assert_array_equal(read_sample_csv(table)[1], [[float(mode)]])
 
 
 def test_sample_csv_writer_opens_file_after_first_block(tmp_path):
