@@ -14,15 +14,11 @@ search whose every step is one kernel call on _BLOCK probes of each bracket.
 
 import numpy as np
 
-from .bodies import regular_subdivision
+from .bodies import RTOL, regular_subdivision
 from .circulant import feret_matrix
 from .errors import ParameterError
 from .metrics import SUP_ANGLE_TOL, SUP_GRID_SIZE, golden_section_max, hausdorff_distance
 from .zonotopes import Zonotope
-
-#: Face lengths computed from valid Feret data are nonnegative up to roundoff;
-#: anything below this is rejected as inconsistent input.
-NEGATIVE_FACE_TOL = -1e-9
 
 #: Width in radians below which the offset scan stops narrowing its brackets.
 OFFSET_ANGLE_TOL = 1e-6
@@ -39,16 +35,21 @@ def _interpolating_alpha(x, n, offset=0.0):
     """Face lengths whose zonotope matches H_x on the offset regular grid.
 
     For a 1-D array of offsets, returns an (n, offsets) array whose columns
-    are the face lengths at each offset.
+    are the face lengths at each offset.  Non-finite Feret samples, and face
+    lengths below -RTOL times the largest |H| sampled, raise ParameterError;
+    roundoff above that is clipped to zero.
     """
     th = np.add.outer(regular_subdivision(n), np.asarray(offset, dtype=float))
     h = np.asarray(x.feret(th), dtype=float)
+    if not np.all(np.isfinite(h)):
+        raise ParameterError("Feret diameters must be finite")
     alpha = feret_matrix(n).solve(h)
-    worst = float(alpha.min()) if alpha.size else 0.0
-    if worst < NEGATIVE_FACE_TOL:
+    worst = float(np.min(alpha, initial=0.0))
+    tol = RTOL * float(np.max(np.abs(h), initial=0.0))
+    if worst < -tol:
         raise ParameterError(
             "samples are not the Feret diameters of a symmetric convex body "
-            f"(face length {worst:.3e} < {NEGATIVE_FACE_TOL:.0e})"
+            f"(face length {worst:.3e} < {-tol:.3e})"
         )
     return np.maximum(alpha, 0.0)
 
@@ -229,11 +230,11 @@ def worst_offset(x, n, grid_points=256):
 def contains(z, x):
     """True when the zonotope z contains the symmetric body x.
 
-    Checks H_x <= H_z + 1e-9 at the zonotope's face directions and on a
-    1024-point angle grid; sufficient in practice because H_z is piecewise
-    trigonometric between faces.
+    Checks H_x <= H_z + RTOL * max H_z at the zonotope's face directions and
+    on a 1024-point angle grid, max H_z over the same angles; sufficient in
+    practice because H_z is piecewise trigonometric between faces.
     """
     angles = np.concatenate([z.theta + z.t, regular_subdivision(1024)])
     hx = np.asarray(x.feret(angles), dtype=float)
     hz = np.asarray(z.feret(angles), dtype=float)
-    return bool(np.all(hx <= hz + 1e-9))
+    return bool(np.all(hx <= hz + RTOL * hz.max()))

@@ -5,12 +5,22 @@ direction u(theta) = (-sin theta, cos theta), i.e. the distance between the
 two supporting lines orthogonal to u(theta).  For a body that is symmetric
 about the origin, H = 2h where h is the support function, H is pi-periodic,
 and H determines the body.  Every shape here evaluates H on scalar or array
-angles; `feret` and `is_smooth` are the whole interface of a body.
+angles; `feret` is the whole interface of a body.
 """
 
 import numpy as np
 
 from .errors import ParameterError, SymmetryError
+
+#: Roundoff levels of the whole package.  A tolerance on a length, an area or
+#: a moment is a level times the magnitude of the data the checked value was
+#: computed from, so a check answers alike for a body and its scaled copies.
+EDGE_RTOL = 1e-12  # a face, edge or vertex gap that roundoff could make
+RTOL = 1e-9  # a computed value that meets its constraint up to roundoff
+SPECTRAL_RTOL = 1e-8  # eigenvalues and palindromes of FFT-computed moments
+#: Angles do not scale: their tolerances are absolute radians.
+GRID_ANGLE_TOL = 1e-9  # an angle this close to the regular grid lies on it
+ANGLE_TOL = 1e-12  # angles this close are one: edge directions, lags, range ends
 
 
 def direction(theta):
@@ -38,18 +48,15 @@ def regular_subdivision(n):
 
 
 def is_regular_subdivision(theta):
-    """True when theta is a nonempty 1-D array of n angles, each within an
-    absolute 1e-9 rad of its regular_subdivision(n) value (i-1)*pi/n."""
+    """True when theta is a nonempty 1-D array of n angles, each within
+    GRID_ANGLE_TOL of its regular_subdivision(n) value (i-1)*pi/n."""
     theta = np.asarray(theta, dtype=float)
-    return bool(theta.ndim == 1 and theta.size
-                and np.all(np.abs(theta - regular_subdivision(theta.size)) <= 1e-9))
+    return bool(theta.ndim == 1 and theta.size and np.all(
+        np.abs(theta - regular_subdivision(theta.size)) <= GRID_ANGLE_TOL))
 
 
 class SymmetricConvexBody:
     """Base class: a centrally symmetric convex set evaluated via H(theta)."""
-
-    #: True when H is smooth (no kinks); drives quadrature panel counts.
-    is_smooth = True
 
     def feret(self, theta):
         """Feret diameter at angle(s) theta; returns a scalar for scalar input."""
@@ -64,8 +71,6 @@ class Segment(SymmetricConvexBody):
 
     H(theta) = length * |sin(angle - theta)|.
     """
-
-    is_smooth = False
 
     def __init__(self, length, angle=0.0):
         if length < 0:
@@ -120,10 +125,9 @@ class SymmetricPolygon(SymmetricConvexBody):
     """Convex polygon that is centrally symmetric about its vertex centroid.
 
     The construction recenters the vertices on the centroid and rejects vertex
-    sets that do not match their own point reflection within 1e-9.
+    sets that do not match their own point reflection within RTOL times the
+    largest recentered vertex norm.
     """
-
-    is_smooth = False
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
@@ -131,11 +135,12 @@ class SymmetricPolygon(SymmetricConvexBody):
             raise ParameterError("polygon needs an (m, 2) vertex array with m >= 2")
         center = v.mean(axis=0)
         v = v - center
+        tol = RTOL * float(np.hypot(v[:, 0], v[:, 1]).max())
         for p in v:
-            if np.min(np.hypot(v[:, 0] + p[0], v[:, 1] + p[1])) > 1e-9:
+            if np.min(np.hypot(v[:, 0] + p[0], v[:, 1] + p[1])) > tol:
                 raise SymmetryError(
                     "vertex set is not centrally symmetric within tolerance "
-                    f"1e-09 (offending vertex {p + center})"
+                    f"{tol:.3e} (offending vertex {p + center})"
                 )
         self.vertices = v
         self.center = center
@@ -155,7 +160,6 @@ class MinkowskiSum(SymmetricConvexBody):
         if not parts:
             raise ParameterError("minkowski_sum needs at least one part")
         self.parts = parts
-        self.is_smooth = all(p.is_smooth for p in parts)
 
     def feret(self, theta):
         t = np.asarray(theta, dtype=float)
@@ -174,7 +178,6 @@ class Rotated(SymmetricConvexBody):
     def __init__(self, body, angle):
         self.body = body
         self.angle = float(angle)
-        self.is_smooth = body.is_smooth
 
     def feret(self, theta):
         return self.body.feret(np.asarray(theta, dtype=float) - self.angle)
@@ -189,7 +192,6 @@ class Scaled(SymmetricConvexBody):
     def __init__(self, body, factor):
         self.body = body
         self.factor = float(factor)
-        self.is_smooth = body.is_smooth
 
     def feret(self, theta):
         return abs(self.factor) * self.body.feret(theta)

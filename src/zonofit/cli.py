@@ -80,9 +80,9 @@ def parse_shape(spec):
     """
     spec = spec.strip()
     if spec.startswith("{"):
-        return serialize.shape_from_dict(_loads(spec))
+        return _decode(serialize.shape_from_dict, _loads(spec))
     if spec.endswith(".json"):
-        return serialize.shape_from_dict(_read_json(spec))
+        return _decode(serialize.shape_from_dict, _read_json(spec))
     kind, _, rest = spec.partition(":")
     vals = _float_args(rest, spec)
     if kind == "disk" and len(vals) == 1:
@@ -104,9 +104,9 @@ def parse_model(spec):
     """
     spec = spec.strip()
     if spec.startswith("{"):
-        return serialize.model_from_dict(_loads(spec))
+        return _decode(serialize.model_from_dict, _loads(spec))
     if spec.endswith(".json"):
-        return serialize.model_from_dict(_read_json(spec))
+        return _decode(serialize.model_from_dict, _read_json(spec))
     kind, _, rest = spec.partition(":")
     if kind == "deterministic" and rest:
         return DeterministicBody(parse_shape(rest))
@@ -128,6 +128,14 @@ def _loads(text):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParameterError(f"bad inline JSON: {e}") from e
+
+
+def _decode(from_dict, d):
+    """from_dict(d), a JSON value of the wrong type raising ParameterError."""
+    try:
+        return from_dict(d)
+    except TypeError as e:
+        raise ParameterError(f"wrong type of JSON value: {e}") from e
 
 
 def _read_json(path):
@@ -223,7 +231,7 @@ def cmd_estimate(args):
         theta, h = serialize.read_sample_csv(path)
         m = empirical_moments(h)
     else:
-        m = serialize.moments_from_dict(_read_json(path))
+        m = _decode(serialize.moments_from_dict, _read_json(path))
         if not isinstance(m, FeretProcessMoments):
             raise ParameterError("estimate needs Feret-process moments as input")
         theta = m.theta
@@ -292,6 +300,8 @@ def cmd_simulate(args):
         for start in range(0, args.samples, CHUNK):
             count = min(CHUNK, args.samples - start)
             h = feret_sample_block(model, args.n, args.seed, start, count)
+            if not np.all(np.isfinite(h)):
+                raise ParameterError("the model's Feret diameters must be finite")
             states.append(chunk_state(h))
             yield h
 

@@ -92,12 +92,11 @@ def diameter(x):
 def perimeter_cauchy(x):
     """Perimeter via Cauchy's formula: integral of H over [0, pi].
 
-    Composite Simpson with 2048 panels; 8192 when H has kinks (polygonal
-    shapes), where the quadrature order degrades to roughly O(panels^-2)
-    around each kink.
+    Composite Simpson with 8192 panels, for smooth and kinked H alike; x needs
+    only `feret`.  Around a kink the quadrature order degrades to roughly
+    O(panels^-2).
     """
-    panels = 2048 if x.is_smooth else 8192
-    t = np.linspace(0.0, np.pi, panels + 1)
+    t = np.linspace(0.0, np.pi, 8193)
     return float(simpson(np.asarray(x.feret(t), dtype=float), x=t))
 
 

@@ -6,32 +6,33 @@ cross-check route for mixed-area and zonotope computations.
 
 import numpy as np
 
-from .bodies import caliper_width
+from .bodies import ANGLE_TOL, EDGE_RTOL, caliper_width
 from .errors import ParameterError
 
 
 class ConvexPolygon:
     """Convex polygon with counterclockwise vertices; 1 or 2 vertices allowed.
 
-    Vertices must be in convex position and ordered counterclockwise (cross
-    products of consecutive edges >= -1e-12 times the squared coordinate
-    scale, and no consecutive vertices within 1e-12).  Degenerate inputs (a
-    point or a segment) are accepted so Minkowski sums compose.
+    Vertices must be in convex position and ordered counterclockwise.  With
+    s the largest vertex coordinate magnitude, cross products of consecutive
+    edges must be >= -EDGE_RTOL * s^2, and consecutive vertices more than
+    EDGE_RTOL * s apart.  Degenerate inputs (a point or a segment) are
+    accepted so Minkowski sums compose.
     """
 
     def __init__(self, vertices):
         v = np.atleast_2d(np.asarray(vertices, dtype=float))
         if v.ndim != 2 or v.shape[1] != 2 or len(v) == 0:
             raise ParameterError("polygon needs an (m, 2) vertex array")
+        scale = float(np.abs(v).max())
         if len(v) >= 2:
             d = np.diff(np.vstack([v, v[:1]]), axis=0)
-            if np.any(np.hypot(d[:, 0], d[:, 1]) <= 1e-12):
+            if np.any(np.hypot(d[:, 0], d[:, 1]) <= EDGE_RTOL * scale):
                 raise ParameterError("repeated consecutive vertices")
         if len(v) >= 3:
             e = np.diff(np.vstack([v, v[:2]]), axis=0)
             cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
-            scale = max(1.0, float(np.abs(v).max()) ** 2)
-            if np.any(cross < -1e-12 * scale):
+            if np.any(cross < -EDGE_RTOL * scale**2):
                 raise ParameterError("vertices are not in counterclockwise convex position")
         self.vertices = v
 
@@ -100,7 +101,7 @@ def minkowski_sum_polygons(p, q):
     # combine runs of parallel edges
     merged = [edges[0].copy()]
     for k in range(1, len(edges)):
-        if abs(ang[k] - ang[k - 1]) <= 1e-12:
+        if abs(ang[k] - ang[k - 1]) <= ANGLE_TOL:
             merged[-1] += edges[k]
         else:
             merged.append(edges[k].copy())

@@ -12,16 +12,11 @@ averaging, and supporting diagnostics.
 import numpy as np
 
 from .approx import hausdorff_bound
-from .bodies import regular_subdivision
+from .bodies import ANGLE_TOL, RTOL, SPECTRAL_RTOL, regular_subdivision
 from .circulant import CirculantMatrix, feret_matrix
 from .errors import ParameterError, SolverError, UnderdeterminedError
 from .nnls import nnls as _nnls_solve
 
-_PALINDROME_TOL = 1e-8
-#: angular lags closer than this are one lag, and an angle within it of an
-#: end of [0, pi/2] counts as that end
-_LAG_TOL = 1e-12
-_PSD_REPAIR_FLOOR = -1e-8
 #: points of the auxiliary grid on which isotropize_moments integrates a body
 _ISOTROPIZE_GRID = 1024
 
@@ -98,14 +93,14 @@ class FeretProcessMoments:
         if second.shape != (n, n):
             raise ParameterError(f"second must be {n}x{n}, got {second.shape}")
         if np.all(np.isfinite(second)):
-            scale = max(1.0, float(np.abs(second).max()))
-            if np.abs(second - second.T).max() > 1e-9 * scale:
+            scale = float(np.abs(second).max())
+            if np.abs(second - second.T).max() > RTOL * scale:
                 raise ParameterError("second-moment matrix must be symmetric")
             second = 0.5 * (second + second.T)
-            if second.diagonal().min() < -1e-9 * scale:
+            if second.diagonal().min() < -RTOL * scale:
                 raise ParameterError("second-moment diagonal must be nonnegative")
             d = np.maximum(second.diagonal(), 0.0)
-            if np.any(second**2 > np.outer(d, d) + 1e-9 * scale**2):
+            if np.any(second**2 > np.outer(d, d) + RTOL * scale**2):
                 raise ParameterError("second moments violate the Cauchy-Schwarz bound")
         for name, arr in (("stderr_mean", stderr_mean), ("stderr_second", stderr_second)):
             if arr is not None:
@@ -130,10 +125,12 @@ class CentralFaceMoments:
 
     `mean_alpha` is the common face-length mean; `v_alpha[d]` is
     E[alpha_1 alpha_(1+d)], which by exchangeability under cyclic shifts is a
-    palindrome: v[d] = v[n-d].  Circ(v_alpha) must be positive semidefinite.
-    Relative to max(1, max|v|), eigenvalues down to -n eps are FFT roundoff
-    and left alone, those in [-1e-8, -n eps) are clamped to zero
-    (`psd_repaired` records this), and larger violations are rejected.  Note
+    palindrome: v[d] = v[n-d] within SPECTRAL_RTOL * max|v|.  Circ(v_alpha)
+    must be positive semidefinite.  Relative to its spectral radius,
+    eigenvalues down to -n eps are FFT roundoff and left alone, those in
+    [-SPECTRAL_RTOL, -n eps) are clamped to zero (`psd_repaired` records
+    this), and larger violations are rejected.  `mean_alpha` must be
+    >= -RTOL * sqrt(max|v|), the face-length scale of v.  Note
     v_alpha[0] >= mean_alpha^2 is deliberately not required: non-zonotopal
     inputs can produce a smaller second moment.
     """
@@ -149,18 +146,19 @@ class CentralFaceMoments:
         _require_finite(mean_alpha=mean_alpha, v_alpha=v,
                         stderr_mean_alpha=stderr_mean_alpha,
                         stderr_v_alpha=stderr_v_alpha)
-        if mean_alpha < -1e-9:
+        scale = float(np.abs(v).max())
+        if mean_alpha < -RTOL * np.sqrt(scale):
             raise ParameterError(f"mean_alpha must be nonnegative, got {mean_alpha}")
-        scale = max(1.0, float(np.abs(v).max()))
-        if np.abs(v - v[_palindrome_index(n)]).max() > _PALINDROME_TOL * scale:
+        if np.abs(v - v[_palindrome_index(n)]).max() > SPECTRAL_RTOL * scale:
             raise ParameterError("v_alpha is not a palindrome vector")
         lam = np.fft.fft(v).real
-        if lam.min() < _PSD_REPAIR_FLOOR * scale:
+        radius = float(np.abs(lam).max())
+        if lam.min() < -SPECTRAL_RTOL * radius:
             raise ParameterError(
                 f"Circ(v_alpha) is not positive semidefinite (min eigenvalue "
                 f"{lam.min():.3e})"
             )
-        self.psd_repaired = bool(lam.min() < -n * np.finfo(float).eps * scale)
+        self.psd_repaired = bool(lam.min() < -n * np.finfo(float).eps * radius)
         if self.psd_repaired:
             v = np.fft.ifft(np.maximum(lam, 0.0)).real
         self.n = int(n)
@@ -189,12 +187,12 @@ class C0FaceMoments:
             raise ParameterError("inconsistent moment shapes")
         _require_finite(mean=mean, second=second, cov=cov, stderr_mean=stderr_mean,
                         stderr_second=stderr_second)
-        if mean.min() < -1e-9 * max(1.0, float(np.abs(mean).max())):
+        if mean.min() < -RTOL * float(np.abs(mean).max()):
             raise ParameterError(f"face mean has negative component {mean.min():.3e}")
-        scale = max(1.0, float(np.abs(second).max()))
-        if np.abs(second - second.T).max() > 1e-9 * scale:
+        scale = float(np.abs(second).max())
+        if np.abs(second - second.T).max() > RTOL * scale:
             raise ParameterError("second-moment matrix must be symmetric")
-        if np.linalg.eigvalsh(0.5 * (second + second.T)).min() < -1e-8 * scale:
+        if np.linalg.eigvalsh(0.5 * (second + second.T)).min() < -SPECTRAL_RTOL * scale:
             raise ParameterError("second-moment matrix is not positive semidefinite")
         self.n = int(n)
         self.mean = mean
@@ -375,9 +373,9 @@ def central_nnls(observations, n, mean_alpha=0.0):
     angles, ys = obs.T
     if not np.all(np.isfinite(ys)):
         raise ParameterError("observations must be finite")
-    if angles.min() < -_LAG_TOL or angles.max() > np.pi / 2 + _LAG_TOL:
+    if angles.min() < -ANGLE_TOL or angles.max() > np.pi / 2 + ANGLE_TOL:
         raise ParameterError("observation angles must lie in [0, pi/2]")
-    distinct = 1 + int(np.sum(np.diff(np.sort(angles)) > _LAG_TOL))
+    distinct = 1 + int(np.sum(np.diff(np.sort(angles)) > ANGLE_TOL))
     needed = n // 2 + 1
     if distinct < needed:
         raise UnderdeterminedError(
@@ -385,14 +383,15 @@ def central_nnls(observations, n, mean_alpha=0.0):
             f"got {distinct}"
         )
     fold = np.minimum(np.arange(n), n - np.arange(n))
-    interior = (angles > _LAG_TOL) & (angles < np.pi / 2 - _LAG_TOL)
+    interior = (angles > ANGLE_TOL) & (angles < np.pi / 2 - ANGLE_TOL)
     w = np.where(interior, np.sqrt(2.0), 1.0)
     Q = float(n) * k_s(angles[:, None] - regular_subdivision(n))
     design = Q @ (fold[:, None] == np.arange(needed))
     u, _ = _nnls_solve(w[:, None] * design, w * ys)
-    lam = np.fft.fft(u[fold]).real.min()
-    if lam < _PSD_REPAIR_FLOOR * max(1.0, float(u.max())):
-        raise SolverError(f"NNLS fit is not positive semidefinite (min eigenvalue {lam:.3e})")
+    lam = np.fft.fft(u[fold]).real
+    if lam.min() < -SPECTRAL_RTOL * float(np.abs(lam).max()):
+        raise SolverError(
+            f"NNLS fit is not positive semidefinite (min eigenvalue {lam.min():.3e})")
     return CentralFaceMoments(n, mean_alpha, u[fold])
 
 
@@ -407,13 +406,13 @@ def _nnls_central(theta, second, mean_h, n):
     design has too few distinct lags for n.
     """
     # lags z and pi - z are equivalent: fold to [0, pi/2], then pool runs of
-    # sorted lags with gaps <= _LAG_TOL, which no rounding boundary can split;
+    # sorted lags with gaps <= ANGLE_TOL, which no rounding boundary can split;
     # each pool keeps its smallest lag unrounded
     upper = np.triu_indices(len(theta))
     z = np.abs(theta[:, None] - theta[None, :])[upper] % np.pi
     folded = np.minimum(z, np.pi - z)
     order = np.argsort(folded)
-    starts = np.diff(folded[order], prepend=-np.inf) > _LAG_TOL
+    starts = np.diff(folded[order], prepend=-np.inf) > ANGLE_TOL
     pool = np.empty_like(order)
     pool[order] = np.cumsum(starts) - 1
     lags = folded[order][starts]
@@ -485,24 +484,21 @@ def stationarity_diagnostic(m):
 
     Measures the largest deviation of the mean vector from its average and of
     the second-moment matrix from its circulant projection, each against
-    3 x the provided standard errors plus a roundoff allowance.  Data without
-    standard errors is held to the roundoff allowance alone.
+    3 x the provided standard errors plus a roundoff allowance of RTOL times
+    the largest |mean| or |second|.  Data without standard errors is held to
+    the roundoff allowance alone.
     """
     _require_finite_moments(m)
-    atol_mean = 1e-9 * max(1.0, float(np.abs(m.mean).max()))
-    atol_second = 1e-9 * max(1.0, float(np.abs(m.second).max()))
+
+    def threshold(x, stderr):
+        noise = 0.0 if stderr is None else 3.0 * float(stderr.max())
+        return noise + RTOL * float(np.abs(x).max())
+
     mean_dev = float(np.abs(m.mean - m.mean.mean()).max())
     proj = _stationary_matrix(_lag_sums(m.second) / m.n)
     second_dev = float(np.abs(m.second - proj).max())
-    if m.stderr_mean is None:
-        mean_thr = atol_mean
-    else:
-        mean_thr = 3.0 * float(m.stderr_mean.max()) + atol_mean
-    if m.stderr_second is None:
-        second_thr = atol_second
-    else:
-        second_thr = 3.0 * float(m.stderr_second.max()) + atol_second
-    return StationarityReport(mean_dev, mean_thr, second_dev, second_thr)
+    return StationarityReport(mean_dev, threshold(m.mean, m.stderr_mean), second_dev,
+                              threshold(m.second, m.stderr_second))
 
 
 class ExistenceReport:

@@ -116,10 +116,7 @@ def shape_from_dict(d):
         return SymmetricPolygon(d["vertices"])
     if kind == "zonotope":
         _require(d, "alpha")
-        t = d.get("t", 0.0)
-        if "theta" in d:
-            return Zonotope(d["alpha"], theta=d["theta"], t=t)
-        return Zonotope(d["alpha"], t=t)
+        return Zonotope(d["alpha"], theta=d.get("theta"), t=d.get("t", 0.0))
     if kind == "rotated":
         _require(d, "angle", "body")
         return Rotated(shape_from_dict(d["body"]), d["angle"])
@@ -258,23 +255,14 @@ def moments_from_dict(d):
         return m
     if t == "central_face_moments":
         _require(d, "n", "mean_alpha", "v_alpha")
-        return CentralFaceMoments(
-            d["n"],
-            d["mean_alpha"],
-            d["v_alpha"],
-            stderr_mean_alpha=d.get("stderr_mean_alpha"),
-            stderr_v_alpha=d.get("stderr_v_alpha"),
-        )
+        return CentralFaceMoments(d["n"], d["mean_alpha"], d["v_alpha"],
+                                  stderr_mean_alpha=d.get("stderr_mean_alpha"),
+                                  stderr_v_alpha=d.get("stderr_v_alpha"))
     if t == "interpolant_face_moments":
         _require(d, "n", "mean", "second", "cov")
-        return C0FaceMoments(
-            d["n"],
-            d["mean"],
-            d["second"],
-            d["cov"],
-            stderr_mean=d.get("stderr_mean"),
-            stderr_second=d.get("stderr_second"),
-        )
+        return C0FaceMoments(d["n"], d["mean"], d["second"], d["cov"],
+                             stderr_mean=d.get("stderr_mean"),
+                             stderr_second=d.get("stderr_second"))
     raise ParameterError(f"unknown moment type {t!r}")
 
 

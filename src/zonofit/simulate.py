@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtri
 
-from .bodies import Ellipse, regular_subdivision
+from .bodies import RTOL, Ellipse, regular_subdivision
 from .errors import ParameterError
 from .process import FeretProcessMoments, central_from_feret
 from .zonotopes import Zonotope
@@ -102,7 +102,7 @@ class Mixture(SizeDistribution):
             raise ParameterError("need one weight per atom")
         if a.min() < 0:
             raise ParameterError("mixture atoms must be nonnegative")
-        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-9:
+        if w.min() < 0 or abs(w.sum() - 1.0) > RTOL:
             raise ParameterError("weights must be nonnegative and sum to 1")
         self.atoms = a
         self.weights = w / w.sum()

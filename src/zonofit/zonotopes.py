@@ -12,6 +12,8 @@ rotation offset t.  Closed forms:
 import numpy as np
 
 from .bodies import (
+    EDGE_RTOL,
+    RTOL,
     SymmetricConvexBody,
     direction,
     is_regular_subdivision,
@@ -36,8 +38,6 @@ class Zonotope(SymmetricConvexBody):
     t : float
         Rotation offset applied to every direction.
     """
-
-    is_smooth = False
 
     def __init__(self, alpha, theta=None, t=0.0):
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -79,11 +79,11 @@ class Zonotope(SymmetricConvexBody):
     def vertices(self):
         """Boundary vertices as a counterclockwise ConvexPolygon.
 
-        Faces of length at most 1e-12 * max(1, sum(alpha)) are dropped as
+        Faces of length at most EDGE_RTOL * sum(alpha) are dropped as
         roundoff (they would repeat a vertex); an empty or all-zero zonotope
         collapses to the origin, a single face to a segment.
         """
-        keep = self.alpha > 1e-12 * max(1.0, float(self.alpha.sum()))
+        keep = self.alpha > EDGE_RTOL * float(self.alpha.sum())
         alpha, theta = self.alpha[keep], self.theta[keep] + self.t
         m = len(alpha)
         if m == 0:
@@ -103,9 +103,11 @@ class Zonotope(SymmetricConvexBody):
 
 
 def point_in_zonotope(point, z):
-    """Slab test: |<p, u(theta_i + t)>| <= H(theta_i + t)/2 + 1e-9 for every face."""
+    """Slab test: |<p, u(eta)>| <= H(eta)/2 + RTOL * max H at every face
+    direction eta = theta_i + t; a zonotope without faces is the origin."""
     p = np.asarray(point, dtype=float)
     if z.n == 0:
-        return bool(np.hypot(p[0], p[1]) <= 1e-9)
+        return bool(np.hypot(p[0], p[1]) == 0.0)
     ang = z.theta + z.t
-    return bool(np.all(np.abs(direction(ang) @ p) <= 0.5 * z.feret(ang) + 1e-9))
+    h = z.feret(ang)
+    return bool(np.all(np.abs(direction(ang) @ p) <= 0.5 * h + RTOL * h.max()))

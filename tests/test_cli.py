@@ -158,6 +158,13 @@ class TestApproximate:
         rep = json.loads(dest.read_text())
         assert rep["n"] == 4
 
+    @pytest.mark.parametrize("shape, n", [("segment:1e6,0.3", "16"), ("square:1e6", "64")])
+    def test_large_bodies_fit(self, capsys, shape, n):
+        code, out, _ = run_cli(capsys, "approximate", "--shape", shape, "--n", n)
+        assert code == 0
+        report = json.loads(out)
+        assert report["d_hausdorff"] <= report["bound"]
+
 
 class TestSweep:
     def test_disk_row_matches_closed_form(self, capsys):
@@ -683,6 +690,15 @@ class TestSimulate:
         assert code == 2 and "seed" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_non_finite_model_writes_no_table(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", "isotropic_rectangle:nan,1", "--n", "4",
+            "--samples", "10", "--out", "run",
+        )
+        assert code == 2 and out == "" and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParser:
     # each command's defaults differ from the previous command's
@@ -745,6 +761,35 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             entry(argv)
         assert exc.value.code == 2
+
+    # ellipse:inf,1 meets inf * 0 in its Feret function
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["c0", "cinf"])
+    @pytest.mark.parametrize("spec", [
+        "segment:nan,0.3", "ellipse:inf,1", "disk:nan", "ellipse:2,1,nan",
+        '{"kind": "polygon", "vertices": [[NaN, 0], [0, 1], [-1, 0], [0, -1]]}',
+    ])
+    def test_non_finite_shape_is_2(self, capsys, spec, mode):
+        code, out, err = run_cli(capsys, "approximate", "--shape", spec, "--n", "4",
+                                 "--mode", mode, "--grid", "8")
+        assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--input", "central.json"],
+        ["approximate", "--n", "4", "--shape", '{"kind": "ellipse", "a": "x", "b": 1}'],
+        ["approximate", "--n", "4", "--shape", '{"kind": "minkowski_sum", "parts": 3}'],
+        ["simulate", "--n", "4", "--samples", "10", "--out", "run", "--model",
+         '{"kind": "isotropic_zonotope", "n": 4, '
+         '"faces": {"dist": "lognormal", "dim": 4, "sigma": "a"}}'],
+    ], ids=["null_mean_alpha", "string_semiaxis", "number_parts", "string_sigma"])
+    def test_wrongly_typed_json_is_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        central = {"type": "central_face_moments", "n": 2, "mean_alpha": None,
+                   "v_alpha": [1.0, 0.5]}
+        (tmp_path / "central.json").write_text(json.dumps(central))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "wrong type" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["central.json"]
 
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         dest = tmp_path / "no" / "such" / "dir" / "x.json"

@@ -116,6 +116,19 @@ def test_diameter():
     assert diameter(Segment(1.0, 0.2)) == pytest.approx(1.0, abs=1e-9)
 
 
+class _FeretOnly:
+    """A body that has `feret` and nothing else."""
+
+    def feret(self, theta):
+        return Ellipse(2.0, 1.0, 0.3).feret(theta)
+
+
+def test_perimeter_cauchy_needs_only_feret():
+    triangle = ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert perimeter_cauchy(triangle) == pytest.approx(2.0 + np.sqrt(2.0), abs=1e-12)
+    assert perimeter_cauchy(_FeretOnly()) == perimeter_cauchy(Ellipse(2.0, 1.0, 0.3))
+
+
 def test_perimeter_cauchy(unit_square):
     assert perimeter_cauchy(Disk(1.0)) == pytest.approx(2 * np.pi, abs=1e-10)
     assert perimeter_cauchy(unit_square) == pytest.approx(4.0, abs=1e-9)
