@@ -5,11 +5,11 @@ the rotation-optimized route additionally searches the grid offset that
 minimizes the Hausdorff distance to the target.  The distance kernel
 evaluates blocks of offsets at once: one circulant solve for all their
 interpolants and their widths on the sup grid as one FFT circular
-convolution, written into a workspace that each kernel allocates once.  One
-golden section search then refines the sups of up to _LANES offsets in
-lockstep.  The offset scan calls the kernel once on a grid of offsets, then
-refines the best and the worst grid offset to OFFSET_ANGLE_TOL by a section
-search whose every step is one kernel call on _BLOCK probes of each bracket.
+convolution, written into a workspace that each kernel allocates once; its
+sups are the one search of metrics, on up to _LANES offsets in lockstep.
+The offset scan calls the kernel once on a grid of offsets, then refines the
+best and the worst grid offset to OFFSET_ANGLE_TOL by a section search whose
+every step is one kernel call on _BLOCK probes of each bracket.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .bodies import RTOL, regular_subdivision
 from .circulant import feret_matrix
 from .errors import ParameterError
-from .metrics import SUP_ANGLE_TOL, SUP_GRID_SIZE, golden_section_max, hausdorff_distance
+from .metrics import hausdorff_distance, refine_sup, sup_grid
 from .zonotopes import Zonotope
 
 #: Width in radians below which the offset scan stops narrowing its brackets.
@@ -78,35 +78,30 @@ def _distance_kernel(x, n):
     """distances(t): Hausdorff distance from x to its grid interpolant rotated
     by each offset in the array t.
 
-    Sups over angle start on a regular grid of G = n 2^k points, the smallest
-    such G >= SUP_GRID_SIZE (the metrics grid whenever n divides it).  There
+    Each sup is the metrics search on the G angles of `sup_grid(n)`.  There
     H_z(j pi/G) = sum_i alpha_i |sin((j - i G/n) pi/G - t)| is the circular
     convolution of the face lengths, upsampled by G/n, with a |sin| table
     whose rfft is the n-point DFT of alpha tiled.  Offsets go through this
     grid pass in blocks of _BLOCK, each filling rows of one workspace that the
     kernel allocates once: the table and the widths, (_BLOCK, G) floats, and
-    the table's spectrum and the tiled DFT, (_BLOCK, G/2 + 1) complex.  The
-    grid maxima of up to _LANES offsets are then refined by one golden
-    section search in lockstep, and each is kept unless the refinement beats
-    it.  Every call pays for one grid pass and one sup refinement, so the
-    offset scan batches its probes: one call per section-search step.  The
-    returned array is fresh, never a view of the workspace.
+    the table's spectrum and the tiled DFT, (_BLOCK, G/2 + 1) complex.  One
+    `refine_sup` call then refines the grid maxima of up to _LANES offsets.
+    Every call pays for one grid pass and one sup refinement, so the offset
+    scan batches its probes: one call per section-search step.  The returned
+    array is fresh, never a view of the workspace.
     """
-    size = int(n)
-    while size < SUP_GRID_SIZE:
-        size *= 2
-    eta = regular_subdivision(size)
+    eta = sup_grid(n)
+    size = len(eta)
     sin_eta, cos_eta = np.sin(eta), np.cos(eta)
     hx = np.asarray(x.feret(eta), dtype=float)
     theta = regular_subdivision(n)
     tiled = np.arange(size // 2 + 1) % n
-    step = np.pi / size
     rows = _BLOCK
     table, widths = np.empty((rows, size)), np.empty((rows, size))
     spectrum, dft = np.empty((2, rows, size // 2 + 1), dtype=complex)
 
     def block(t):
-        """(alpha, grid-peak angle, grid max of |H_x - H_z|) for the offsets t."""
+        """(alpha, grid-peak index, grid max of |H_x - H_z|) for the offsets t."""
         p = len(t)
         alpha = _interpolating_alpha(x, n, t)
         tab, wid, spec, tile = table[:p], widths[:p], spectrum[:p], dft[:p]
@@ -121,10 +116,10 @@ def _distance_kernel(x, n):
         np.subtract(wid, hx, out=wid)
         np.abs(wid, out=wid)
         i = np.argmax(wid, axis=1)
-        return alpha, eta[i], wid[np.arange(p), i]
+        return alpha, i, wid[np.arange(p), i]
 
     def refined(t):
-        """Distances for the offsets t: the grid pass, then one golden loop."""
+        """Distances for the offsets t: the grid pass, then one refinement."""
         p = len(t)
         # einsum sums a lone lane's terms in another order than many lanes'
         t = np.repeat(t, 2) if p == 1 else t
@@ -135,8 +130,7 @@ def _distance_kernel(x, n):
             hz = np.einsum("pi,ip->p", np.abs(np.sin((e - t)[:, None] - theta)), alpha)
             return np.abs(np.asarray(x.feret(e), dtype=float) - hz)
 
-        _, v = golden_section_max(gap, peak - step, peak + step, SUP_ANGLE_TOL)
-        return 0.5 * np.where(grid_max >= v, grid_max, v)[:p]
+        return 0.5 * refine_sup(gap, eta, peak, grid_max)[1][:p]
 
     def distances(t):
         t = np.asarray(t, dtype=float)

@@ -23,6 +23,13 @@ GRID_ANGLE_TOL = 1e-9  # an angle this close to the regular grid lies on it
 ANGLE_TOL = 1e-12  # angles this close are one: edge directions, lags, range ends
 
 
+def require_finite(**values):
+    """Raise ParameterError naming the first given value with a NaN or infinite entry."""
+    for name, x in values.items():
+        if x is not None and not np.all(np.isfinite(np.asarray(x, dtype=float))):
+            raise ParameterError(f"{name} must be finite")
+
+
 def direction(theta):
     """Unit direction u(theta) = (-sin theta, cos theta), stacked on the last axis."""
     t = np.asarray(theta, dtype=float)
@@ -77,6 +84,7 @@ class Segment(SymmetricConvexBody):
             raise ParameterError(f"segment length must be >= 0, got {length}")
         self.length = float(length)
         self.angle = float(angle)
+        require_finite(length=self.length, angle=self.angle)
 
     def feret(self, theta):
         return self.length * np.abs(np.sin(self.angle - np.asarray(theta, dtype=float)))
@@ -92,6 +100,7 @@ class Disk(SymmetricConvexBody):
         if r < 0:
             raise ParameterError(f"disk radius must be >= 0, got {r}")
         self.r = float(r)
+        require_finite(r=self.r)
 
     def feret(self, theta):
         return np.full_like(np.asarray(theta, dtype=float), 2.0 * self.r)
@@ -112,6 +121,7 @@ class Ellipse(SymmetricConvexBody):
         self.a = float(a)
         self.b = float(b)
         self.phi = float(phi)
+        require_finite(a=self.a, b=self.b, phi=self.phi)
 
     def feret(self, theta):
         t = np.asarray(theta, dtype=float) - self.phi
@@ -133,6 +143,7 @@ class SymmetricPolygon(SymmetricConvexBody):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 2:
             raise ParameterError("polygon needs an (m, 2) vertex array with m >= 2")
+        require_finite(vertices=v)
         center = v.mean(axis=0)
         v = v - center
         tol = RTOL * float(np.hypot(v[:, 0], v[:, 1]).max())
@@ -178,6 +189,7 @@ class Rotated(SymmetricConvexBody):
     def __init__(self, body, angle):
         self.body = body
         self.angle = float(angle)
+        require_finite(angle=self.angle)
 
     def feret(self, theta):
         return self.body.feret(np.asarray(theta, dtype=float) - self.angle)
@@ -192,6 +204,7 @@ class Scaled(SymmetricConvexBody):
     def __init__(self, body, factor):
         self.body = body
         self.factor = float(factor)
+        require_finite(factor=self.factor)
 
     def feret(self, theta):
         return abs(self.factor) * self.body.feret(theta)
@@ -203,29 +216,31 @@ class Scaled(SymmetricConvexBody):
 class FeasibilityReport:
     """Outcome of checking sampled (angle, value) pairs against width axioms.
 
-    Attributes hold the worst violation of each tested property; `worst`
-    aggregates them and `ok(tol)` applies a single threshold.
+    Attributes hold the worst violation of each tested property and `scale`,
+    the largest finite |value| sampled; `worst` aggregates the violations and
+    `ok(tol)` bounds them by tol times `scale`.
     """
 
-    def __init__(self, negativity, periodicity_gap, subadditivity, triples_checked):
+    def __init__(self, negativity, periodicity_gap, subadditivity, triples_checked, scale):
         self.negativity = float(negativity)
         self.periodicity_gap = float(periodicity_gap)
         self.subadditivity = float(subadditivity)
         self.triples_checked = int(triples_checked)
+        self.scale = float(scale)
 
     @property
     def worst(self):
         return max(self.negativity, self.periodicity_gap, self.subadditivity)
 
-    def ok(self, tol=1e-9):
-        return self.worst <= tol
+    def ok(self, tol=RTOL):
+        return self.worst <= tol * self.scale
 
     def __repr__(self):
         return (
             f"FeasibilityReport(negativity={self.negativity:.3e}, "
             f"periodicity_gap={self.periodicity_gap:.3e}, "
             f"subadditivity={self.subadditivity:.3e}, "
-            f"triples_checked={self.triples_checked})"
+            f"triples_checked={self.triples_checked}, scale={self.scale:.3e})"
         )
 
 
@@ -238,7 +253,8 @@ def feret_feasibility_check(samples, angle_tol=1e-9):
     H(t + b) <= H(t) + 2|sin(b/2)| H(t + (b + pi)/2) on every triple of
     sampled angles that forms such a pattern (within `angle_tol`).
 
-    Returns a FeasibilityReport with worst violation magnitudes.  NaN values
+    Returns a FeasibilityReport with worst violation magnitudes and the
+    largest finite |value|, the scale its `ok` measures them by.  NaN values
     never raise a violation; non-finite angles raise ParameterError.
     """
     pairs = [(float(a), float(v)) for a, v in samples]
@@ -293,4 +309,5 @@ def feret_feasibility_check(samples, angle_tol=1e-9):
         # NaN never raises the worst violation, as with max()
         subadd = max(subadd, float(np.max(excess, initial=0.0, where=hit & (excess > 0.0))))
 
-    return FeasibilityReport(negativity, periodicity, subadd, triples)
+    scale = float(np.max(np.abs(val), initial=0.0, where=np.isfinite(val)))
+    return FeasibilityReport(negativity, periodicity, subadd, triples, scale)

@@ -1,8 +1,8 @@
 """Metric and integral functionals of symmetric convex bodies.
 
-Suprema over angle are taken on a fixed 4096-point grid over [0, pi) followed
-by golden-section refinement around the grid maximum.  Bodies and convex
-polygons alike are evaluated through their `feret` method.
+Every sup over angle in zonofit, here and in the offset scan, is one search:
+the grid of `sup_grid`, then `refine_sup` around the grid maximum.  Bodies
+and convex polygons alike are evaluated through their `feret` method.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from .errors import ParameterError
 
 SUP_GRID_SIZE = 4096
 SUP_ANGLE_TOL = 1e-8
-_SUP_GRID = regular_subdivision(SUP_GRID_SIZE)
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -58,21 +57,33 @@ def golden_section_max(f, a, b, tol):
     return best_x, best_v
 
 
+def sup_grid(n=1):
+    """Regular grid of G = n 2^k angles on [0, pi), the least G >= SUP_GRID_SIZE."""
+    while n < SUP_GRID_SIZE:
+        n *= 2
+    return regular_subdivision(n)
+
+
+def refine_sup(f, grid, i, grid_max):
+    """(angle mod pi, value) of a golden section search of grid[i] +- pi/G to
+    SUP_ANGLE_TOL, or of the grid maximum grid_max = f(grid[i]) unless the
+    search is strictly higher.  i and grid_max may be arrays of lanes."""
+    step = np.pi / len(grid)
+    x, v = golden_section_max(f, grid[i] - step, grid[i] + step, SUP_ANGLE_TOL)
+    return np.where(grid_max >= v, (grid[i], grid_max), (np.mod(x, np.pi), v))
+
+
 def sup_over_angles(f):
     """sup over [0, pi) of a pi-periodic function.
 
     `f` maps an array of angles to an array of values and a scalar angle to a
-    scalar; it is evaluated on the module grid, then refined around the grid
-    maximum.  Returns (angle, value) of the refined maximum.
+    scalar; it is evaluated on `sup_grid()`, then refined by `refine_sup`.
+    Returns (angle, value) of the refined maximum.
     """
-    grid_values = np.asarray(f(_SUP_GRID))
+    grid = sup_grid()
+    grid_values = np.asarray(f(grid))
     i = int(np.argmax(grid_values))
-    step = np.pi / SUP_GRID_SIZE
-    lo, hi = _SUP_GRID[i] - step, _SUP_GRID[i] + step
-    x, v = golden_section_max(f, lo, hi, SUP_ANGLE_TOL)
-    if grid_values[i] >= v:
-        return float(_SUP_GRID[i]), float(grid_values[i])
-    return float(np.mod(x, np.pi)), float(v)
+    return tuple(refine_sup(f, grid, i, grid_values[i]).tolist())
 
 
 def hausdorff_distance(x, y):

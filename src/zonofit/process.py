@@ -12,7 +12,7 @@ averaging, and supporting diagnostics.
 import numpy as np
 
 from .approx import hausdorff_bound
-from .bodies import ANGLE_TOL, RTOL, SPECTRAL_RTOL, regular_subdivision
+from .bodies import ANGLE_TOL, RTOL, SPECTRAL_RTOL, regular_subdivision, require_finite
 from .circulant import CirculantMatrix, feret_matrix
 from .errors import ParameterError, SolverError, UnderdeterminedError
 from .nnls import nnls as _nnls_solve
@@ -50,17 +50,10 @@ def _symmetric(x):
     return 0.5 * (x + x[_palindrome_index(len(x))])
 
 
-def _require_finite(**values):
-    """Raise ParameterError naming the first given value with a NaN or infinite entry."""
-    for name, x in values.items():
-        if x is not None and not np.all(np.isfinite(np.asarray(x, dtype=float))):
-            raise ParameterError(f"{name} must be finite")
-
-
 def _require_finite_moments(m):
     """Raise ParameterError unless every array of the process moments m is finite."""
-    _require_finite(mean=m.mean, second=m.second, stderr_mean=m.stderr_mean,
-                    stderr_second=m.stderr_second)
+    require_finite(mean=m.mean, second=m.second, stderr_mean=m.stderr_mean,
+                   stderr_second=m.stderr_second)
 
 
 class FeretProcessMoments:
@@ -143,9 +136,9 @@ class CentralFaceMoments:
         if v.shape != (n,):
             raise ParameterError(f"v_alpha must have length {n}, got shape {v.shape}")
         mean_alpha = float(mean_alpha)
-        _require_finite(mean_alpha=mean_alpha, v_alpha=v,
-                        stderr_mean_alpha=stderr_mean_alpha,
-                        stderr_v_alpha=stderr_v_alpha)
+        require_finite(mean_alpha=mean_alpha, v_alpha=v,
+                       stderr_mean_alpha=stderr_mean_alpha,
+                       stderr_v_alpha=stderr_v_alpha)
         scale = float(np.abs(v).max())
         if mean_alpha < -RTOL * np.sqrt(scale):
             raise ParameterError(f"mean_alpha must be nonnegative, got {mean_alpha}")
@@ -185,8 +178,8 @@ class C0FaceMoments:
         cov = np.asarray(cov, dtype=float)
         if mean.shape != (n,) or second.shape != (n, n) or cov.shape != (n, n):
             raise ParameterError("inconsistent moment shapes")
-        _require_finite(mean=mean, second=second, cov=cov, stderr_mean=stderr_mean,
-                        stderr_second=stderr_second)
+        require_finite(mean=mean, second=second, cov=cov, stderr_mean=stderr_mean,
+                       stderr_second=stderr_second)
         if mean.min() < -RTOL * float(np.abs(mean).max()):
             raise ParameterError(f"face mean has negative component {mean.min():.3e}")
         scale = float(np.abs(second).max())

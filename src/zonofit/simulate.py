@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtri
 
-from .bodies import RTOL, Ellipse, regular_subdivision
+from .bodies import RTOL, Ellipse, regular_subdivision, require_finite
 from .errors import ParameterError
 from .process import FeretProcessMoments, central_from_feret
 from .zonotopes import Zonotope
@@ -83,6 +83,7 @@ class Fixed(SizeDistribution):
         v = np.atleast_1d(np.asarray(value, dtype=float))
         if v.min() < 0:
             raise ParameterError("fixed size vector must be nonnegative")
+        require_finite(value=v)
         self.value = v
         self.dim = len(v)
 
@@ -100,6 +101,7 @@ class Mixture(SizeDistribution):
         w = np.asarray(weights, dtype=float)
         if len(a) != len(w) or len(a) == 0:
             raise ParameterError("need one weight per atom")
+        require_finite(atoms=a, weights=w)
         if a.min() < 0:
             raise ParameterError("mixture atoms must be nonnegative")
         if w.min() < 0 or abs(w.sum() - 1.0) > RTOL:
@@ -126,6 +128,7 @@ class LogNormal(SizeDistribution):
         self.draw_count = int(dim)
         self.mu = float(mu)
         self.sigma = float(sigma)
+        require_finite(mu=self.mu, sigma=self.sigma)
 
     def transform(self, u):
         return np.exp(self.mu + self.sigma * ndtri(u))

@@ -18,6 +18,7 @@ from .bodies import (
     direction,
     is_regular_subdivision,
     regular_subdivision,
+    require_finite,
 )
 from .errors import ParameterError
 from .polygons import ConvexPolygon
@@ -43,6 +44,7 @@ class Zonotope(SymmetricConvexBody):
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
         if alpha.ndim != 1:
             raise ParameterError("alpha must be a 1-D array")
+        require_finite(alpha=alpha, theta=theta, t=t)
         if alpha.size and alpha.min() < 0.0:
             raise ParameterError(
                 f"face lengths must be nonnegative (min was {alpha.min():.3e})"

@@ -238,6 +238,24 @@ def test_feasibility_report_matches_row_loop():
         assert got == _report_by_row_loop(samples, tol)
 
 
+@pytest.mark.parametrize("s", [2.0**-40, 1.0, 1e6, 1e9])
+def test_feasibility_ok_is_relative_to_the_samples(s):
+    # the same segment passes at every size; a 1e-6 relative error in one
+    # sample fails at every size
+    th = np.linspace(0.0, np.pi, 25)
+    h = np.asarray(Segment(1.3 * s, 0.7).feret(th))
+    rep = feret_feasibility_check(list(zip(th, h)))
+    assert rep.scale == np.max(h)
+    assert rep.ok()
+    h[0] *= 1.0 + 1e-6
+    assert not feret_feasibility_check(list(zip(th, h))).ok()
+
+
+def test_feasibility_scale_skips_non_finite_values():
+    rep = feret_feasibility_check([(0.0, np.nan), (1.0, -np.inf), (2.0, -3.0)])
+    assert rep.scale == 3.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_feasibility_rejects_non_finite_angles(bad):
     with pytest.raises(ParameterError, match="angles must be finite"):
@@ -269,3 +287,26 @@ def test_feasibility_triples_match_pairwise_loop():
         rep = feret_feasibility_check(samples)
         subadd, triples = _triples_by_loop(samples)
         assert (rep.subadditivity, rep.triples_checked) == (subadd, triples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name, build", [
+    ("r", lambda x: Disk(x)),
+    ("a", lambda x: Ellipse(x, 1.0)),
+    ("b", lambda x: Ellipse(2.0, x)),
+    ("phi", lambda x: Ellipse(2.0, 1.0, x)),
+    ("length", lambda x: Segment(x)),
+    ("angle", lambda x: Segment(1.0, x)),
+    ("angle", lambda x: Rotated(Disk(1.0), x)),
+    ("factor", lambda x: Scaled(Disk(1.0), x)),
+    ("vertices", lambda x: SymmetricPolygon([[x, 1.0], [-1.0, 1.0], [-x, -1.0], [1.0, -1.0]])),
+    ("alpha", lambda x: Zonotope([1.0, x])),
+    ("theta", lambda x: Zonotope([1.0, 2.0], theta=[0.0, x])),
+    ("t", lambda x: Zonotope([1.0, 2.0], t=x)),
+], ids=["disk_r", "ellipse_a", "ellipse_b", "ellipse_phi", "segment_length",
+        "segment_angle", "rotated_angle", "scaled_factor", "polygon_vertices",
+        "zonotope_alpha", "zonotope_theta", "zonotope_t"])
+def test_non_finite_parameters_are_named(name, build, bad):
+    # rejected where the body is built, before a Feret evaluation meets them
+    with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+        build(bad)

@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, report contents, files, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -762,8 +763,6 @@ class TestExitCodes:
             entry(argv)
         assert exc.value.code == 2
 
-    # ellipse:inf,1 meets inf * 0 in its Feret function
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["c0", "cinf"])
     @pytest.mark.parametrize("spec", [
         "segment:nan,0.3", "ellipse:inf,1", "disk:nan", "ellipse:2,1,nan",
@@ -773,6 +772,33 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "approximate", "--shape", spec, "--n", "4",
                                  "--mode", mode, "--grid", "8")
         assert code == 2 and out == "" and "finite" in err
+
+    # each constructor rejects its own non-finite numbers, before any Feret
+    # evaluation could meet inf * 0 or a sampler could draw from a NaN weight
+    @pytest.mark.parametrize("argv", [
+        ["approximate", "--n", "4", "--shape", "ellipse:inf,1"],
+        ["approximate", "--n", "4", "--shape", "ellipse:2,1,inf"],
+        ["approximate", "--n", "4", "--shape", "segment:1,inf"],
+        ["approximate", "--n", "4", "--shape",
+         '{"kind": "rotated", "angle": Infinity, "body": {"kind": "disk", "r": 1}}'],
+        ["simulate", "--n", "4", "--samples", "1000", "--out", "run",
+         "--model", "isotropic_rectangle:inf,1"],
+        ["simulate", "--n", "4", "--samples", "1000", "--out", "run",
+         "--model", "isotropic_square:inf"],
+        ["simulate", "--n", "4", "--samples", "1000", "--out", "run", "--model",
+         '{"kind": "isotropic_rectangle", "sides": {"dist": "mixture", '
+         '"atoms": [[1, 1], [2, 2]], "weights": [NaN, 1.0]}}'],
+    ], ids=["ellipse_a", "ellipse_phi", "segment_angle", "rotated_angle",
+            "rectangle_side", "square_side", "mixture_weight"])
+    def test_non_finite_parameter_is_2_where_built(self, tmp_path, capsys, monkeypatch,
+                                                   argv):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "finite" in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--input", "central.json"],

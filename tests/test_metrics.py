@@ -21,6 +21,8 @@ from zonofit.metrics import (
     SUP_ANGLE_TOL,
     SUP_GRID_SIZE,
     golden_section_max,
+    refine_sup,
+    sup_grid,
     sup_over_angles,
 )
 
@@ -67,6 +69,36 @@ def test_sup_over_angles_refines_past_the_grid():
     ang, v = sup_over_angles(f)
     assert v == pytest.approx(1.0, abs=1e-12)
     assert ang == pytest.approx(peak, abs=1e-6)
+
+
+@pytest.mark.parametrize("n, size", [(1, 4096), (2, 4096), (3, 6144), (7, 7168),
+                                     (4096, 4096), (5000, 5000)])
+def test_sup_grid_is_the_least_n_2k_at_least_sup_grid_size(n, size):
+    np.testing.assert_array_equal(sup_grid(n), np.arange(size) * (np.pi / size))
+
+
+def test_refine_sup_lanes_match_sup_over_angles():
+    # one lockstep refinement of three lanes against three scalar searches
+    grid = sup_grid()
+    kink = grid[1234]
+    fs = [
+        lambda t: np.exp(np.cos(2.0 * (t - 1.2345678))),
+        # the max is a kink on a grid point: the search cannot beat it
+        lambda t: 1.0 - np.abs(np.sin(t - kink)),
+        # the peak lies less than a grid step below pi, so the grid max is at
+        # angle 0 and the refined angle wraps back into [0, pi)
+        lambda t: np.cos(2.0 * (t - (np.pi - 0.3 * grid[1]))),
+    ]
+    values = [np.asarray(f(grid)) for f in fs]
+    i = np.array([int(np.argmax(v)) for v in values])
+    grid_max = np.array([v[j] for v, j in zip(values, i)])
+    lanes = lambda e: np.array([f(x) for f, x in zip(fs, e)])
+    angle, value = refine_sup(lanes, grid, i, grid_max)
+    for lane, f in enumerate(fs):
+        assert (angle[lane], value[lane]) == sup_over_angles(f)
+    assert (angle[1], value[1]) == (kink, 1.0)
+    assert i[2] == 0 and np.pi - grid[1] < angle[2] < np.pi
+    assert angle[0] != grid[i[0]] and value[0] > grid_max[0]
 
 
 _GRID = np.arange(SUP_GRID_SIZE) * (np.pi / SUP_GRID_SIZE)

@@ -73,6 +73,20 @@ class TestDistributions:
         with pytest.raises(ParameterError):
             LogNormal(2, sigma=-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, build", [
+        ("value", lambda x: Fixed([1.0, x])),
+        ("atoms", lambda x: Mixture([[1.0, x], [2.0, 2.0]], [0.5, 0.5])),
+        # a NaN weight would pass the sum-to-1 test: |nan - 1| > tol is false
+        ("weights", lambda x: Mixture([[1.0, 1.0], [2.0, 2.0]], [x, 1.0])),
+        ("mu", lambda x: LogNormal(2, mu=x)),
+        ("sigma", lambda x: LogNormal(2, sigma=x)),
+    ], ids=["fixed_value", "mixture_atoms", "mixture_weights", "lognormal_mu",
+            "lognormal_sigma"])
+    def test_non_finite_parameters_are_named(self, name, build, bad):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            build(bad)
+
 
 class TestModels:
     def test_word_budgets(self):

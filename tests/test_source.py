@@ -77,3 +77,44 @@ def test_rule_finds_inline_tolerances():
     )
     assert sorted(_tolerance_sites(tree)) == [
         (3, "literal"), (3, "max(1.0, ...)"), (6, "max(1.0, ...)"), (8, "literal")]
+
+
+SUP_SEARCH_NAMES = {"golden_section_max", "SUP_GRID_SIZE", "SUP_ANGLE_TOL"}
+
+
+def _sup_search_names(tree):
+    """(line, name) of each identifier, attribute or import of a name in
+    SUP_SEARCH_NAMES in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in SUP_SEARCH_NAMES:
+            yield node.lineno, name
+
+
+def test_sup_search_lives_in_metrics():
+    # every sup over angles goes through metrics.sup_grid and
+    # metrics.refine_sup, so the grid size, tolerance and golden search that
+    # make up the search appear in no other module
+    bad = [f"{p.name}:{line} {name}" for p in SOURCES if p.name != "metrics.py"
+           for line, name in _sup_search_names(ast.parse(p.read_text()))]
+    assert bad == []
+
+
+def test_rule_finds_sup_search_names():
+    tree = ast.parse(
+        "from .metrics import SUP_ANGLE_TOL, hausdorff_distance\n"
+        "x = metrics.golden_section_max(f, a, b, tol)\n"
+        "y = 2 * SUP_GRID_SIZE\n"
+        "z = refine_sup(f, sup_grid(4), i, v)  # golden_section_max\n"
+        "import zonofit.metrics as m; m.SUP_GRID_SIZE\n"
+    )
+    assert sorted(_sup_search_names(tree)) == [
+        (1, "SUP_ANGLE_TOL"), (2, "golden_section_max"), (3, "SUP_GRID_SIZE"),
+        (5, "SUP_GRID_SIZE")]
