@@ -5,6 +5,8 @@ inverts them to face moments, and demonstrates the counter-based randomness:
 the same seed gives byte-identical numbers regardless of threading.
 """
 
+import os
+
 import numpy as np
 
 from zonofit import (
@@ -42,10 +44,12 @@ print(f"recovered E[alpha_i alpha_j] lags: "
       f"{np.round(central.v_alpha[: n // 2 + 1], 4)} (truth 1.45 each)")
 print()
 
-# reproducibility: sample k is a pure function of (seed, k), so thread count
-# and chunking cannot change a single bit
-a = estimate_process_moments(model, n, 10_000, seed=7, threads=1)
-b = estimate_process_moments(model, n, 10_000, seed=7, threads=8)
+# reproducibility: sample k is a pure function of (seed, k), so the worker
+# count (ZONOFIT_THREADS) and chunking cannot change a single bit
+os.environ["ZONOFIT_THREADS"] = "1"
+a = estimate_process_moments(model, n, 10_000, seed=7)
+os.environ["ZONOFIT_THREADS"] = "8"
+b = estimate_process_moments(model, n, 10_000, seed=7)
 print("thread count 1 vs 8: moments bitwise equal:",
       bool(np.array_equal(a.second, b.second)))
 shape = sample_shape(model, 1234, seed=7)

@@ -14,7 +14,7 @@ every step is one kernel call on _BLOCK probes of each bracket.
 
 import numpy as np
 
-from .bodies import RTOL, regular_subdivision
+from .bodies import RTOL, regular_subdivision, require_count
 from .circulant import feret_matrix
 from .errors import ParameterError
 from .metrics import hausdorff_distance, refine_sup, sup_grid
@@ -60,15 +60,13 @@ def c0_approximate(x, n):
     The result contains x and its Hausdorff distance from x obeys
     hausdorff_bound(n, diameter(x)).
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
+    require_count("n", n, 2)
     return Zonotope(_interpolating_alpha(x, n))
 
 
 def hausdorff_bound(n, diam):
     """A priori distance bound (6 + 2 sqrt(2)) sin(pi/2n) * diam for the grid zonotope."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"need an integer n >= 2, got {n!r}")
+    require_count("n", n, 2)
     if diam < 0:
         raise ParameterError(f"diameter must be >= 0, got {diam}")
     return (6.0 + 2.0 * np.sqrt(2.0)) * np.sin(np.pi / (2.0 * n)) * float(diam)
@@ -146,10 +144,8 @@ def _distance_kernel(x, n):
 def _offset_scan(x, n, grid_points, signs):
     """Scan for `scan_offsets`: (tau, Zonotope) at the refined first grid max
     of sign * distance, for each sign, the signs searched in lockstep."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
-    if not isinstance(grid_points, (int, np.integer)) or grid_points < 1:
-        raise ParameterError(f"grid_points must be an integer >= 1, got {grid_points!r}")
+    require_count("n", n, 2)
+    require_count("grid_points", grid_points, 1)
     period = np.pi / n
     step = period / grid_points
     offsets = np.arange(grid_points) * step
@@ -207,8 +203,7 @@ def cinf_approximate(x, n, grid_points=256):
 
 def offset_distances(x, n, offsets):
     """Hausdorff distance from x to its grid interpolant at each rotation offset."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"need an integer n >= 2 directions, got {n!r}")
+    require_count("n", n, 2)
     return _distance_kernel(x, n)(offsets)
 
 

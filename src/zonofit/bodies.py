@@ -30,6 +30,13 @@ def require_finite(**values):
             raise ParameterError(f"{name} must be finite")
 
 
+def require_count(name, value, least):
+    """Raise ParameterError naming `name` unless value is an integer >= least:
+    a Python or numpy integer, neither a bool nor a float such as 4.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def direction(theta):
     """Unit direction u(theta) = (-sin theta, cos theta), stacked on the last axis."""
     t = np.asarray(theta, dtype=float)
@@ -49,8 +56,7 @@ def caliper_width(points, theta):
 
 def regular_subdivision(n):
     """Angles theta_i = (i-1)*pi/n for i = 1..n."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"subdivision size must be a positive integer, got {n!r}")
+    require_count("subdivision size", n, 1)
     return np.arange(n) * (np.pi / float(n))
 
 

@@ -8,7 +8,7 @@ serves cross-checks and builds the stationary moment matrices of `process`.
 
 import numpy as np
 
-from .bodies import regular_subdivision
+from .bodies import regular_subdivision, require_count
 from .errors import ParameterError, SolverError
 
 
@@ -78,6 +78,5 @@ def feret_matrix(n):
     angles.  Its spectrum has strictly positive magnitudes for n > 1, so the
     map is invertible.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ParameterError(f"feret_matrix needs an integer n >= 2, got {n!r}")
+    require_count("n", n, 2)
     return CirculantMatrix(np.abs(np.sin(regular_subdivision(n))))

@@ -6,9 +6,12 @@ byte-equal to calling the library directly with the same configuration.
 `is_regular_subdivision` accepts its angles, and only then runs the linear
 solver; `--solver nnls` pools any grid by lag through the process module.
 Exit codes: 0 success, 2 invalid input, 3 numeric failure, 4 underdetermined
-estimation.  `simulate` draws each chunk of samples once, in table order,
-and feeds it to both the sample table and the moment reducer; the
-ZONOFIT_THREADS worker cap of the library's sampler does not apply to it.
+estimation.  Counts in model JSON go through the library's one count rule,
+so `"n": 3.5` exits 2; argparse makes the count options integers.
+`simulate` draws each chunk of samples once, in table order, and feeds it
+to both the sample table and the moment reducer, serially: ZONOFIT_THREADS,
+the one worker-count setting, caps `estimate_process_moments` alone.
+`sweep` takes any finite axis ratio k >= 1.
 """
 
 import argparse
@@ -205,9 +208,12 @@ def cmd_sweep(args):
     for k in sorted(ks):
         if k < 1:
             raise ParameterError(f"axis ratio must be >= 1, got {k}")
-        raw = Ellipse(k, 1.0)
-        u = perimeter_cauchy(raw)
-        x = Ellipse(k / u, 1.0 / u)
+        # the semiaxes (k, 1) times the power of two that brings k into
+        # [1/2, 1): u stays finite for any finite k, and (a / u, b / u) equal
+        # k and 1 over the perimeter of the unscaled ellipse bit for bit
+        a, b = np.ldexp([k, 1.0], -np.frexp(k)[1])
+        u = perimeter_cauchy(Ellipse(a, b))
+        x = Ellipse(a / u, b / u)
         dia = diameter(x)
         for n in ns:
             bound = hausdorff_bound(n, dia)

@@ -16,14 +16,18 @@ class ConvexPolygon:
     Vertices must be in convex position and ordered counterclockwise.  With
     s the largest vertex coordinate magnitude, cross products of consecutive
     edges must be >= -EDGE_RTOL * s^2, and consecutive vertices more than
-    EDGE_RTOL * s apart.  Degenerate inputs (a point or a segment) are
-    accepted so Minkowski sums compose.
+    EDGE_RTOL * s apart.  The checks run on the vertices times the power of
+    two that brings s into [1/2, 1), which decides alike and cannot overflow.
+    Degenerate inputs (a point or a segment) are accepted so Minkowski sums
+    compose.
     """
 
     def __init__(self, vertices):
         v = np.atleast_2d(np.asarray(vertices, dtype=float))
         if v.ndim != 2 or v.shape[1] != 2 or len(v) == 0:
             raise ParameterError("polygon needs an (m, 2) vertex array")
+        self.vertices = v
+        v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
         scale = float(np.abs(v).max())
         if len(v) >= 2:
             d = np.diff(np.vstack([v, v[:1]]), axis=0)
@@ -34,7 +38,6 @@ class ConvexPolygon:
             cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
             if np.any(cross < -EDGE_RTOL * scale**2):
                 raise ParameterError("vertices are not in counterclockwise convex position")
-        self.vertices = v
 
     def area(self):
         """Shoelace area; 0 for degenerate polygons."""

@@ -12,7 +12,8 @@ averaging, and supporting diagnostics.
 import numpy as np
 
 from .approx import hausdorff_bound
-from .bodies import ANGLE_TOL, RTOL, SPECTRAL_RTOL, regular_subdivision, require_finite
+from .bodies import (ANGLE_TOL, RTOL, SPECTRAL_RTOL, regular_subdivision, require_count,
+                     require_finite)
 from .circulant import CirculantMatrix, feret_matrix
 from .errors import ParameterError, SolverError, UnderdeterminedError
 from .nnls import nnls as _nnls_solve
@@ -35,8 +36,7 @@ def k_s(t):
 
 def k_matrix(n):
     """Circulant kernel matrix K(0) with entries k_s(theta_i - theta_j)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"need a positive integer n, got {n!r}")
+    require_count("n", n, 1)
     return CirculantMatrix(k_s(regular_subdivision(n)))
 
 
@@ -130,8 +130,7 @@ class CentralFaceMoments:
 
     def __init__(self, n, mean_alpha, v_alpha, stderr_mean_alpha=None,
                  stderr_v_alpha=None):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ParameterError(f"need a positive integer n, got {n!r}")
+        require_count("n", n, 1)
         v = np.asarray(v_alpha, dtype=float)
         if v.shape != (n,):
             raise ParameterError(f"v_alpha must have length {n}, got shape {v.shape}")
@@ -173,6 +172,7 @@ class C0FaceMoments:
     """Moments of the random interpolating face vector alpha = F^-1 H on the grid."""
 
     def __init__(self, n, mean, second, cov, stderr_mean=None, stderr_second=None):
+        require_count("n", n, 1)
         mean = np.asarray(mean, dtype=float)
         second = np.asarray(second, dtype=float)
         cov = np.asarray(cov, dtype=float)
@@ -360,6 +360,7 @@ def central_nnls(observations, n, mean_alpha=0.0):
     raises SolverError.  `mean_alpha` passes through to the result (first
     moments are not identifiable from second-moment observations).
     """
+    require_count("n", n, 1)
     obs = np.array([(float(a), float(v)) for a, v in observations]).reshape(-1, 2)
     if not len(obs):
         raise UnderdeterminedError("no observations")

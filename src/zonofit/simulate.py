@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import ndtri
 
-from .bodies import RTOL, Ellipse, regular_subdivision, require_finite
+from .bodies import RTOL, Ellipse, regular_subdivision, require_count, require_finite
 from .errors import ParameterError
 from .process import FeretProcessMoments, central_from_feret
 from .zonotopes import Zonotope
@@ -36,28 +36,29 @@ CHUNK = 4096
 _WORDS_PER_BLOCK = 4
 
 
-def _uniform_block(seed, start_block, shape):
-    """Uniforms from the seed-keyed Philox stream, starting at a counter block."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-    bg = np.random.Philox(key=int(seed))
-    if start_block:
-        bg.advance(int(start_block))
-    return np.random.Generator(bg).random(shape)
-
-
-def _stride(model):
-    """Per-sample stream window as (counter blocks, padded word count)."""
+def _uniform_block(model, seed, start, count):
+    """Uniform windows of samples [start, start + count), shape (count, words):
+    each sample owns `words_per_sample` words of the seed-keyed Philox stream,
+    padded to whole counter blocks (no words for a model without draws)."""
+    require_count("seed", seed, 0)
+    require_count("start", start, 0)
+    require_count("count", count, 0)
     blocks = -(-model.words_per_sample // _WORDS_PER_BLOCK)
-    return blocks, blocks * _WORDS_PER_BLOCK
+    bg = np.random.Philox(key=int(seed))
+    if start and blocks:
+        bg.advance(int(start) * blocks)
+    return np.random.Generator(bg).random((count, blocks * _WORDS_PER_BLOCK))
 
 
-def worker_count(threads=None):
-    """Worker cap: the `threads` argument, else ZONOFIT_THREADS, else 1."""
-    if threads is None:
-        threads = int(os.environ.get("ZONOFIT_THREADS", "1"))
-    if threads < 1:
-        raise ParameterError(f"thread count must be >= 1, got {threads}")
+def worker_count():
+    """Worker cap of `estimate_process_moments`: ZONOFIT_THREADS, an integer
+    >= 1, else 1.  Any other value raises ParameterError naming the variable."""
+    threads = os.environ.get("ZONOFIT_THREADS", "1")
+    try:
+        threads = int(threads)
+    except ValueError:
+        pass  # require_count reports the text as given
+    require_count("ZONOFIT_THREADS", threads, 1)
     return threads
 
 
@@ -81,6 +82,7 @@ class Fixed(SizeDistribution):
 
     def __init__(self, value):
         v = np.atleast_1d(np.asarray(value, dtype=float))
+        require_count("dimension", len(v), 1)
         if v.min() < 0:
             raise ParameterError("fixed size vector must be nonnegative")
         require_finite(value=v)
@@ -102,6 +104,7 @@ class Mixture(SizeDistribution):
         if len(a) != len(w) or len(a) == 0:
             raise ParameterError("need one weight per atom")
         require_finite(atoms=a, weights=w)
+        require_count("dimension", a.shape[1], 1)
         if a.min() < 0:
             raise ParameterError("mixture atoms must be nonnegative")
         if w.min() < 0 or abs(w.sum() - 1.0) > RTOL:
@@ -117,11 +120,11 @@ class Mixture(SizeDistribution):
 
 
 class LogNormal(SizeDistribution):
-    """Independent lognormal components exp(mu + sigma * Phi^-1(u))."""
+    """Independent lognormal components exp(mu + sigma * Phi^-1(u)); `dim`, the
+    number of components, is an integer >= 1."""
 
     def __init__(self, dim, mu=0.0, sigma=0.25):
-        if dim < 1:
-            raise ParameterError("dimension must be >= 1")
+        require_count("dim", dim, 1)
         if sigma < 0:
             raise ParameterError("sigma must be >= 0")
         self.dim = int(dim)
@@ -212,10 +215,11 @@ class IsotropicZonotope(_IsotropicZonotopeBase):
     """Isotropic zonotope on the regular n-direction grid with random face lengths.
 
     Per sample: the face vector is drawn first, then an independent rotation
-    uniform on [0, pi).
+    uniform on [0, pi).  `n` is an integer >= 1.
     """
 
     def __init__(self, n, faces):
+        require_count("n", n, 1)
         super().__init__(int(n), faces)
         self.n = int(n)
 
@@ -251,13 +255,10 @@ class IsotropicEllipse(RandomShapeModel):
 
 
 def sample_shape(model, stream_index, seed):
-    """Realization number `stream_index`: a pure function of (seed, stream_index)."""
-    if stream_index < 0:
-        raise ParameterError("stream index must be >= 0")
-    blocks, words = _stride(model)
-    if words == 0:
-        return model.sample_one(np.zeros(0))
-    return model.sample_one(_uniform_block(seed, stream_index * blocks, words))
+    """Realization number `stream_index`: a pure function of (seed, stream_index),
+    both integers >= 0."""
+    require_count("stream index", stream_index, 0)
+    return model.sample_one(_uniform_block(model, seed, stream_index, 1)[0])
 
 
 def chunk_state(h):
@@ -320,17 +321,11 @@ def empirical_moments(h):
 
 def feret_sample_block(model, n, seed, start, count):
     """Feret diameters of samples [start, start+count) on the regular n-grid."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterError(f"grid size must be a positive integer, got {n!r}")
-    blocks, words = _stride(model)
-    if words == 0:
-        u = np.zeros((count, 0))
-    else:
-        u = _uniform_block(seed, start * blocks, (count, words))
-    return model.feret_block(u, n)
+    require_count("grid size", n, 1)
+    return model.feret_block(_uniform_block(model, seed, start, count), n)
 
 
-def estimate_process_moments(model, n, samples, seed, threads=None):
+def estimate_process_moments(model, n, samples, seed):
     """Empirical Feret-process moments on the regular n-grid, as FeretProcessMoments.
 
     The moments hold what the samples measured, for an isotropic model and a
@@ -339,9 +334,11 @@ def estimate_process_moments(model, n, samples, seed, threads=None):
     convolution).  Each chunk reduces to its centered state (`chunk_state`),
     and the states merge in a fixed pairwise tree (`reduce_states`), so the
     result is bit-identical for any worker count.  Standard errors are the
-    entrywise sample standard deviations divided by sqrt(samples).
+    entrywise sample standard deviations divided by sqrt(samples).  Chunks
+    are drawn by up to `worker_count()` threads, the ZONOFIT_THREADS setting.
     """
-    threads = worker_count(threads)
+    require_count("samples", samples, 2)
+    threads = worker_count()
     starts = list(range(0, samples, CHUNK))
 
     def work(start):
@@ -356,8 +353,8 @@ def estimate_process_moments(model, n, samples, seed, threads=None):
     return reduce_states(states)
 
 
-def pipeline_estimate(model, n, samples, seed, threads=None):
+def pipeline_estimate(model, n, samples, seed):
     """Sample -> process moments -> central face moments (the lag average of
-    `central_from_feret` isotropizes the moments of a non-isotropic model)."""
-    return central_from_feret(estimate_process_moments(model, n, samples, seed,
-                                                       threads=threads))
+    `central_from_feret` isotropizes the moments of a non-isotropic model).
+    The worker count is ZONOFIT_THREADS, as in `estimate_process_moments`."""
+    return central_from_feret(estimate_process_moments(model, n, samples, seed))

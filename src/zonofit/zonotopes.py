@@ -74,9 +74,21 @@ class Zonotope(SymmetricConvexBody):
         return 2.0 * float(self.alpha.sum())
 
     def area(self):
-        """(1/2) sum_{i,j} alpha_i alpha_j |sin(theta_i - theta_j)|."""
+        """(1/2) sum_{i,j} alpha_i alpha_j |sin(theta_i - theta_j)|.
+
+        Summed over the face lengths times the power of two 2^-e that brings
+        their max into [1/2, 1), exactly, then scaled back by 2^2e; an area
+        beyond the float range raises ParameterError.
+        """
         s = np.abs(np.sin(self.theta[:, None] - self.theta[None, :]))
-        return 0.5 * float(self.alpha @ s @ self.alpha)
+        e = np.frexp(self.alpha.max(initial=0.0))[1]
+        a = np.ldexp(self.alpha, -e)
+        area = 0.5 * float(a @ s @ a)
+        if area and np.frexp(area)[1] + 2 * e > np.finfo(float).maxexp:
+            digits = round(np.log10(area) + 2 * e * np.log10(2.0), 6)
+            raise ParameterError(f"zonotope area {10.0 ** (digits % 1.0):.3g}e{int(digits)} "
+                                 "overflows a float")
+        return float(np.ldexp(area, 2 * e))
 
     def vertices(self):
         """Boundary vertices as a counterclockwise ConvexPolygon.

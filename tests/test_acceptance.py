@@ -5,6 +5,7 @@ Each test prints a single `criterion NN [PASS|FAIL]` line (visible with
 tolerances and that criterion's wall-clock budget.
 """
 
+import json
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from zonofit import (
     Disk,
     Ellipse,
     Fixed,
+    IsotropicEllipse,
     IsotropicZonotope,
     Zonotope,
     c0_approximate,
@@ -308,5 +310,14 @@ def test_criterion_10_simulation_reproducibility(tmp_path_factory, monkeypatch,
                f"sample CSV differs between run 0 and run {i}")
         _check(problems, outputs[i][1] == outputs[0][1],
                f"summary JSON differs between run 0 and run {i}")
+    # simulate is serial; the library's threaded estimate of the same samples
+    # must reproduce its moments bit for bit under every worker count
+    simulated = json.loads(outputs[0][1])["moments"]
+    for threads in ("1", "4"):
+        monkeypatch.setenv("ZONOFIT_THREADS", threads)
+        m = estimate_process_moments(IsotropicEllipse(Fixed([2.0, 1.0])), 4, 20000, 11)
+        for name in ("mean", "second", "stderr_mean", "stderr_second"):
+            _check(problems, np.array_equal(getattr(m, name), simulated[name]),
+                   f"estimate {name} with {threads} threads differs from simulate's")
     _verdict(10, "byte-identical simulation across runs and thread counts",
              problems, time.perf_counter() - t0, 30.0)

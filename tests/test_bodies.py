@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from zonofit import (
+    C0FaceMoments,
+    CentralFaceMoments,
+    DeterministicBody,
     Disk,
     Ellipse,
     MinkowskiSum,
@@ -11,12 +14,25 @@ from zonofit import (
     Segment,
     SymmetricPolygon,
     SymmetryError,
+    IsotropicZonotope,
+    LogNormal,
     Zonotope,
+    c0_approximate,
+    central_nnls,
+    cinf_approximate,
     direction,
+    estimate_process_moments,
     feret_feasibility_check,
+    feret_matrix,
+    feret_sample_block,
+    hausdorff_bound,
+    k_matrix,
+    offset_distances,
+    pipeline_estimate,
     regular_subdivision,
+    sample_shape,
 )
-from zonofit.bodies import is_regular_subdivision
+from zonofit.bodies import is_regular_subdivision, require_count
 from conftest import sampled_width
 
 
@@ -310,3 +326,57 @@ def test_non_finite_parameters_are_named(name, build, bad):
     # rejected where the body is built, before a Feret evaluation meets them
     with pytest.raises(ParameterError, match=f"^{name} must be finite"):
         build(bad)
+
+
+@pytest.mark.parametrize("value", [1, 7, 2**70, np.int64(3), np.uint8(1)],
+                         ids=["one", "seven", "big", "int64", "uint8"])
+def test_require_count_accepts_integers(value):
+    require_count("k", value, 1)
+
+
+@pytest.mark.parametrize("value", [0, -1, True, False, np.bool_(True), 1.0, 2.5,
+                                   np.float64(3.0), "3", None],
+                         ids=["zero", "negative", "true", "false", "numpy_bool", "one_float",
+                              "fraction", "numpy_float", "text", "none"])
+def test_require_count_rejects_by_name(value):
+    # strict: a bool is not a count, nor is a float with an integer value
+    with pytest.raises(ParameterError, match=r"^k must be an integer >= 1, got "):
+        require_count("k", value, 1)
+
+
+_ZONOTOPE_MODEL = IsotropicZonotope(4, LogNormal(4))
+
+
+@pytest.mark.parametrize("bad", [2.5, 4.0, True, "4"], ids=["fraction", "float", "bool", "text"])
+@pytest.mark.parametrize("name, call", [
+    ("subdivision size", lambda v: regular_subdivision(v)),
+    ("n", lambda v: c0_approximate(Disk(1.0), v)),
+    ("n", lambda v: hausdorff_bound(v, 1.0)),
+    ("n", lambda v: cinf_approximate(Disk(1.0), v)),
+    ("grid_points", lambda v: cinf_approximate(Disk(1.0), 4, grid_points=v)),
+    ("n", lambda v: offset_distances(Disk(1.0), v, [0.0])),
+    ("n", lambda v: feret_matrix(v)),
+    ("n", lambda v: k_matrix(v)),
+    ("n", lambda v: CentralFaceMoments(v, 1.0, [1.0] * 4)),
+    ("n", lambda v: C0FaceMoments(v, [1.0] * 4, np.eye(4), np.eye(4))),
+    ("n", lambda v: central_nnls([(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)], v)),
+    ("n", lambda v: IsotropicZonotope(v, LogNormal(4))),
+    ("dim", lambda v: LogNormal(v)),
+    ("grid size", lambda v: feret_sample_block(_ZONOTOPE_MODEL, v, 0, 0, 2)),
+    ("seed", lambda v: feret_sample_block(_ZONOTOPE_MODEL, 4, v, 0, 2)),
+    ("seed", lambda v: feret_sample_block(DeterministicBody(Disk(1.0)), 4, v, 0, 2)),
+    ("start", lambda v: feret_sample_block(_ZONOTOPE_MODEL, 4, 0, v, 2)),
+    ("count", lambda v: feret_sample_block(_ZONOTOPE_MODEL, 4, 0, 0, v)),
+    ("samples", lambda v: estimate_process_moments(_ZONOTOPE_MODEL, 4, v, 0)),
+    ("samples", lambda v: pipeline_estimate(_ZONOTOPE_MODEL, 4, v, 0)),
+    ("seed", lambda v: estimate_process_moments(_ZONOTOPE_MODEL, 4, 10, v)),
+    ("stream index", lambda v: sample_shape(_ZONOTOPE_MODEL, v, 0)),
+], ids=["regular_subdivision", "c0_approximate", "hausdorff_bound", "cinf_approximate",
+        "grid_points", "offset_distances", "feret_matrix", "k_matrix", "central_moments",
+        "c0_moments", "central_nnls", "isotropic_zonotope", "lognormal", "grid_size",
+        "seed", "seed_without_draws", "start", "count", "samples", "pipeline_samples",
+        "estimate_seed", "stream_index"])
+def test_count_parameters_are_named(name, call, bad):
+    # every count goes through require_count: never truncated, never a TypeError
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer >= "):
+        call(bad)

@@ -238,6 +238,26 @@ class TestSweep:
         for t in np.arange(16) * (np.pi / 3 / 16):
             assert evaluated.count(t) == 1
 
+    def test_huge_axis_ratio_is_the_segment_limit(self, capsys):
+        # the unit-perimeter ellipse is normalized on semiaxes scaled by a
+        # power of two, so no perimeter overflows to inf and zeroes the rows
+        def rows(k):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, _ = run_cli(capsys, "sweep", "--n", "3,4", "--k", k,
+                                       "--grid", "16", "--format", "json")
+            assert code == 0
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            return [(r["n"], r["mode"], r["d_hausdorff"], r["bound"])
+                    for r in json.loads(out)["rows"]]
+
+        limit = rows("1e20")
+        assert min(r[3] for r in limit) > 0.0
+        for k in ("1e155", "1e300"):
+            for got, want in zip(rows(k), limit, strict=True):
+                assert got[:2] == want[:2]
+                np.testing.assert_allclose(got[2:], want[2:], rtol=0, atol=1e-12)
+
     def test_bad_ratio(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--n", "2:3", "--k", "0.5")
         assert code == 2
@@ -816,6 +836,33 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "wrong type" in err
         assert [p.name for p in tmp_path.iterdir()] == ["central.json"]
+
+    @pytest.mark.parametrize("model", [
+        '{"kind": "isotropic_zonotope", "n": 3.5, '
+        '"faces": {"dist": "lognormal", "dim": 3}}',
+        '{"kind": "isotropic_rectangle", "sides": {"dist": "lognormal", "dim": 2.5}}',
+        '{"kind": "isotropic_zonotope", "n": 4.0, '
+        '"faces": {"dist": "lognormal", "dim": 4}}',
+    ], ids=["zonotope_n", "lognormal_dim", "integral_float_n"])
+    def test_non_integer_count_is_2(self, tmp_path, capsys, monkeypatch, model):
+        # a count is never truncated into a smaller model
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "simulate", "--model", model, "--n", "4",
+                                 "--samples", "10", "--out", "run")
+        assert code == 2 and out == "" and "must be an integer >= 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["c0", "cinf"])
+    def test_overflowing_area_is_2(self, capsys, mode):
+        # finite vertices never overflow ConvexPolygon's checks; the fitted
+        # square's area, 1e320, is beyond the float range and is named
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "approximate", "--shape", "square:1e160",
+                                     "--n", "4", "--mode", mode, "--grid", "8")
+        assert code == 2 and out == ""
+        assert err == "zonofit: zonotope area 1e320 overflows a float\n"
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         dest = tmp_path / "no" / "such" / "dir" / "x.json"

@@ -75,3 +75,17 @@ def test_minkowski_sum_against_hull_oracle():
         assert s.area() == pytest.approx(hull.volume, abs=1e-10)
         for th in np.linspace(0, np.pi, 7):
             assert s.feret(th) == pytest.approx(pa.feret(th) + pb.feret(th), abs=1e-10)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -300, 0, 300, 1000])
+def test_checks_decide_alike_at_any_scale(exponent):
+    # the checks run on the vertices scaled by a power of two, so no edge
+    # length or cross product overflows, and scaled copies decide alike
+    square = np.array([[0.5, -0.5], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]])
+    dented = np.array([[0.5, -0.5], [0.0, -0.4], [0.5, 0.5], [-0.5, 0.5], [-0.5, -0.5]])
+    ok = ConvexPolygon(np.ldexp(square, exponent))
+    np.testing.assert_array_equal(ok.vertices, np.ldexp(square, exponent))
+    with pytest.raises(ParameterError, match="convex position"):
+        ConvexPolygon(np.ldexp(dented, exponent))
+    with pytest.raises(ParameterError, match="repeated"):
+        ConvexPolygon(np.ldexp(np.vstack([square[:1], square]), exponent))

@@ -73,6 +73,13 @@ class TestDistributions:
         with pytest.raises(ParameterError):
             LogNormal(2, sigma=-0.1)
 
+    @pytest.mark.parametrize("build", [lambda: Fixed([]), lambda: Mixture([[]], [1.0])],
+                             ids=["fixed", "mixture"])
+    def test_empty_size_vector_is_named(self, build):
+        # the dimension of a size vector is a count >= 1
+        with pytest.raises(ParameterError, match="^dimension must be an integer >= 1"):
+            build()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name, build", [
         ("value", lambda x: Fixed([1.0, x])),
@@ -170,12 +177,14 @@ class TestReproducibility:
             rows = [feret_sample_block(model, n, seed=7, start=k, count=1) for k in range(50)]
             np.testing.assert_array_equal(whole, np.vstack(rows))
 
-    def test_estimate_bitwise_across_thread_counts(self):
+    def test_estimate_bitwise_across_thread_counts(self, monkeypatch):
         samples = CHUNK + 7  # force an uneven chunk boundary
         for n in (3, 32):
             model = IsotropicZonotope(n, LogNormal(n))
-            r1 = estimate_process_moments(model, n, samples, seed=5, threads=1)
-            r4 = estimate_process_moments(model, n, samples, seed=5, threads=4)
+            monkeypatch.setenv("ZONOFIT_THREADS", "1")
+            r1 = estimate_process_moments(model, n, samples, seed=5)
+            monkeypatch.setenv("ZONOFIT_THREADS", "4")
+            r4 = estimate_process_moments(model, n, samples, seed=5)
             np.testing.assert_array_equal(r1.mean, r4.mean)
             np.testing.assert_array_equal(r1.second, r4.second)
             np.testing.assert_array_equal(r1.stderr_mean, r4.stderr_mean)
@@ -193,9 +202,22 @@ class TestReproducibility:
         assert worker_count() == 1
         monkeypatch.setenv("ZONOFIT_THREADS", "6")
         assert worker_count() == 6
-        assert worker_count(threads=2) == 2
+        monkeypatch.setenv("ZONOFIT_THREADS", "2")
+        assert worker_count() == 2
+        monkeypatch.setenv("ZONOFIT_THREADS", "0")
         with pytest.raises(ParameterError):
-            worker_count(0)
+            worker_count()
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2", ""])
+    def test_invalid_thread_setting_is_named(self, monkeypatch, value):
+        # ZONOFIT_THREADS is the one worker-count setting and goes through the
+        # count rule: no int() ValueError, no fractional or zero worker count
+        monkeypatch.setenv("ZONOFIT_THREADS", value)
+        for call in (worker_count,
+                     lambda: estimate_process_moments(IsotropicRectangle(LogNormal(2)),
+                                                      4, 10, seed=0)):
+            with pytest.raises(ParameterError, match="^ZONOFIT_THREADS must be an integer"):
+                call()
 
     def test_seed_validation(self):
         model = IsotropicZonotope(2, LogNormal(2))

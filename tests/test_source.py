@@ -118,3 +118,44 @@ def test_rule_finds_sup_search_names():
     assert sorted(_sup_search_names(tree)) == [
         (1, "SUP_ANGLE_TOL"), (2, "golden_section_max"), (3, "SUP_GRID_SIZE"),
         (5, "SUP_GRID_SIZE")]
+
+
+def _integer_type_checks(tree):
+    """(line, function) of each isinstance(..., (int, np.integer)) call in tree,
+    function being the name of the innermost enclosing def (None at module level)."""
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2 and isinstance(node.args[1], ast.Tuple)):
+            names = {ast.unparse(e) for e in node.args[1].elts}
+            if {"int", "np.integer"} <= names:
+                yield node.lineno, func
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    return list(visit(tree, None))
+
+
+def test_counts_go_through_require_count():
+    # one rule for counts: an integer parameter is checked by
+    # bodies.require_count, so no module writes its own integer type test
+    bad = [f"{p.name}:{line}" for p in SOURCES
+           for line, func in _integer_type_checks(ast.parse(p.read_text()))
+           if (p.name, func) != ("bodies.py", "require_count")]
+    assert bad == []
+
+
+def test_rule_finds_integer_type_checks():
+    tree = ast.parse(
+        "def f(n):\n"
+        "    if not isinstance(n, (int, np.integer)) or n < 2:\n"
+        "        raise ValueError(n)\n"
+        "def require_count(name, value, least):\n"
+        "    return isinstance(value, (np.integer, int, float))\n"
+        "ok = isinstance(x, int) or isinstance(x, (float, np.floating))\n"
+        "class C:\n"
+        "    def g(self, k):\n"
+        "        return [isinstance(k, (int, np.integer)) for _ in ()]\n"
+    )
+    assert _integer_type_checks(tree) == [(2, "f"), (5, "require_count"), (9, "g")]
