@@ -14,7 +14,7 @@ every step is one kernel call on _BLOCK probes of each bracket.
 
 import numpy as np
 
-from .bodies import RTOL, regular_subdivision, require_count
+from .bodies import RTOL, regular_subdivision, require_count, require_finite
 from .circulant import feret_matrix
 from .errors import ParameterError
 from .metrics import hausdorff_distance, refine_sup, sup_grid
@@ -67,6 +67,7 @@ def c0_approximate(x, n):
 def hausdorff_bound(n, diam):
     """A priori distance bound (6 + 2 sqrt(2)) sin(pi/2n) * diam for the grid zonotope."""
     require_count("n", n, 2)
+    require_finite(diam=diam)
     if diam < 0:
         raise ParameterError(f"diameter must be >= 0, got {diam}")
     return (6.0 + 2.0 * np.sqrt(2.0)) * np.sin(np.pi / (2.0 * n)) * float(diam)

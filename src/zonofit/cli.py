@@ -266,7 +266,6 @@ def cmd_estimate(args):
         "central": serialize.moments_to_dict(central),
     }
     if regular:
-        # after the solve, so a non-finite input fails with its solver's message
         diag = stationarity_diagnostic(m)
         report["stationarity"] = {"passed": diag.passed, **vars(diag)}
     if args.epsilon is not None:

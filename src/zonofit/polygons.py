@@ -6,14 +6,14 @@ cross-check route for mixed-area and zonotope computations.
 
 import numpy as np
 
-from .bodies import ANGLE_TOL, EDGE_RTOL, caliper_width
+from .bodies import ANGLE_TOL, EDGE_RTOL, caliper_width, require_finite
 from .errors import ParameterError
 
 
 class ConvexPolygon:
     """Convex polygon with counterclockwise vertices; 1 or 2 vertices allowed.
 
-    Vertices must be in convex position and ordered counterclockwise.  With
+    Vertices must be finite, in convex position and ordered counterclockwise.  With
     s the largest vertex coordinate magnitude, cross products of consecutive
     edges must be >= -EDGE_RTOL * s^2, and consecutive vertices more than
     EDGE_RTOL * s apart.  The checks run on the vertices times the power of
@@ -26,6 +26,7 @@ class ConvexPolygon:
         v = np.atleast_2d(np.asarray(vertices, dtype=float))
         if v.ndim != 2 or v.shape[1] != 2 or len(v) == 0:
             raise ParameterError("polygon needs an (m, 2) vertex array")
+        require_finite(vertices=v)
         self.vertices = v
         v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
         scale = float(np.abs(v).max())

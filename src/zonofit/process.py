@@ -50,12 +50,6 @@ def _symmetric(x):
     return 0.5 * (x + x[_palindrome_index(len(x))])
 
 
-def _require_finite_moments(m):
-    """Raise ParameterError unless every array of the process moments m is finite."""
-    require_finite(mean=m.mean, second=m.second, stderr_mean=m.stderr_mean,
-                   stderr_second=m.stderr_second)
-
-
 class FeretProcessMoments:
     """First and second moments of a Feret process on the regular angle grid.
 
@@ -72,9 +66,9 @@ class FeretProcessMoments:
     stderr_mean, stderr_second : arrays or None
         Standard errors when the moments are Monte-Carlo estimates.
 
-    Moments with NaN or infinite entries are held as given, without the
-    checks on `second`, for `existence_check` to report; the diagnostics and
-    maps that compute with them raise ParameterError before any arithmetic.
+    Every entry of the four arrays must be finite: a NaN or infinite entry
+    raises ParameterError naming its array, so the maps and diagnostics that
+    take the record compute on finite numbers without checking again.
     """
 
     def __init__(self, mean, second, stderr_mean=None, stderr_second=None):
@@ -85,16 +79,17 @@ class FeretProcessMoments:
             raise ParameterError("mean must be a nonempty vector")
         if second.shape != (n, n):
             raise ParameterError(f"second must be {n}x{n}, got {second.shape}")
-        if np.all(np.isfinite(second)):
-            scale = float(np.abs(second).max())
-            if np.abs(second - second.T).max() > RTOL * scale:
-                raise ParameterError("second-moment matrix must be symmetric")
-            second = 0.5 * (second + second.T)
-            if second.diagonal().min() < -RTOL * scale:
-                raise ParameterError("second-moment diagonal must be nonnegative")
-            d = np.maximum(second.diagonal(), 0.0)
-            if np.any(second**2 > np.outer(d, d) + RTOL * scale**2):
-                raise ParameterError("second moments violate the Cauchy-Schwarz bound")
+        require_finite(mean=mean, second=second, stderr_mean=stderr_mean,
+                       stderr_second=stderr_second)
+        scale = float(np.abs(second).max())
+        if np.abs(second - second.T).max() > RTOL * scale:
+            raise ParameterError("second-moment matrix must be symmetric")
+        second = 0.5 * (second + second.T)
+        if second.diagonal().min() < -RTOL * scale:
+            raise ParameterError("second-moment diagonal must be nonnegative")
+        d = np.maximum(second.diagonal(), 0.0)
+        if np.any(second**2 > np.outer(d, d) + RTOL * scale**2):
+            raise ParameterError("second moments violate the Cauchy-Schwarz bound")
         for name, arr in (("stderr_mean", stderr_mean), ("stderr_second", stderr_second)):
             if arr is not None:
                 arr = np.asarray(arr, dtype=float)
@@ -245,7 +240,6 @@ def isotropize_moments(m, body=None):
         stderr_mean = np.zeros(n)
         stderr_second = np.zeros((n, n))
     else:
-        _require_finite_moments(m)
         mean_c = float(m.mean.mean())
         lags = _lag_sums(m.second) / n
         stderr_mean = None
@@ -316,13 +310,12 @@ def central_from_feret(m, max_condition=1e12):
     Raises
     ------
     ParameterError
-        If any array of `m` is not finite, or unless `max_condition` > 0.
+        Unless `max_condition` > 0.
     SolverError
         If cond(K(0)) exceeds `max_condition`.
     """
     if not max_condition > 0:
         raise ParameterError(f"max_condition must be positive, got {max_condition!r}")
-    _require_finite_moments(m)
     n = m.n
     K0 = k_matrix(n)
     cond = K0.condition_number()
@@ -424,7 +417,6 @@ def c0_random_moments(m, n):
     """
     if n != m.n:
         raise ParameterError(f"moment grid has n={m.n}, requested n={n}")
-    _require_finite_moments(m)
     F = feret_matrix(n)
     mean = F.solve(m.mean)
     second = F.solve(F.solve(m.second).T).T
@@ -482,7 +474,6 @@ def stationarity_diagnostic(m):
     the largest |mean| or |second|.  Data without standard errors is held to
     the roundoff allowance alone.
     """
-    _require_finite_moments(m)
 
     def threshold(x, stderr):
         noise = 0.0 if stderr is None else 3.0 * float(stderr.max())
@@ -496,18 +487,15 @@ def stationarity_diagnostic(m):
 
 
 class ExistenceReport:
-    """Finiteness diagnostics for process moments of a random symmetric body."""
+    """E[U] and the E[U^2] proxy of a random body; passed when both are finite."""
 
-    def __init__(self, finite_mean, finite_second, perimeter_mean,
-                 perimeter_second_moment_proxy):
-        self.finite_mean = bool(finite_mean)
-        self.finite_second = bool(finite_second)
+    def __init__(self, perimeter_mean, perimeter_second_moment_proxy):
         self.perimeter_mean = float(perimeter_mean)
         self.perimeter_second_moment_proxy = float(perimeter_second_moment_proxy)
 
     @property
     def passed(self):
-        return bool(self.finite_mean and self.finite_second
+        return bool(np.isfinite(self.perimeter_mean)
                     and np.isfinite(self.perimeter_second_moment_proxy))
 
     def __repr__(self):
@@ -529,11 +517,10 @@ def existence_check(m):
     sum_ij E[H_i H_j] = n sum_d k_s(theta_d) E[(sum alpha)^2]; it tends to
     the rectangle weight (pi/n)^2 as n grows.  Both values are exact for
     stationary moments of such zonotopes, and isotropizing grid moments by
-    lag averages leaves them unchanged.
+    lag averages leaves them unchanged.  The moments themselves are finite,
+    as `FeretProcessMoments` requires; only these sums can overflow.
     """
-    finite_mean = bool(np.all(np.isfinite(m.mean)))
-    finite_second = bool(np.all(np.isfinite(m.second)))
-    eu = (np.pi / m.n) * float(m.mean.sum()) if finite_mean else np.nan
+    eu = (np.pi / m.n) * float(m.mean.sum())
     weight = 4.0 / (m.n * float(k_s(regular_subdivision(m.n)).sum()))
-    eu2 = weight * float(m.second.sum()) if finite_second else np.nan
-    return ExistenceReport(finite_mean, finite_second, eu, eu2)
+    eu2 = weight * float(m.second.sum())
+    return ExistenceReport(eu, eu2)

@@ -21,6 +21,7 @@ from .bodies import (
     Segment,
     SymmetricPolygon,
     is_regular_subdivision,
+    require_finite,
 )
 from .errors import ParameterError
 from .process import C0FaceMoments, CentralFaceMoments, FeretProcessMoments
@@ -347,7 +348,8 @@ def read_sample_csv(path):
     """Parse a sample_id,theta,h table into (theta, h-matrix).
 
     sample_id is an integer (" 1" and "1" name one sample); theta and h are
-    floats.  Every sample must report the same angle grid, in any row order.
+    finite floats, a NaN or infinite one raising ParameterError that names
+    its column.  Every sample must report the same angle grid, in any row order.
     Returns theta sorted ascending and h with shape (samples, len(theta)),
     its rows in first-appearance order of sample_id.
     """
@@ -369,6 +371,7 @@ def read_sample_csv(path):
                 data = itertools.islice(csv.reader(_content_lines(g)), 1, None)
                 bad = next((r for r in data if not _is_sample_row(r)), str(e))
             raise ParameterError(f"malformed sample CSV row: {bad!r}") from e
+    require_finite(theta=rows["th"], h=rows["h"])
     # number each row's sample by first appearance, then sort by (sample, theta)
     _, first, inverse = np.unique(rows["id"], return_index=True, return_inverse=True)
     sample = np.argsort(np.argsort(first))[inverse]

@@ -19,6 +19,7 @@ from zonofit import (
     Zonotope,
     c0_approximate,
     cinf_approximate,
+    confidence_bound,
     contains,
     diameter,
     hausdorff_bound,
@@ -121,6 +122,14 @@ class TestBound:
             hausdorff_bound(1, 1.0)
         with pytest.raises(ParameterError):
             hausdorff_bound(4, -1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_diameter(self, bad):
+        # NaN < 0 is false, so the sign check alone lets NaN through
+        with pytest.raises(ParameterError, match="diam must be finite"):
+            hausdorff_bound(4, bad)
+        with pytest.raises(ParameterError, match="diam must be finite"):
+            confidence_bound(0.1, 4, bad)
 
 
 class TestCinf:

@@ -406,6 +406,25 @@ class TestEstimate:
         assert code == 2
         assert "regular grid" in err
 
+    @pytest.mark.parametrize("solver", ["linear", "nnls"])
+    @pytest.mark.parametrize("column", ["theta", "h"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_table_exit_2(self, tmp_path, capsys, solver, column, bad):
+        # checked as the table is read: an infinite angle passes the grid
+        # checks and yields NaN moments, and a NaN angle fails them misleadingly
+        theta = ["0", bad if column == "theta" else "0.5", "1.0"]
+        h = ["1.0", bad if column == "h" else "2.0", "1.5"]
+        rows = [f"{s},{t},{v}" for s in (0, 1) for t, v in zip(theta, h)]
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(["sample_id,theta,h", *rows, ""]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "estimate", "--input", str(p), "--solver",
+                                     solver, "--n", "2", "--epsilon", "0.1")
+        assert caught == []
+        assert code == 2 and out == ""
+        assert f"{column} must be finite" in err
+
     @pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-10, 0), (2e-5, 2)])
     def test_linear_solver_takes_tables_within_1e_9_of_the_grid(
             self, tmp_path, capsys, offset, code):
@@ -470,7 +489,7 @@ class TestEstimate:
             capsys, "estimate", "--input", str(p), "--solver", "nnls"
         )
         assert code == 2 and out == ""
-        assert "observations must be finite" in err
+        assert "second must be finite" in err
 
     def test_epsilon_bound(self, tmp_path, capsys):
         p = tmp_path / "moments.json"

@@ -22,6 +22,13 @@ def test_validation():
     ConvexPolygon([[-1.0, 0.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertices(bad):
+    # every comparison with NaN is false, so the shape checks alone pass it
+    with pytest.raises(ParameterError, match="vertices must be finite"):
+        ConvexPolygon([[bad, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
 def test_area_and_perimeter():
     assert SQ.area() == pytest.approx(1.0, abs=1e-15)
     assert SQ.perimeter() == pytest.approx(4.0, abs=1e-12)

@@ -159,3 +159,40 @@ def test_rule_finds_integer_type_checks():
         "        return [isinstance(k, (int, np.integer)) for _ in ()]\n"
     )
     assert _integer_type_checks(tree) == [(2, "f"), (5, "require_count"), (9, "g")]
+
+
+def _finite_checks_of_other_records(tree):
+    """Line numbers of require_finite calls in tree that take an attribute of
+    a name other than self, such as m.mean."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        if name != "require_finite":
+            continue
+        for arg in node.args + [k.value for k in node.keywords]:
+            if (isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name)
+                    and arg.value.id != "self"):
+                yield node.lineno
+                break
+
+
+def test_records_are_checked_where_built():
+    # a record checks its own fields when it is built (bodies.require_finite
+    # in its __init__), so no function re-checks a record it was given
+    bad = [f"{p.name}:{line}" for p in SOURCES
+           for line in _finite_checks_of_other_records(ast.parse(p.read_text()))]
+    assert bad == []
+
+
+def test_rule_finds_finite_checks_of_other_records():
+    tree = ast.parse(
+        "require_finite(mean=m.mean, second=m.second)\n"
+        "require_finite(r=self.r, x=x)\n"
+        "require_finite(m.second)\n"
+        "bodies.require_finite(v=other.v)\n"
+        "check(mean=m.mean)\n"
+        "require_finite(a=np.asarray(m.a), b=x.y.z)\n"
+    )
+    assert list(_finite_checks_of_other_records(tree)) == [1, 3, 4]
