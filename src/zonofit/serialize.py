@@ -294,11 +294,16 @@ def write_sample_csv(path, theta, h):
     table goes to a temporary file next to `path` that replaces `path` only
     once every block is written, so a failure at any block leaves `path` as
     it was and removes the temporary file.
+
+    A block's text is one printf-style format: the per-sample rows
+    "<id>,<repr(theta_j)>,%r", an id put into each, applied to the block's
+    floats.  `%r` is `repr`, the shortest round-trip text of a float, so
+    the bytes are those of a per-row writer that calls repr on every value.
     """
     import os
 
     theta = np.asarray(theta, dtype=float).tolist()
-    row = "".join("{0},%r,{%d!r}\n" % (t, j + 1) for j, t in enumerate(theta))
+    row = "".join("{id},%r,%%r\n" % t for t in theta)
     need = f"need 1-D or 2-D blocks of {len(theta)} angles per sample"
 
     def checked(block):
@@ -320,9 +325,10 @@ def write_sample_csv(path, theta, h):
         with f:
             f.write(f"{CSV_VERSION_LINE}\nsample_id,theta,h\n")
             while block is not None:
-                text = [row.format(i, *r) for i, r in enumerate(block.tolist(), start)]
-                f.write("".join(text))
-                block, start = next(blocks, None), start + len(block)
+                end = start + len(block)
+                fmt = "".join([row.replace("{id}", str(i)) for i in range(start, end)])
+                f.write(fmt % tuple(block.ravel().tolist()))
+                block, start = next(blocks, None), end
         if os.path.exists(path):
             os.chmod(tmp, os.stat(path).st_mode)
         os.replace(tmp, path)
@@ -344,6 +350,18 @@ def _is_sample_row(row):
         return False
 
 
+def _parse_sample_rows(lines):
+    """The (id, th, h) records of an iterable of data lines."""
+    return np.loadtxt(lines, dtype=[("id", "i8"), ("th", "f8"), ("h", "f8")],
+                      delimiter=",", comments=None, quotechar='"', ndmin=1)
+
+
+def _header_and_lines(f):
+    """The header fields of an open table, and its content lines after them."""
+    lines = _content_lines(f)
+    return next(csv.reader(lines), None), lines
+
+
 def read_sample_csv(path):
     """Parse a sample_id,theta,h table into (theta, h-matrix).
 
@@ -352,25 +370,34 @@ def read_sample_csv(path):
     its column.  Every sample must report the same angle grid, in any row order.
     Returns theta sorted ascending and h with shape (samples, len(theta)),
     its rows in first-appearance order of sample_id.
+
+    Blank lines and `#` comments may stand anywhere.  After the first data
+    row the open file itself goes to `np.loadtxt`, which skips empty lines
+    in C.  A whitespace-only line, a comment or a malformed row makes that
+    parse raise; only then is the file re-read through the line filter
+    (`_content_lines`) by the same parse, which either reads the table or
+    fails on a malformed row that the error names.  Both routes hand one
+    parser the same data rows, so they give the same arrays bit for bit.
     """
     with open(path) as f:
-        lines = _content_lines(f)
-        header = next(csv.reader(lines), None)
+        header, lines = _header_and_lines(f)
         if header is None or [c.strip() for c in header] != ["sample_id", "theta", "h"]:
             raise ParameterError("sample CSV must have the header sample_id,theta,h")
         first_row = next(lines, None)
         if first_row is None:
             raise ParameterError("sample CSV contains no data rows")
         try:
-            rows = np.loadtxt(itertools.chain([first_row], lines),
-                              dtype=[("id", "i8"), ("th", "f8"), ("h", "f8")],
-                              delimiter=",", comments=None, quotechar='"', ndmin=1)
-        except ValueError as e:
-            # the parse consumed the lines as it streamed: re-read to name the bad row
-            with open(path) as g:
-                data = itertools.islice(csv.reader(_content_lines(g)), 1, None)
+            rows = _parse_sample_rows(itertools.chain([first_row], f))
+        except ValueError:
+            f.seek(0)
+            try:
+                rows = _parse_sample_rows(_header_and_lines(f)[1])
+            except ValueError as e:
+                # the parse consumed the lines as it streamed: re-read to name the bad row
+                f.seek(0)
+                data = csv.reader(_header_and_lines(f)[1])
                 bad = next((r for r in data if not _is_sample_row(r)), str(e))
-            raise ParameterError(f"malformed sample CSV row: {bad!r}") from e
+                raise ParameterError(f"malformed sample CSV row: {bad!r}") from e
     require_finite(theta=rows["th"], h=rows["h"])
     # number each row's sample by first appearance, then sort by (sample, theta)
     _, first, inverse = np.unique(rows["id"], return_index=True, return_inverse=True)

@@ -312,11 +312,16 @@ def empirical_moments(h):
 
     The table is reduced in the same CHUNK-row pieces and the same order as
     `estimate_process_moments`, so a table of sampled diameters gives the
-    streamed estimate bit for bit.
+    streamed estimate bit for bit.  A table whose products overflow a float
+    raises ParameterError naming the moment, without numpy warnings.
     """
     h = np.ascontiguousarray(np.atleast_2d(np.asarray(h, dtype=float)))
-    states = [chunk_state(h[s : s + CHUNK]) for s in range(0, len(h), CHUNK)]
-    return reduce_states(states)
+    # finite entries may overflow once multiplied; the record rejects the
+    # inf or NaN by name, so numpy's warnings would only repeat it.  Kept
+    # out of chunk_state: with it there, perfbench's mc_moments ran 5-8% slower.
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = [chunk_state(h[s : s + CHUNK]) for s in range(0, len(h), CHUNK)]
+        return reduce_states(states)
 
 
 def feret_sample_block(model, n, seed, start, count):

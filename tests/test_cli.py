@@ -883,6 +883,22 @@ class TestExitCodes:
         assert err == "zonofit: zonotope area 1e320 overflows a float\n"
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("rows, message", [
+        ("", "sample CSV contains no data rows"),
+        # finite values whose squares overflow inside the moment reduction
+        ("0,0.0,1e200\n0,1.5707963267948966,2e200\n"
+         "1,0.0,3e200\n1,1.5707963267948966,1e200\n", "second must be finite"),
+    ], ids=["header_only", "overflowing"])
+    def test_bad_table_prints_one_line(self, tmp_path, capsys, rows, message):
+        p = tmp_path / "t.csv"
+        p.write_text("# zonofit v1\nsample_id,theta,h\n" + rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "estimate", "--input", str(p))
+        assert code == 2 and out == ""
+        assert err == f"zonofit: {message}\n"
+        assert caught == []
+
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         dest = tmp_path / "no" / "such" / "dir" / "x.json"
         code, _, err = run_cli(

@@ -43,7 +43,7 @@ from zonofit import (
     shape_to_dict,
     write_sample_csv,
 )
-from zonofit import cli
+from zonofit import cli, serialize
 
 SHAPES = [
     Disk(1.5),
@@ -333,6 +333,30 @@ def test_simulate_table_bytes_match_csv_writer(tmp_path, capsys, monkeypatch, sp
     np.testing.assert_array_equal(h_back, h)
 
 
+def test_sample_csv_writer_edge_floats_match_csv_writer(tmp_path):
+    theta = np.array([-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 1 / 3])
+    h = np.array([np.roll(theta, k) for k in range(6)])
+    h = np.vstack([h, -h])
+    _csv_writer_oracle(tmp_path / "oracle.csv", theta, [h])
+    write_sample_csv(tmp_path / "table.csv", theta, h)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_sample_csv_writer_ids_across_digits_match_csv_writer(tmp_path):
+    # ids 9 -> 10, 99 -> 100 and 9999 -> 10000, inside one block and at the
+    # boundaries of an iterator of blocks
+    theta = np.array([0.0, 1 / 3, 2.5])
+    h = np.arange(10003 * 3).reshape(10003, 3) / 7.0
+    cuts = [0, 10, 100, 10000, 10003]
+    blocks = [h[a:b] for a, b in zip(cuts, cuts[1:])]
+    _csv_writer_oracle(tmp_path / "oracle.csv", theta, [h])
+    oracle = (tmp_path / "oracle.csv").read_bytes()
+    write_sample_csv(tmp_path / "whole.csv", theta, h)
+    write_sample_csv(tmp_path / "blocks.csv", theta, iter(blocks))
+    assert (tmp_path / "whole.csv").read_bytes() == oracle
+    assert (tmp_path / "blocks.csv").read_bytes() == oracle
+
+
 def test_sample_csv_writer_takes_blocks(tmp_path):
     theta = [0.0, 0.5, 1.5]
     h = np.arange(21.0).reshape(7, 3) / 3.0
@@ -508,6 +532,31 @@ def test_sample_csv_streamed_parse_is_exact(tmp_path):
     th_b, h_b = read_sample_csv(spaced)
     assert np.array_equal(th_a, theta) and np.array_equal(h_a, h)
     assert np.array_equal(th_b, th_a) and np.array_equal(h_b, h_a)
+
+
+def test_sample_csv_raw_and_filtered_routes_agree(tmp_path, monkeypatch):
+    # a table as written, with CRLF line ends or with a trailing blank line
+    # parses from the open file; a trailing comment sends it through the filter
+    rng = np.random.default_rng(21)
+    theta = regular_subdivision(16)
+    h = rng.lognormal(0.0, 3.0, size=(500, 16))
+    write_sample_csv(tmp_path / "table.csv", theta, h)
+    text = (tmp_path / "table.csv").read_bytes()
+    variants = {"written": text, "crlf": text.replace(b"\n", b"\r\n"),
+                "blank": text + b"\n", "comment": text + b"# note\n"}
+    filters = []
+    content_lines = serialize._content_lines
+    monkeypatch.setattr(serialize, "_content_lines",
+                        lambda f: filters.append(1) or content_lines(f))
+    routes = {}
+    for name, data in variants.items():
+        (tmp_path / f"{name}.csv").write_bytes(data)
+        filters.clear()
+        th, hh = read_sample_csv(tmp_path / f"{name}.csv")
+        routes[name] = len(filters)
+        assert np.array_equal(th, theta) and np.array_equal(hh, h)
+    # one filter reads the header; the filtered route needs a second
+    assert routes == {"written": 1, "crlf": 1, "blank": 1, "comment": 2}
 
 
 def test_sample_csv_malformed_row_named_after_long_prefix(tmp_path):
