@@ -317,8 +317,9 @@ def empirical_moments(h):
     """
     h = np.ascontiguousarray(np.atleast_2d(np.asarray(h, dtype=float)))
     # finite entries may overflow once multiplied; the record rejects the
-    # inf or NaN by name, so numpy's warnings would only repeat it.  Kept
-    # out of chunk_state: with it there, perfbench's mc_moments ran 5-8% slower.
+    # inf or NaN by name, so numpy's warnings would only repeat it.  Kept out
+    # of chunk_state: there it slowed perfbench's mc_moments by 5-8% on a
+    # 2-core host (BENCH_21.json).
     with np.errstate(over="ignore", invalid="ignore"):
         states = [chunk_state(h[s : s + CHUNK]) for s in range(0, len(h), CHUNK)]
         return reduce_states(states)
