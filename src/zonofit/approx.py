@@ -4,9 +4,10 @@ The interpolation route solves F alpha = H on the regular n-direction grid;
 the rotation-optimized route additionally searches the grid offset that
 minimizes the Hausdorff distance to the target.  The distance kernel
 evaluates blocks of offsets at once: one circulant solve for all their
-interpolants and their widths on the sup grid as one FFT circular
-convolution, written into a workspace that each kernel allocates once; its
-sups are the one search of metrics, on up to _LANES offsets in lockstep.
+interpolants, and their widths on the sup grid from the n node values of
+each, one sinusoid per face interval at O(G) cost per offset, written into a
+workspace that each kernel allocates once; its sups are the one search of
+metrics, on up to _LANES offsets in lockstep.
 The offset scan calls the kernel once on a grid of offsets, then refines the
 best and the worst grid offset to OFFSET_ANGLE_TOL by a section search whose
 every step is one kernel call on _BLOCK probes of each bracket.
@@ -31,13 +32,14 @@ _BLOCK = 16
 _LANES = 256
 
 
-def _interpolating_alpha(x, n, offset=0.0):
-    """Face lengths whose zonotope matches H_x on the offset regular grid.
+def _interpolant(x, n, offset=0.0):
+    """(node values, face lengths) of the zonotope matching H_x on the offset
+    regular grid.
 
-    For a 1-D array of offsets, returns an (n, offsets) array whose columns
-    are the face lengths at each offset.  Non-finite Feret samples, and face
-    lengths below -RTOL times the largest |H| sampled, raise ParameterError;
-    roundoff above that is clipped to zero.
+    The node values are H_x at the n grid angles.  For a 1-D array of
+    offsets both are (n, offsets) arrays, one column per offset.  Non-finite
+    Feret samples, and face lengths below -RTOL times the largest |H|
+    sampled, raise ParameterError; roundoff above that is clipped to zero.
     """
     th = np.add.outer(regular_subdivision(n), np.asarray(offset, dtype=float))
     h = np.asarray(x.feret(th), dtype=float)
@@ -51,7 +53,13 @@ def _interpolating_alpha(x, n, offset=0.0):
             "samples are not the Feret diameters of a symmetric convex body "
             f"(face length {worst:.3e} < {-tol:.3e})"
         )
-    return np.maximum(alpha, 0.0)
+    return h, np.maximum(alpha, 0.0)
+
+
+def _interpolating_alpha(x, n, offset=0.0):
+    """Face lengths of `_interpolant`: those whose zonotope matches H_x on the
+    offset regular grid."""
+    return _interpolant(x, n, offset)[1]
 
 
 def c0_approximate(x, n):
@@ -77,45 +85,59 @@ def _distance_kernel(x, n):
     """distances(t): Hausdorff distance from x to its grid interpolant rotated
     by each offset in the array t.
 
-    Each sup is the metrics search on the G angles of `sup_grid(n)`.  There
-    H_z(j pi/G) = sum_i alpha_i |sin((j - i G/n) pi/G - t)| is the circular
-    convolution of the face lengths, upsampled by G/n, with a |sin| table
-    whose rfft is the n-point DFT of alpha tiled.  Offsets go through this
-    grid pass in blocks of _BLOCK, each filling rows of one workspace that the
-    kernel allocates once: the table and the widths, (_BLOCK, G) floats, and
-    the table's spectrum and the tiled DFT, (_BLOCK, G/2 + 1) complex.  One
-    `refine_sup` call then refines the grid maxima of up to _LANES offsets.
-    Every call pays for one grid pass and one sup refinement, so the offset
-    scan batches its probes: one call per section-search step.  The returned
-    array is fresh, never a view of the workspace.
+    Each sup is the metrics search on the G angles of `sup_grid(n)`.  Between
+    two neighbouring face directions t + i pi/n and t + (i+1) pi/n the
+    interpolant's Feret function is the one sinusoid through its node values
+    h_i = H_x(theta_i + t) and h_(i+1), so the grid pass needs only the n
+    node values of each offset, which the interpolant's solve evaluates
+    anyway.  With q = ceil(t G/pi) and delta = q pi/G - t, the grid angle of
+    index (q + i G/n + l) mod G lies u = l pi/G + delta past node i, where
+    H_z = h_i cos u + g_i sin u, g_i = (h_(i+1) - cos(pi/n) h_i) / sin(pi/n).
+    By the addition formula that is a_i cos(l pi/G) + b_i sin(l pi/G), two
+    products with fixed (G/n,) tables, so a pass costs O(G) per offset.  The
+    node values are the samples themselves, so the clip of roundoff-negative
+    face lengths, below RTOL times max |H|, does not reach the grid values.
+    Offsets go through it in blocks of _BLOCK, each filling rows of two
+    (_BLOCK, G) float arrays that the kernel allocates once: the widths and
+    H_x read from index q mod G on.  One `refine_sup` call then refines the
+    grid maxima of up to _LANES offsets.  Every call pays for one grid pass
+    and one sup refinement, so the offset scan batches its probes: one call
+    per section-search step.  The returned array is fresh, never a view of
+    the workspace.
     """
     eta = sup_grid(n)
     size = len(eta)
-    sin_eta, cos_eta = np.sin(eta), np.cos(eta)
+    step = np.pi / size
     hx = np.asarray(x.feret(eta), dtype=float)
+    wrapped = np.concatenate([hx, hx])
     theta = regular_subdivision(n)
-    tiled = np.arange(size // 2 + 1) % n
+    cos_l, sin_l = np.cos(eta[:size // n]), np.sin(eta[:size // n])
+    cos_n, sin_n = np.cos(np.pi / n), np.sin(np.pi / n)
     rows = _BLOCK
-    table, widths = np.empty((rows, size)), np.empty((rows, size))
-    spectrum, dft = np.empty((2, rows, size // 2 + 1), dtype=complex)
+    widths, shifted = np.empty((2, rows, size))
 
     def block(t):
         """(alpha, grid-peak index, grid max of |H_x - H_z|) for the offsets t."""
         p = len(t)
-        alpha = _interpolating_alpha(x, n, t)
-        tab, wid, spec, tile = table[:p], widths[:p], spectrum[:p], dft[:p]
-        np.multiply.outer(np.cos(t), sin_eta, out=tab)
-        np.subtract(tab, np.multiply.outer(np.sin(t), cos_eta, out=wid), out=tab)
-        np.abs(tab, out=tab)
-        np.fft.rfft(tab, axis=1, out=spec)
-        # tiled is in range; the default mode='raise' would buffer `out`
-        np.take(np.fft.fft(alpha, axis=0).T, tiled, axis=1, out=tile, mode="clip")
-        spec *= tile
-        np.fft.irfft(spec, size, axis=1, out=wid)
-        np.subtract(wid, hx, out=wid)
+        h, alpha = _interpolant(x, n, t)
+        q = np.ceil(t / step)
+        delta = q * step - t
+        q = np.mod(q, size).astype(np.intp)
+        g = (np.roll(h, -1, axis=0) - cos_n * h) / sin_n
+        cos_d, sin_d = np.cos(delta), np.sin(delta)
+        wid, hxq = widths[:p], shifted[:p]
+        np.multiply((h * cos_d + g * sin_d).T[:, :, None], cos_l,
+                    out=wid.reshape(p, n, -1))
+        np.multiply((g * cos_d - h * sin_d).T[:, :, None], sin_l,
+                    out=hxq.reshape(p, n, -1))
+        np.add(wid, hxq, out=wid)
+        # hxq held the sine terms; now H_x from each row's index q on
+        for row, start in zip(hxq, q.tolist()):
+            row[:] = wrapped[start:start + size]
+        np.subtract(wid, hxq, out=wid)
         np.abs(wid, out=wid)
         i = np.argmax(wid, axis=1)
-        return alpha, i, wid[np.arange(p), i]
+        return alpha, (i + q) % size, wid[np.arange(p), i]
 
     def refined(t):
         """Distances for the offsets t: the grid pass, then one refinement."""

@@ -307,11 +307,16 @@ def cmd_simulate(args):
             h = feret_sample_block(model, args.n, args.seed, start, count)
             if not np.all(np.isfinite(h)):
                 raise ParameterError("the model's Feret diameters must be finite")
-            states.append(chunk_state(h))
+            # products of finite diameters may overflow; the moment record names
+            # the inf or NaN, so numpy's warnings would only repeat it.  Not in
+            # chunk_state, where it slows the sampled library route (BENCH_21.json)
+            with np.errstate(over="ignore", invalid="ignore"):
+                states.append(chunk_state(h))
             yield h
 
     serialize.write_sample_csv(csv_path, regular_subdivision(args.n), blocks())
-    moments = reduce_states(states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = reduce_states(states)
     diag = stationarity_diagnostic(moments)
     exist = existence_check(moments)
     summary = {

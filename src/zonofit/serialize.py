@@ -362,6 +362,17 @@ def _header_and_lines(f):
     return next(csv.reader(lines), None), lines
 
 
+def _filtered_rows(content):
+    """The records of the content lines that content() returns; a malformed
+    row raises ParameterError naming it, found in a second content() call."""
+    try:
+        return _parse_sample_rows(content())
+    except ValueError as e:
+        # the parse consumed the lines as it streamed: read them again to name the bad row
+        bad = next((r for r in csv.reader(content()) if not _is_sample_row(r)), str(e))
+        raise ParameterError(f"malformed sample CSV row: {bad!r}") from e
+
+
 def read_sample_csv(path):
     """Parse a sample_id,theta,h table into (theta, h-matrix).
 
@@ -376,8 +387,10 @@ def read_sample_csv(path):
     in C.  A whitespace-only line, a comment or a malformed row makes that
     parse raise; only then is the file re-read through the line filter
     (`_content_lines`) by the same parse, which either reads the table or
-    fails on a malformed row that the error names.  Both routes hand one
-    parser the same data rows, so they give the same arrays bit for bit.
+    fails on a malformed row that the error names.  A file that cannot seek,
+    such as a named pipe, takes the filtered route from the start, its
+    content lines kept in memory.  Both routes hand one parser the same data
+    rows, so they give the same arrays bit for bit.
     """
     with open(path) as f:
         header, lines = _header_and_lines(f)
@@ -386,18 +399,19 @@ def read_sample_csv(path):
         first_row = next(lines, None)
         if first_row is None:
             raise ParameterError("sample CSV contains no data rows")
-        try:
-            rows = _parse_sample_rows(itertools.chain([first_row], f))
-        except ValueError:
-            f.seek(0)
+        if not f.seekable():
+            # a pipe reads once: keep its lines for the parse and for the error
+            kept = [first_row, *lines]
+            rows = _filtered_rows(lambda: kept)
+        else:
             try:
-                rows = _parse_sample_rows(_header_and_lines(f)[1])
-            except ValueError as e:
-                # the parse consumed the lines as it streamed: re-read to name the bad row
-                f.seek(0)
-                data = csv.reader(_header_and_lines(f)[1])
-                bad = next((r for r in data if not _is_sample_row(r)), str(e))
-                raise ParameterError(f"malformed sample CSV row: {bad!r}") from e
+                rows = _parse_sample_rows(itertools.chain([first_row], f))
+            except ValueError:
+                def reread():
+                    f.seek(0)
+                    return _header_and_lines(f)[1]
+
+                rows = _filtered_rows(reread)
     require_finite(theta=rows["th"], h=rows["h"])
     # number each row's sample by first appearance, then sort by (sample, theta)
     _, first, inverse = np.unique(rows["id"], return_index=True, return_inverse=True)

@@ -30,7 +30,7 @@ from zonofit import (
     worst_offset,
 )
 from zonofit import approx
-from zonofit.metrics import SUP_ANGLE_TOL, SUP_GRID_SIZE
+from zonofit.metrics import SUP_ANGLE_TOL, SUP_GRID_SIZE, refine_sup, sup_grid
 
 
 #: minor page faults of five 256-offset calls of one kernel, after a warm-up
@@ -363,6 +363,49 @@ class TestDistanceKernel:
                     tol += (diameter(x) + z.alpha.sum()) * SUP_ANGLE_TOL
                 assert d == pytest.approx(hausdorff_distance(x, z), abs=tol)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 33, 64, 100])
+    def test_grid_pass_matches_dense_reference(self, monkeypatch, unit_square, n):
+        # each offset's grid maximum, caught where it enters the refinement,
+        # against max_j |H_x(eta_j) - sum_i alpha_i |sin(eta_j - t - theta_i)||
+        caught = []
+        monkeypatch.setattr(approx, "refine_sup",
+                            lambda f, grid, i, value: caught.append(value)
+                            or refine_sup(f, grid, i, value))
+        period, eta = np.pi / n, sup_grid(n)
+        step = np.pi / len(eta)
+        # negative, past one period, exact grid steps, and just below pi/n,
+        # where the first grid point of the period lies G/n steps on
+        offsets = np.array([-1.0, -0.3, 0.4 * period, period, 2.5 * period, 17 * step,
+                            3 * step - 5 * period, np.nextafter(period, 0.0)])
+        theta = regular_subdivision(n)
+        # at its own offset the zonotope is its interpolant, so only a grid
+        # point evaluated on the wrong side of a node leaves a gap there
+        own = Zonotope(1.0 + np.arange(n) % 3, t=offsets[2])
+        for x in (Ellipse(3.0, 1.0, phi=0.4), Rotated(unit_square, 0.3),
+                  Segment(1.3, 0.7), Disk(1.0), own):
+            caught.clear()
+            approx._distance_kernel(x, n)(offsets)
+            hx = x.feret(eta)
+            dense = [np.max(np.abs(hx - np.abs(np.sin(np.subtract.outer(eta, t + theta)))
+                                   @ approx._interpolating_alpha(x, n, t)))
+                     for t in offsets]
+            np.testing.assert_allclose(caught[0], dense, rtol=0, atol=1e-12 * hx.max())
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 33, 64, 100])
+    def test_period_on_test_bodies(self, unit_square, n):
+        # distances differ only by the roundoff of the node values and of the
+        # face lengths, which the refinement's gap sums; measured against
+        # the body's size, as the distance can be far smaller
+        period = np.pi / n
+        t = 0.013 + np.arange(5) * (period / 5)
+        for x in (Ellipse(3.0, 1.0, phi=0.4), Rotated(unit_square, 0.3),
+                  Segment(1.3, 0.7), Disk(1.0)):
+            base = offset_distances(x, n, t)
+            scale = np.max(x.feret(sup_grid(n)))
+            for k in (1, 3, -2):
+                np.testing.assert_allclose(offset_distances(x, n, t + k * period), base,
+                                           rtol=0, atol=1e-12 * scale)
+
     @pytest.mark.parametrize("n", [3, 8, 33])
     def test_independent_of_block_and_lane_counts(self, monkeypatch, unit_square, n):
         # bodies whose feret bits do not depend on the batch shape of the
@@ -407,7 +450,7 @@ class TestDistanceKernel:
 
     def test_workspace_freed_without_garbage_collection(self):
         # a reference cycle through the kernel's closures would keep each
-        # scan's 2 MB workspace alive until the collector runs
+        # scan's 1 MB workspace alive until the collector runs
         x = Ellipse(3.0, 1.0, phi=0.4)
         gc.disable()
         tracemalloc.start()

@@ -899,6 +899,15 @@ class TestExitCodes:
         assert err == f"zonofit: {message}\n"
         assert caught == []
 
+    def test_overflowing_model_simulates_to_one_line(self, tmp_path, capsys):
+        # finite diameters whose squares overflow inside the moment reduction
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "simulate", "--model", "isotropic_rectangle:1e200,1",
+                                     "--n", "4", "--samples", "10", "--out", str(tmp_path / "x"))
+        assert code == 2 and out == ""
+        assert err == "zonofit: second must be finite\n"
+
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         dest = tmp_path / "no" / "such" / "dir" / "x.json"
         code, _, err = run_cli(

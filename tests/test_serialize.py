@@ -1,6 +1,8 @@
 """Round trips and determinism of the JSON/CSV encodings."""
 
 import csv
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -584,3 +586,52 @@ def test_sample_csv_grid_errors_name_the_sample(tmp_path):
     path.write_text("sample_id,theta,h\n4,0.0,1.0\n4,1.0,1.0\n7,0.0,1.0\n")
     with pytest.raises(ParameterError, match="share one angle grid"):
         read_sample_csv(path)
+
+
+def _read_through_pipe(path, data, read):
+    """read(path) of a new named pipe at path that one writer thread fills with data."""
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return read(path)
+    finally:
+        writer.join(timeout=60)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_sample_csv_reads_from_a_named_pipe(tmp_path):
+    # a pipe cannot seek back, so a table that needs the line filter is read
+    # through it in one pass
+    rng = np.random.default_rng(22)
+    theta = regular_subdivision(8)
+    h = rng.lognormal(0.0, 3.0, size=(300, 8))
+    write_sample_csv(tmp_path / "table.csv", theta, h)
+    lines = (tmp_path / "table.csv").read_bytes().splitlines(keepends=True)
+    tables = {"written": b"".join(lines),
+              "comment": b"".join(lines[:40] + [b"# mid-table note\n", b"   \n"] + lines[40:])}
+    for name, data in tables.items():
+        (tmp_path / f"{name}.csv").write_bytes(data)
+        from_file = read_sample_csv(tmp_path / f"{name}.csv")
+        from_pipe = _read_through_pipe(tmp_path / f"{name}-pipe.csv", data, read_sample_csv)
+        for a, b in zip(from_pipe, from_file):
+            assert np.array_equal(a, b)
+        np.testing.assert_array_equal(from_pipe[1], h)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_sample_csv_malformed_row_in_a_named_pipe(tmp_path, capsys):
+    data = b"sample_id,theta,h\n0,0.0,1.0\n# note\n0,1.0,oops\n1,0.0,1.0\n"
+    with pytest.raises(ParameterError, match="malformed") as info:
+        _read_through_pipe(tmp_path / "a.csv", data, read_sample_csv)
+    assert repr(["0", "1.0", "oops"]) in str(info.value)
+    code = _read_through_pipe(tmp_path / "b.csv", data,
+                              lambda p: cli.entry(["estimate", "--input", str(p)]))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"zonofit: malformed sample CSV row: {['0', '1.0', 'oops']!r}\n"
