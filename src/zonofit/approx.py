@@ -1,9 +1,9 @@
 """Zonotope approximation of symmetric convex bodies from Feret samples.
 
-The interpolation route solves F alpha = H on the regular n-direction grid;
+The interpolation route is `face_lengths` on the regular n-direction grid;
 the rotation-optimized route additionally searches the grid offset that
 minimizes the Hausdorff distance to the target.  The distance kernel
-evaluates blocks of offsets at once: one circulant solve for all their
+evaluates blocks of offsets at once: one stencil pass for all their
 interpolants, and their widths on the sup grid from the n node values of
 each, one sinusoid per face interval at O(G) cost per offset, written into a
 workspace that each kernel allocates once; its sups are the one search of
@@ -15,8 +15,7 @@ every step is one kernel call on _BLOCK probes of each bracket.
 
 import numpy as np
 
-from .bodies import RTOL, regular_subdivision, require_count, require_finite
-from .circulant import feret_matrix
+from .bodies import RTOL, face_lengths, regular_subdivision, require_count, require_finite
 from .errors import ParameterError
 from .metrics import hausdorff_distance, refine_sup, sup_grid
 from .zonotopes import Zonotope
@@ -45,7 +44,7 @@ def _interpolant(x, n, offset=0.0):
     h = np.asarray(x.feret(th), dtype=float)
     if not np.all(np.isfinite(h)):
         raise ParameterError("Feret diameters must be finite")
-    alpha = feret_matrix(n).solve(h)
+    alpha = face_lengths(h, np.pi / n)
     worst = float(np.min(alpha, initial=0.0))
     tol = RTOL * float(np.max(np.abs(h), initial=0.0))
     if worst < -tol:
@@ -56,12 +55,6 @@ def _interpolant(x, n, offset=0.0):
     return h, np.maximum(alpha, 0.0)
 
 
-def _interpolating_alpha(x, n, offset=0.0):
-    """Face lengths of `_interpolant`: those whose zonotope matches H_x on the
-    offset regular grid."""
-    return _interpolant(x, n, offset)[1]
-
-
 def c0_approximate(x, n):
     """Zonotope on the regular n-direction grid interpolating H_x at the grid angles.
 
@@ -69,7 +62,7 @@ def c0_approximate(x, n):
     hausdorff_bound(n, diameter(x)).
     """
     require_count("n", n, 2)
-    return Zonotope(_interpolating_alpha(x, n))
+    return Zonotope(_interpolant(x, n)[1])
 
 
 def hausdorff_bound(n, diam):
@@ -89,7 +82,7 @@ def _distance_kernel(x, n):
     two neighbouring face directions t + i pi/n and t + (i+1) pi/n the
     interpolant's Feret function is the one sinusoid through its node values
     h_i = H_x(theta_i + t) and h_(i+1), so the grid pass needs only the n
-    node values of each offset, which the interpolant's solve evaluates
+    node values of each offset, which the interpolant's stencil evaluates
     anyway.  With q = ceil(t G/pi) and delta = q pi/G - t, the grid angle of
     index (q + i G/n + l) mod G lies u = l pi/G + delta past node i, where
     H_z = h_i cos u + g_i sin u, g_i = (h_(i+1) - cos(pi/n) h_i) / sin(pi/n).
@@ -192,7 +185,7 @@ def _offset_scan(x, n, grid_points, signs):
         tau = np.where(better, probes[r, j], tau)
         best = np.where(better, values[r, j], best)
         lo, width = points[r, j], width * 2.0 / (_BLOCK + 1)
-    return [(t, Zonotope(_interpolating_alpha(x, n, t), t=t)) for t in tau.tolist()]
+    return [(t, Zonotope(_interpolant(x, n, t)[1], t=t)) for t in tau.tolist()]
 
 
 def scan_offsets(x, n, grid_points=256):

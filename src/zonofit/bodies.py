@@ -68,6 +68,27 @@ def is_regular_subdivision(theta):
         np.abs(theta - regular_subdivision(theta.size)) <= GRID_ANGLE_TOL))
 
 
+def face_lengths(h, gaps):
+    """Face lengths of the zonotope whose Feret diameters are h, along axis 0,
+    at m >= 2 angles sorted mod pi; gaps are the cyclic gaps g_k from angle k
+    to k + 1, the last to the first plus pi, or pi/m on the regular grid.
+
+    Between neighbouring angles the zonotope's Feret function is the sinusoid
+    through their two values, and a face is the slope jump at its angle:
+    a_k = [H_(k-1) sin g_k + H_(k+1) sin g_(k-1) - H_k sin(g_(k-1) + g_k)]
+    / (2 sin g_(k-1) sin g_k), the surface-area measure h + h'' of the
+    samples.  No symmetric convex body has the diameters h if some a_k < 0.
+    """
+    h = np.asarray(h, dtype=float)
+    require_count("n", len(h), 2)
+    # concatenations, not np.roll, whose overhead is most of a small call
+    g = (np.zeros(len(h)) + gaps).reshape((-1,) + (1,) * (h.ndim - 1))
+    g_prev = np.concatenate([g[-1:], g[:-1]])
+    s, s_prev = np.sin(g), np.sin(g_prev)
+    return ((np.concatenate([h[-1:], h[:-1]]) * s + np.concatenate([h[1:], h[:1]]) * s_prev
+             - h * np.sin(g_prev + g)) / (2.0 * s_prev * s))
+
+
 class SymmetricConvexBody:
     """Base class: a centrally symmetric convex set evaluated via H(theta)."""
 
@@ -253,15 +274,17 @@ class FeasibilityReport:
 def feret_feasibility_check(samples, angle_tol=1e-9):
     """Check whether sampled Feret values could come from a symmetric convex body.
 
-    `samples` is a sequence of (angle, value) pairs.  Three necessary
-    conditions are tested: nonnegativity, pi-periodicity on angle pairs that
-    coincide mod pi, and the chord inequality
-    H(t + b) <= H(t) + 2|sin(b/2)| H(t + (b + pi)/2) on every triple of
-    sampled angles that forms such a pattern (within `angle_tol`).
+    `samples` is a sequence of (angle, value) pairs.  Sorted mod pi, angles
+    within `angle_tol` of their neighbour form a run, whose values must agree
+    (pi-periodicity) and whose first sample in input order stands for it.
+    With three or more runs each value H_k is tested against S_k, the
+    sinusoid through its neighbours' values: H_k <= S_k is `face_lengths`
+    a_k >= 0 in units of H, and exact, as the faces a_k match every run.
 
-    Returns a FeasibilityReport with worst violation magnitudes and the
-    largest finite |value|, the scale its `ok` measures them by.  NaN values
-    never raise a violation; non-finite angles raise ParameterError.
+    Returns a FeasibilityReport with worst violation magnitudes, the number
+    of neighbour triples tested and the largest finite |value|, the scale
+    its `ok` measures them by.  NaN values never raise a violation;
+    non-finite angles raise ParameterError.
     """
     pairs = [(float(a), float(v)) for a, v in samples]
     if not pairs:
@@ -280,40 +303,19 @@ def feret_feasibility_check(samples, angle_tol=1e-9):
     jumps = np.abs(np.diff(v, append=v[0]))
     periodicity = float(np.max(jumps, initial=0.0, where=close & (jumps > 0.0)))
 
-    # each pair (i, j) looks up the first sampled angle k nearest mod pi to
-    # its chord midpoint c; pairs with none within angle_tol are skipped.  The
-    # gap to c, as computed, grows from c along the sorted distinct angles on
-    # either side, so the nearest angles are the runs of equal gaps next to c
-    u, first = np.unique(red, return_index=True)
-
-    def gap(c, pos):
-        g = np.mod(u[pos] - c, np.pi)
-        return np.minimum(g, np.pi - g)
-
+    # each run's first sample in input order; the leading part of a run
+    # wrapping past pi is numbered -1, the last run
+    run = np.cumsum(~np.roll(close, 1)) - 1
+    first = np.full(max(run[-1] + 1, 1), len(pairs))
+    np.minimum.at(first, run, order)
+    triples = len(first) if len(first) >= 3 else 0
     subadd = 0.0
-    triples = 0
-    m = len(pairs)
-    rows = max(1, min(m // 8, 8192 // m))
-    for lo in range(0, m, rows):
-        i = np.arange(lo, min(lo + rows, m))[:, None]
-        beta = ang - ang[i]
-        c = np.mod(ang[i] + (beta + np.pi) / 2.0, np.pi)
-        after = np.searchsorted(u, c) % len(u)
-        nearest = np.minimum(gap(c, after), gap(c, after - 1))
-        k = np.full(c.shape, m)
-        for pos, step in ((after, 1), (after - 1, -1)):
-            tie = np.ones(c.shape, dtype=bool)
-            for _ in range(len(u)):
-                tie &= gap(c, pos) == nearest
-                if not tie.any():
-                    break
-                k = np.where(tie, np.minimum(k, first[pos]), k)
-                pos = (pos + step) % len(u)
-        hit = ~(nearest > angle_tol) & (i != np.arange(m))
-        triples += int(np.count_nonzero(hit))
-        excess = val - (val[i] + 2.0 * np.abs(np.sin(beta / 2.0)) * val[k])
-        # NaN never raises the worst violation, as with max()
-        subadd = max(subadd, float(np.max(excess, initial=0.0, where=hit & (excess > 0.0))))
+    if triples:
+        g = np.mod(np.roll(red[first], -1) - red[first], np.pi)
+        g_prev = np.roll(g, 1)
+        excess = -face_lengths(val[first], g) * (
+            2.0 * np.sin(g_prev) * np.sin(g) / np.sin(g_prev + g))
+        subadd = float(np.max(excess, initial=0.0, where=excess > 0.0))
 
     scale = float(np.max(np.abs(val), initial=0.0, where=np.isfinite(val)))
     return FeasibilityReport(negativity, periodicity, subadd, triples, scale)

@@ -76,7 +76,7 @@ def feret_matrix(n):
 
     F maps a zonotope's face-length vector to its Feret diameters at the grid
     angles.  Its spectrum has strictly positive magnitudes for n > 1, so the
-    map is invertible.
+    map is invertible; F is the tests' reference for its inverse `face_lengths`.
     """
     require_count("n", n, 2)
     return CirculantMatrix(np.abs(np.sin(regular_subdivision(n))))

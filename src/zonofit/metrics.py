@@ -8,8 +8,7 @@ and convex polygons alike are evaluated through their `feret` method.
 import numpy as np
 from scipy.integrate import simpson
 
-from .bodies import regular_subdivision
-from .circulant import feret_matrix
+from .bodies import face_lengths, regular_subdivision
 from .errors import ParameterError
 
 SUP_GRID_SIZE = 4096
@@ -124,13 +123,13 @@ def mixed_area_with_zonotope(x, z):
 def mixed_area_limit(y, x, n):
     """Zonotopal approximation of the mixed area W(y, x) on an n-direction grid.
 
-    Computes (1/2) H_y(N)^T F(N)^-1 H_x(N); converges to W(y, x) as n grows
-    when x is symmetric.  y may be an arbitrary convex polygon.
+    (1/2) H_y(N)^T F(N)^-1 H_x(N), by `face_lengths`; converges to W(y, x) as n
+    grows when x is symmetric.  y may be an arbitrary convex polygon.
     """
     th = regular_subdivision(n)
     hy = np.asarray(y.feret(th), dtype=float)
     hx = np.asarray(x.feret(th), dtype=float)
-    alpha = feret_matrix(n).solve(hx)
+    alpha = face_lengths(hx, np.pi / n)
     return 0.5 * float(np.dot(hy, alpha))
 
 

@@ -12,9 +12,9 @@ averaging, and supporting diagnostics.
 import numpy as np
 
 from .approx import hausdorff_bound
-from .bodies import (ANGLE_TOL, RTOL, SPECTRAL_RTOL, regular_subdivision, require_count,
-                     require_finite)
-from .circulant import CirculantMatrix, feret_matrix
+from .bodies import (ANGLE_TOL, RTOL, SPECTRAL_RTOL, face_lengths, regular_subdivision,
+                     require_count, require_finite)
+from .circulant import CirculantMatrix
 from .errors import ParameterError, SolverError, UnderdeterminedError
 from .nnls import nnls as _nnls_solve
 
@@ -413,19 +413,19 @@ def c0_random_moments(m, n):
 
     Since the interpolation map is linear and almost surely defined,
     E[alpha] = F^-1 E[H] and E[alpha alpha^T] = F^-1 E[H H^T] F^-1; the
-    covariance follows.  Works for stationary and non-stationary inputs.
+    covariance follows, with F^-1 the stencil `face_lengths`.  Works for
+    stationary and non-stationary inputs.
     """
     if n != m.n:
         raise ParameterError(f"moment grid has n={m.n}, requested n={n}")
-    F = feret_matrix(n)
-    mean = F.solve(m.mean)
-    second = F.solve(F.solve(m.second).T).T
+    g = np.pi / n
+    mean = face_lengths(m.mean, g)
+    second = face_lengths(face_lengths(m.second, g).T, g).T
     second = 0.5 * (second + second.T)
     cov = second - np.outer(mean, mean)
-    stderr_mean = None
-    stderr_second = None
+    stderr_mean = stderr_second = None
     if m.stderr_mean is not None:
-        Finv_abs = np.abs(F.solve(np.eye(n)))
+        Finv_abs = np.abs(face_lengths(np.eye(n), g))
         stderr_mean = Finv_abs @ m.stderr_mean
         if m.stderr_second is not None:
             stderr_second = Finv_abs @ m.stderr_second @ Finv_abs.T

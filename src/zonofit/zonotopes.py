@@ -73,16 +73,22 @@ class Zonotope(SymmetricConvexBody):
         """2 * sum of face lengths."""
         return 2.0 * float(self.alpha.sum())
 
+    def _faces(self):
+        """(alpha, theta) of the faces longer than EDGE_RTOL * sum(alpha)."""
+        keep = self.alpha > EDGE_RTOL * float(self.alpha.sum())
+        return self.alpha[keep], self.theta[keep]
+
     def area(self):
         """(1/2) sum_{i,j} alpha_i alpha_j |sin(theta_i - theta_j)|.
 
-        Summed over the face lengths times the power of two 2^-e that brings
-        their max into [1/2, 1), exactly, then scaled back by 2^2e; an area
-        beyond the float range raises ParameterError.
+        Summed over the faces `vertices` keeps, their lengths times 2^-e that
+        brings their max into [1/2, 1), exactly, then scaled back by 2^2e; an
+        area beyond the float range raises ParameterError.
         """
-        s = np.abs(np.sin(self.theta[:, None] - self.theta[None, :]))
-        e = np.frexp(self.alpha.max(initial=0.0))[1]
-        a = np.ldexp(self.alpha, -e)
+        alpha, theta = self._faces()
+        s = np.abs(np.sin(theta[:, None] - theta[None, :]))
+        e = np.frexp(alpha.max(initial=0.0))[1]
+        a = np.ldexp(alpha, -e)
         area = 0.5 * float(a @ s @ a)
         if area and np.frexp(area)[1] + 2 * e > np.finfo(float).maxexp:
             digits = round(np.log10(area) + 2 * e * np.log10(2.0), 6)
@@ -97,11 +103,10 @@ class Zonotope(SymmetricConvexBody):
         roundoff (they would repeat a vertex); an empty or all-zero zonotope
         collapses to the origin, a single face to a segment.
         """
-        keep = self.alpha > EDGE_RTOL * float(self.alpha.sum())
-        alpha, theta = self.alpha[keep], self.theta[keep] + self.t
-        m = len(alpha)
-        if m == 0:
+        alpha, theta = self._faces()
+        if len(alpha) == 0:
             return ConvexPolygon([[0.0, 0.0]])
+        theta = theta + self.t
         edges = alpha[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         v0 = -0.5 * edges.sum(axis=0)
         half = np.vstack([v0, v0 + np.cumsum(edges, axis=0)[:-1]])

@@ -335,7 +335,7 @@ class TestScanOffsets:
         for n in ns:
             (tau, d_best), (_, d_worst) = scan_offsets(x, n, grid_points=16)
             assert d_worst >= d_best
-            z = Zonotope(approx._interpolating_alpha(x, n, tau), t=tau)
+            z = Zonotope(approx._interpolant(x, n, tau)[1], t=tau)
             assert d_best == hausdorff_distance(x, z)
 
 
@@ -352,7 +352,7 @@ class TestDistanceKernel:
         for x in shapes:
             got = approx._distance_kernel(x, n)(offsets)
             for t, d in zip(offsets, got):
-                z = Zonotope(approx._interpolating_alpha(x, n, t), t=t)
+                z = Zonotope(approx._interpolant(x, n, t)[1], t=t)
                 # where n divides the metrics grid both routes search the same
                 # grid; elsewhere each stops within SUP_ANGLE_TOL of a sup that
                 # may sit at a kink, so they differ by up to the gap's
@@ -387,7 +387,7 @@ class TestDistanceKernel:
             approx._distance_kernel(x, n)(offsets)
             hx = x.feret(eta)
             dense = [np.max(np.abs(hx - np.abs(np.sin(np.subtract.outer(eta, t + theta)))
-                                   @ approx._interpolating_alpha(x, n, t)))
+                                   @ approx._interpolant(x, n, t)[1]))
                      for t in offsets]
             np.testing.assert_allclose(caught[0], dense, rtol=0, atol=1e-12 * hx.max())
 

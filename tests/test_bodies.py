@@ -32,7 +32,7 @@ from zonofit import (
     regular_subdivision,
     sample_shape,
 )
-from zonofit.bodies import is_regular_subdivision, require_count
+from zonofit.bodies import face_lengths, is_regular_subdivision, require_count
 from conftest import sampled_width
 
 
@@ -166,39 +166,12 @@ def test_feasibility_check_flags_bad_data():
     assert feret_feasibility_check(pair).periodicity_gap == pytest.approx(2.0)
 
 
-def _triples_by_loop(samples, angle_tol=1e-9):
-    """The pairwise loop feret_feasibility_check once ran: (subadditivity, triples)."""
-    ang = np.array([float(a) for a, _ in samples])
-    val = np.array([float(v) for _, v in samples])
-    red = np.mod(ang, np.pi)
-    subadd = 0.0
-    triples = 0
-    n = len(samples)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            beta = ang[j] - ang[i]
-            mid = ang[i] + (beta + np.pi) / 2.0
-            gap = np.mod(red - np.mod(mid, np.pi), np.pi)
-            gap = np.minimum(gap, np.pi - gap)
-            k = int(np.argmin(gap))
-            if gap[k] > angle_tol:
-                continue
-            triples += 1
-            lhs = val[j]
-            rhs = val[i] + 2.0 * abs(np.sin(beta / 2.0)) * val[k]
-            subadd = max(subadd, lhs - rhs)
-    return max(0.0, subadd), triples
-
-
 def _report_by_row_loop(samples, angle_tol=1e-9):
-    """The row-by-row check feret_feasibility_check ran before it sorted the angles."""
-    pairs = [(float(a), float(v)) for a, v in samples]
-    ang = np.array([p[0] for p in pairs])
-    val = np.array([p[1] for p in pairs])
+    """Negativity and periodicity as the row-by-row check computed them
+    before feret_feasibility_check sorted the angles."""
+    val = np.array([float(v) for _, v in samples])
+    red = np.mod([float(a) for a, _ in samples], np.pi)
     negativity = max(0.0, float(-val.min()))
-    red = np.mod(ang, np.pi)
     order = np.argsort(red)
     periodicity = 0.0
     for ii in range(len(order) - 1):
@@ -209,26 +182,12 @@ def _report_by_row_loop(samples, angle_tol=1e-9):
         i, j = order[0], order[-1]
         if red[i] + np.pi - red[j] <= angle_tol:
             periodicity = max(periodicity, abs(val[i] - val[j]))
-    subadd = 0.0
-    triples = 0
-    m = len(pairs)
-    for i in range(m):
-        j = np.delete(np.arange(m), i)
-        beta = ang[j] - ang[i]
-        mid = ang[i] + (beta + np.pi) / 2.0
-        gap = np.mod(red - np.mod(mid, np.pi)[:, None], np.pi)
-        gap = np.minimum(gap, np.pi - gap)
-        k = np.argmin(gap, axis=1)
-        hit = ~(gap[np.arange(m - 1), k] > angle_tol)
-        triples += int(np.count_nonzero(hit))
-        excess = (val[j] - (val[i] + 2.0 * np.abs(np.sin(beta / 2.0)) * val[k]))[hit]
-        subadd = max(subadd, float(np.max(excess, initial=0.0, where=excess > 0.0)))
-    return (negativity, float(periodicity), max(0.0, subadd), triples)
+    return (negativity, float(periodicity))
 
 
 def test_feasibility_report_matches_row_loop():
-    # duplicates mod pi, angles outside [0, pi), and chord midpoints within
-    # roundoff or angle_tol of several samples, so nearest-angle ties occur
+    # duplicates mod pi, angles outside [0, pi), and runs of angles within
+    # roundoff or angle_tol of each other
     rng = np.random.default_rng(5)
     for trial in range(240):
         m = int(rng.integers(1, 50))
@@ -250,8 +209,7 @@ def test_feasibility_report_matches_row_loop():
         tol = (1e-9, 1e-12, 1e-6, 0.0)[trial % 4]
         samples = list(zip(th, h))
         rep = feret_feasibility_check(samples, tol)
-        got = (rep.negativity, rep.periodicity_gap, rep.subadditivity, rep.triples_checked)
-        assert got == _report_by_row_loop(samples, tol)
+        assert (rep.negativity, rep.periodicity_gap) == _report_by_row_loop(samples, tol)
 
 
 @pytest.mark.parametrize("s", [2.0**-40, 1.0, 1e6, 1e9])
@@ -278,31 +236,107 @@ def test_feasibility_rejects_non_finite_angles(bad):
         feret_feasibility_check([(0.0, 1.0), (bad, 1.0), (1.0, 1.0)])
 
 
-def test_feasibility_triples_match_pairwise_loop():
-    rng = np.random.default_rng(11)
-    x = Ellipse(2.0, 0.7, 0.4)
-    cases = []
-    for m in (1, 2, 3, 9, 40, 120, 200):
-        # angles on a regular grid, some shifted by pi or repeated, so that
-        # many chord midpoints land on samples and nearest-angle ties occur
-        g = int(rng.integers(2, 2 * m + 3))
-        th = rng.integers(0, g, size=m) * (np.pi / g) + np.pi * rng.integers(-1, 2, size=m)
-        h = np.asarray(x.feret(th)) + 0.05 * rng.standard_normal(m)
-        cases.append(list(zip(th, h)))
-    th = np.linspace(0, np.pi, 64, endpoint=False)
-    cases.append(list(zip(th, np.asarray(Disk(1.0).feret(th)))))
-    bad = list(cases[-1])
-    bad[3] = (bad[3][0], -2.0)
-    bad[5] = (bad[5][0], np.nan)
-    cases.append(bad)
-    cases.append([(0.1, 1.0), (0.1 + np.pi, 3.0)])
-    # the chord midpoint 3 pi / 4 of (0, pi / 2) is sampled twice: the first
-    # sample is the one used
-    cases.append([(0.0, 1.0), (np.pi / 2, 3.0), (0.75 * np.pi, 0.5), (0.75 * np.pi, 2.0)])
-    for samples in cases:
-        rep = feret_feasibility_check(samples)
-        subadd, triples = _triples_by_loop(samples)
-        assert (rep.subadditivity, rep.triples_checked) == (subadd, triples)
+def _neighbour_slack(th, h):
+    """S_k - H_k for each sample, at angles distinct mod pi: how far H_k
+    lies below the sinusoid S_k through its two neighbours in angle."""
+    order = np.argsort(np.mod(th, np.pi))
+    at, v = np.mod(th, np.pi)[order], h[order]
+    g = np.diff(at, append=at[0] + np.pi)
+    gp = np.roll(g, 1)
+    s = (np.roll(v, 1) * np.sin(g) + np.roll(v, -1) * np.sin(gp)) / np.sin(gp + g) - v
+    slack = np.empty_like(s)
+    slack[order] = s
+    return slack
+
+
+def test_feasibility_flags_bumps_above_their_slack():
+    # raising one sample above the sinusoid through its neighbours is flagged
+    # at random irregular angles, in any input order and shifted by k pi;
+    # raising it to just below that sinusoid is not
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        m = int(rng.integers(3, 40))
+        x = Ellipse(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, np.pi))
+        th = rng.uniform(0.0, np.pi, m)
+        h = np.asarray(x.feret(th))
+        slack = _neighbour_slack(th, h)
+        assert slack.min() >= -1e-15 * h.max()
+        k = rng.choice(np.flatnonzero(slack > 1e-6 * h.max()))
+        th = th + np.pi * rng.integers(-2, 3, size=m)
+        for factor, flagged in ((1.01, True), (0.99, False)):
+            bumped = h.copy()
+            bumped[k] += factor * slack[k]
+            rep = feret_feasibility_check(list(zip(th, bumped)))
+            assert rep.triples_checked == m
+            assert rep.ok() is not flagged
+            assert rep.subadditivity == pytest.approx(max(0.0, (factor - 1.0) * slack[k]),
+                                                      rel=1e-6, abs=1e-15 * h.max())
+
+
+def test_feasibility_passes_near_duplicate_angles():
+    # honest samples whose angles lie 2e-9 to 1e-7 apart, just outside
+    # angle_tol, and exact repeats, which form runs
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        x = Ellipse(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, np.pi))
+        base = rng.uniform(0.0, np.pi, int(rng.integers(3, 20)))
+        th = np.concatenate([base, base[:3] + rng.uniform(2e-9, 1e-7, 3), base[:2] + np.pi])
+        rep = feret_feasibility_check(list(zip(th, np.asarray(x.feret(th)))))
+        assert rep.ok(1e-14)
+        assert rep.triples_checked == len(base) + 3
+
+
+@pytest.mark.parametrize("samples", [
+    [(0.3, 2.0)],
+    [(0.3, 2.0), (0.3 + np.pi, 2.0), (-np.pi + 0.3, 2.0)],
+    [(0.1, 1.0), (1.0, 100.0)],
+    [(0.1, 1.0), (1.0, 1e-6), (0.1 + 5e-10, 1.0), (1.0 - 2 * np.pi, 1e-6)],
+], ids=["one", "one_repeated", "two", "two_runs"])
+def test_feasibility_one_or_two_angles_raise_no_subadditivity(samples):
+    # any nonnegative values at two directions are a parallelogram's
+    rep = feret_feasibility_check(samples)
+    assert (rep.subadditivity, rep.triples_checked) == (0.0, 0)
+    assert rep.ok()
+
+
+@pytest.mark.parametrize("twin", [np.pi / 3 + 5e-10, np.pi - 5e-10],
+                         ids=["inside", "wrapping_past_pi"])
+def test_feasibility_run_stands_for_its_first_sample(twin):
+    # a disk sampled at three angles, and a second sample within angle_tol
+    # of one of them: the first of the two in input order is tested, there
+    # against 4.0, the sinusoid through its neighbours' 2.0
+    disk = [(0.0, 2.0), (np.pi / 3, 2.0), (2 * np.pi / 3, 2.0)]
+    extra = (twin, 5.0)
+    after = feret_feasibility_check(disk + [extra])
+    before = feret_feasibility_check([extra] + disk)
+    assert after.periodicity_gap == before.periodicity_gap == 3.0
+    assert after.subadditivity == 0.0 and before.subadditivity == pytest.approx(1.0)
+    assert after.triples_checked == before.triples_checked == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 33, 64, 100, 1024, 4096])
+def test_face_lengths_invert_the_feret_matrix(n, unit_square):
+    # the three-point stencil against the dense matrix F solved by LU; at
+    # n = 4096 against the circulant solve, which needs no 128 MB matrix
+    th = regular_subdivision(n)
+    F = feret_matrix(n)
+    for x in (Ellipse(3.0, 1.0, 0.4), Ellipse(8.0, 1.0, 0.3), unit_square, Segment(1.3, 0.7),
+              Segment(2.0, 0.0), Disk(1.0)):
+        h = np.asarray(x.feret(th))
+        want = np.linalg.solve(F.dense(), h) if n <= 1024 else F.solve(h)
+        bound = (1e-13 if n <= 64 else 1e-11) * h.max()
+        assert np.abs(face_lengths(h, np.pi / n) - want).max() <= bound
+
+
+def test_face_lengths_on_irregular_angles_match_the_zonotope():
+    # faces at sorted irregular angles: the zonotope they give has the
+    # sampled diameters; columns of a 2-D h are independent sample sets
+    rng = np.random.default_rng(31)
+    th = np.sort(rng.uniform(0.0, np.pi, 12))
+    alpha = rng.uniform(0.0, 2.0, (12, 3))
+    h = np.stack([Zonotope(a, theta=th).feret(th) for a in alpha.T], axis=1)
+    gaps = np.diff(th, append=th[0] + np.pi)
+    assert np.abs(face_lengths(h, gaps) - alpha).max() <= 1e-13 * h.max()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

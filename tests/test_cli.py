@@ -883,6 +883,19 @@ class TestExitCodes:
         assert err == "zonofit: zonotope area 1e320 overflows a float\n"
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    @pytest.mark.parametrize("mode", ["c0", "cinf"])
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_grid_aligned_huge_segment_has_area_zero(self, capsys, mode, n, k):
+        # the stencil leaves roundoff faces of about 1e184 beside the 1e200
+        # face; the area drops them as the vertices do, so it never overflows
+        code, out, err = run_cli(capsys, "approximate", "--shape",
+                                 f"segment:1e200,{k * np.pi / n!r}", "--n", str(n),
+                                 "--mode", mode, "--grid", "8")
+        assert (code, err) == (0, "")
+        rep = json.loads(out)
+        assert rep["area"] == 0.0 and len(rep["vertices"]) == 2
+
     @pytest.mark.parametrize("rows, message", [
         ("", "sample CSV contains no data rows"),
         # finite values whose squares overflow inside the moment reduction

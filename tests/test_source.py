@@ -82,9 +82,9 @@ def test_rule_finds_inline_tolerances():
 SUP_SEARCH_NAMES = {"golden_section_max", "SUP_GRID_SIZE", "SUP_ANGLE_TOL"}
 
 
-def _sup_search_names(tree):
+def _names_used(tree, names):
     """(line, name) of each identifier, attribute or import of a name in
-    SUP_SEARCH_NAMES in tree."""
+    `names` in tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             name = node.id
@@ -94,7 +94,7 @@ def _sup_search_names(tree):
             name = node.name
         else:
             continue
-        if name in SUP_SEARCH_NAMES:
+        if name in names:
             yield node.lineno, name
 
 
@@ -103,7 +103,7 @@ def test_sup_search_lives_in_metrics():
     # metrics.refine_sup, so the grid size, tolerance and golden search that
     # make up the search appear in no other module
     bad = [f"{p.name}:{line} {name}" for p in SOURCES if p.name != "metrics.py"
-           for line, name in _sup_search_names(ast.parse(p.read_text()))]
+           for line, name in _names_used(ast.parse(p.read_text()), SUP_SEARCH_NAMES)]
     assert bad == []
 
 
@@ -115,9 +115,30 @@ def test_rule_finds_sup_search_names():
         "z = refine_sup(f, sup_grid(4), i, v)  # golden_section_max\n"
         "import zonofit.metrics as m; m.SUP_GRID_SIZE\n"
     )
-    assert sorted(_sup_search_names(tree)) == [
+    assert sorted(_names_used(tree, SUP_SEARCH_NAMES)) == [
         (1, "SUP_ANGLE_TOL"), (2, "golden_section_max"), (3, "SUP_GRID_SIZE"),
         (5, "SUP_GRID_SIZE")]
+
+
+def test_face_lengths_come_from_the_stencil():
+    # every face length is bodies.face_lengths, the three-point stencil, so
+    # no module solves with the Feret matrix; circulant.py defines it and the
+    # package's export list re-exports it as the tests' reference
+    bad = [f"{p.name}:{line}" for p in SOURCES if p.name not in ("circulant.py", "__init__.py")
+           for line, _ in _names_used(ast.parse(p.read_text()), {"feret_matrix"})]
+    assert bad == []
+
+
+def test_rule_finds_feret_matrix():
+    tree = ast.parse(
+        "from .circulant import CirculantMatrix, feret_matrix\n"
+        "alpha = feret_matrix(n).solve(h)\n"
+        "F = circulant.feret_matrix(4)\n"
+        "a = face_lengths(h, g)  # not feret_matrix\n"
+        "names = ['feret_matrix']\n"
+    )
+    assert sorted(_names_used(tree, {"feret_matrix"})) == [
+        (1, "feret_matrix"), (2, "feret_matrix"), (3, "feret_matrix")]
 
 
 def _integer_type_checks(tree):
