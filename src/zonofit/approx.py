@@ -42,8 +42,7 @@ def _interpolant(x, n, offset=0.0):
     """
     th = np.add.outer(regular_subdivision(n), np.asarray(offset, dtype=float))
     h = np.asarray(x.feret(th), dtype=float)
-    if not np.all(np.isfinite(h)):
-        raise ParameterError("Feret diameters must be finite")
+    require_finite(**{"Feret diameters": h})
     alpha = face_lengths(h, np.pi / n)
     worst = float(np.min(alpha, initial=0.0))
     tol = RTOL * float(np.max(np.abs(h), initial=0.0))

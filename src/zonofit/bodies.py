@@ -18,6 +18,7 @@ from .errors import ParameterError, SymmetryError
 EDGE_RTOL = 1e-12  # a face, edge or vertex gap that roundoff could make
 RTOL = 1e-9  # a computed value that meets its constraint up to roundoff
 SPECTRAL_RTOL = 1e-8  # eigenvalues and palindromes of FFT-computed moments
+SINGULAR_RTOL = 1e-12  # a circulant eigenvalue this small against the largest
 #: Angles do not scale: their tolerances are absolute radians.
 GRID_ANGLE_TOL = 1e-9  # an angle this close to the regular grid lies on it
 ANGLE_TOL = 1e-12  # angles this close are one: edge directions, lags, range ends
@@ -283,17 +284,22 @@ def feret_feasibility_check(samples, angle_tol=1e-9):
 
     Returns a FeasibilityReport with worst violation magnitudes, the number
     of neighbour triples tested and the largest finite |value|, the scale
-    its `ok` measures them by.  NaN values never raise a violation;
-    non-finite angles raise ParameterError.
+    its `ok` measures them by.  An infinite value makes `subadditivity`
+    infinite, NaN values never raise a violation, and non-finite angles
+    raise ParameterError.
     """
     pairs = [(float(a), float(v)) for a, v in samples]
     if not pairs:
         raise ParameterError("need at least one sample")
     ang, val = np.array(pairs).T
-    if not np.all(np.isfinite(ang)):
-        raise ParameterError("sample angles must be finite")
+    require_finite(**{"sample angles": ang})
 
     negativity = max(0.0, float(-val.min()))
+    # an infinite value is no width: it fails subadditivity outright, and
+    # below it is a NaN, which raises neither a violation nor a warning
+    infinite = np.isinf(val)
+    subadd = np.inf if infinite.any() else 0.0
+    val = np.where(infinite, np.nan, val)
 
     # neighbours in angle mod pi, the last and first wrapping around
     red = np.mod(ang, np.pi)
@@ -309,13 +315,12 @@ def feret_feasibility_check(samples, angle_tol=1e-9):
     first = np.full(max(run[-1] + 1, 1), len(pairs))
     np.minimum.at(first, run, order)
     triples = len(first) if len(first) >= 3 else 0
-    subadd = 0.0
     if triples:
         g = np.mod(np.roll(red[first], -1) - red[first], np.pi)
         g_prev = np.roll(g, 1)
         excess = -face_lengths(val[first], g) * (
             2.0 * np.sin(g_prev) * np.sin(g) / np.sin(g_prev + g))
-        subadd = float(np.max(excess, initial=0.0, where=excess > 0.0))
+        subadd = max(subadd, float(np.max(excess, initial=0.0, where=excess > 0.0)))
 
     scale = float(np.max(np.abs(val), initial=0.0, where=np.isfinite(val)))
     return FeasibilityReport(negativity, periodicity, subadd, triples, scale)

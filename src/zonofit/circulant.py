@@ -8,7 +8,7 @@ serves cross-checks and builds the stationary moment matrices of `process`.
 
 import numpy as np
 
-from .bodies import regular_subdivision, require_count
+from .bodies import SINGULAR_RTOL, regular_subdivision, require_count
 from .errors import ParameterError, SolverError
 
 
@@ -43,18 +43,19 @@ class CirculantMatrix:
         x, lam = self._columns(x)
         return np.fft.ifft(lam * np.fft.fft(x, axis=0), axis=0).real
 
-    def solve(self, b, rtol=1e-12):
+    def solve(self, b):
         """Solve C x = b in the spectral domain, for a vector or each column of b.
 
         Raises SolverError naming the offending frequency when any eigenvalue
-        magnitude falls at or below rtol times the largest.
+        magnitude falls at or below SINGULAR_RTOL times the largest: the one
+        conditioning rule of every circulant solve.
         """
         b, lam = self._columns(b)
         mags = np.abs(lam.ravel())
-        cutoff = rtol * mags.max()
+        cutoff = SINGULAR_RTOL * mags.max()
         bad = np.flatnonzero(mags <= cutoff)
-        if mags.max() == 0.0 or len(bad) > 0:
-            k = int(bad[0]) if len(bad) else 0
+        if len(bad):
+            k = int(bad[0])
             raise SolverError(
                 f"circulant system is numerically singular at spectral index {k} "
                 f"(|lambda_{k}| = {mags[k]:.3e} <= {cutoff:.3e})"
@@ -62,6 +63,7 @@ class CirculantMatrix:
         return np.fft.ifft(np.fft.fft(b, axis=0) / lam, axis=0).real
 
     def condition_number(self):
+        """max |lambda| / min |lambda|: a diagnostic, as `solve` checks the spectrum itself."""
         mags = np.abs(self.spectrum())
         if mags.min() == 0.0:
             return np.inf

@@ -36,6 +36,8 @@ from .bodies import (
     SymmetricPolygon,
     is_regular_subdivision,
     regular_subdivision,
+    require_count,
+    require_finite,
 )
 from .errors import SolverError, UnderdeterminedError, ZonofitError, ParameterError
 from .metrics import diameter, hausdorff_distance, perimeter_cauchy
@@ -256,7 +258,7 @@ def cmd_estimate(args):
     if args.n is not None and args.n != n:
         raise ParameterError(f"input has n={n} angles, requested n={args.n}")
     if args.solver == "linear":
-        central = central_from_feret(m, max_condition=args.max_condition)
+        central = central_from_feret(m)
     else:
         central = _nnls_central(theta, m.second, float(m.mean.mean()), n)
     report = {
@@ -294,8 +296,7 @@ def cmd_estimate(args):
 
 def cmd_simulate(args):
     model = parse_model(args.model)
-    if args.samples < 2:
-        raise ParameterError("need at least 2 samples")
+    require_count("samples", args.samples, 2)
     base = args.out or "zonofit_run"
     csv_path = base + ".csv"
     json_path = base + ".json"
@@ -305,8 +306,7 @@ def cmd_simulate(args):
         for start in range(0, args.samples, CHUNK):
             count = min(CHUNK, args.samples - start)
             h = feret_sample_block(model, args.n, args.seed, start, count)
-            if not np.all(np.isfinite(h)):
-                raise ParameterError("the model's Feret diameters must be finite")
+            require_finite(**{"the model's Feret diameters": h})
             # products of finite diameters may overflow; the moment record names
             # the inf or NaN, so numpy's warnings would only repeat it.  Not in
             # chunk_state, where it slows the sampled library route (BENCH_21.json)
@@ -381,8 +381,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=None,
                    help="expected number of angles (checked against the input)")
     p.add_argument("--solver", choices=["linear", "nnls"], default="linear")
-    p.add_argument("--max-condition", type=float, default=1e12,
-                   help="reject the moment solve above this condition number")
     p.add_argument("--epsilon", type=float, default=None,
                    help="also report the (1-epsilon) interpolant distance bound")
 

@@ -294,7 +294,7 @@ def expected_area(c):
     return 0.5 * c.n * float(np.dot(c.v_alpha, np.abs(np.sin(th))))
 
 
-def central_from_feret(m, max_condition=1e12):
+def central_from_feret(m):
     """Recover central face moments from Feret-process moments on the regular grid.
 
     Inverts mean = (2/pi) n E[alpha_1] and V[H] = n K(0) V[alpha] in the
@@ -305,35 +305,26 @@ def central_from_feret(m, max_condition=1e12):
     route of `isotropize_moments`, so it isotropizes non-stationary moments.
     Standard errors, when present on `m`, are averaged along the same
     diagonals and propagate through the linear map by conservative
-    absolute-value row sums.  `max_condition` is the only conditioning check.
+    absolute-value row sums.
 
     Raises
     ------
-    ParameterError
-        Unless `max_condition` > 0.
     SolverError
-        If cond(K(0)) exceeds `max_condition`.
+        Where `CirculantMatrix.solve` finds K(0) numerically singular, which
+        depends on n alone: for every n >= 1194.
     """
-    if not max_condition > 0:
-        raise ParameterError(f"max_condition must be positive, got {max_condition!r}")
     n = m.n
     K0 = k_matrix(n)
-    cond = K0.condition_number()
-    if cond > max_condition:
-        raise SolverError(
-            f"kernel matrix K(0) too ill-conditioned: cond = {cond:.3e} > "
-            f"{max_condition:.0e}"
-        )
     mean_alpha = (np.pi / (2.0 * n)) * float(m.mean.mean())
     lags = _lag_sums(m.second) / n
-    v = _symmetric(K0.solve(_symmetric(lags), rtol=0.0) / n)
+    v = _symmetric(K0.solve(_symmetric(lags)) / n)
 
     stderr_mean_alpha = None
     stderr_v = None
     if m.stderr_mean is not None:
         stderr_mean_alpha = (np.pi / (2.0 * n)) * float(m.stderr_mean.mean())
     if m.stderr_second is not None:
-        full_map = K0.solve(_symmetric(np.eye(n)), rtol=0.0) / n
+        full_map = K0.solve(_symmetric(np.eye(n))) / n
         stderr_v = np.abs(full_map) @ (_lag_sums(m.stderr_second) / n)
     return CentralFaceMoments(n, mean_alpha, v, stderr_mean_alpha, stderr_v)
 
@@ -358,8 +349,7 @@ def central_nnls(observations, n, mean_alpha=0.0):
     if not len(obs):
         raise UnderdeterminedError("no observations")
     angles, ys = obs.T
-    if not np.all(np.isfinite(ys)):
-        raise ParameterError("observations must be finite")
+    require_finite(observations=ys)
     if angles.min() < -ANGLE_TOL or angles.max() > np.pi / 2 + ANGLE_TOL:
         raise ParameterError("observation angles must lie in [0, pi/2]")
     distinct = 1 + int(np.sum(np.diff(np.sort(angles)) > ANGLE_TOL))

@@ -362,9 +362,13 @@ def _header_and_lines(f):
     return next(csv.reader(lines), None), lines
 
 
-def _filtered_rows(content):
-    """The records of the content lines that content() returns; a malformed
-    row raises ParameterError naming it, found in a second content() call."""
+def _filtered_rows(f):
+    """The records of an open table's content lines, read from its start; a
+    malformed row raises ParameterError naming it, found in a second read."""
+    def content():
+        f.seek(0)
+        return _header_and_lines(f)[1]
+
     try:
         return _parse_sample_rows(content())
     except ValueError as e:
@@ -387,31 +391,25 @@ def read_sample_csv(path):
     in C.  A whitespace-only line, a comment or a malformed row makes that
     parse raise; only then is the file re-read through the line filter
     (`_content_lines`) by the same parse, which either reads the table or
-    fails on a malformed row that the error names.  A file that cannot seek,
-    such as a named pipe, takes the filtered route from the start, its
-    content lines kept in memory.  Both routes hand one parser the same data
-    rows, so they give the same arrays bit for bit.
+    fails on a malformed row that the error names.  Both passes hand one
+    parser the same data rows, so they give the same arrays bit for bit.  A
+    file that cannot seek, such as a named pipe, is read into memory when
+    opened and then takes the same two passes.
     """
     with open(path) as f:
+        if not f.seekable():
+            # a pipe reads once: hold its text so that the parse can seek back
+            f = io.StringIO(f.read())
         header, lines = _header_and_lines(f)
         if header is None or [c.strip() for c in header] != ["sample_id", "theta", "h"]:
             raise ParameterError("sample CSV must have the header sample_id,theta,h")
         first_row = next(lines, None)
         if first_row is None:
             raise ParameterError("sample CSV contains no data rows")
-        if not f.seekable():
-            # a pipe reads once: keep its lines for the parse and for the error
-            kept = [first_row, *lines]
-            rows = _filtered_rows(lambda: kept)
-        else:
-            try:
-                rows = _parse_sample_rows(itertools.chain([first_row], f))
-            except ValueError:
-                def reread():
-                    f.seek(0)
-                    return _header_and_lines(f)[1]
-
-                rows = _filtered_rows(reread)
+        try:
+            rows = _parse_sample_rows(itertools.chain([first_row], f))
+        except ValueError:
+            rows = _filtered_rows(f)
     require_finite(theta=rows["th"], h=rows["h"])
     # number each row's sample by first appearance, then sort by (sample, theta)
     _, first, inverse = np.unique(rows["id"], return_index=True, return_inverse=True)

@@ -292,8 +292,7 @@ def reduce_states(states):
     are from stationary is `stationarity_diagnostic`'s to report.
     """
     items = list(states)
-    if sum(state[0] for state in items) < 2:
-        raise ParameterError("need at least 2 samples")
+    require_count("samples", sum(state[0] for state in items), 2)
     while len(items) > 1:
         merged = []
         for (na, ma, qa), (nb, mb, qb) in zip(items[::2], items[1::2]):

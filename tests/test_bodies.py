@@ -230,6 +230,26 @@ def test_feasibility_scale_skips_non_finite_values():
     assert rep.scale == 3.0
 
 
+@pytest.mark.parametrize("samples", [
+    [(0.0, np.inf), (0.5, np.inf), (1.0, 1.0), (2.0, 1.0)],
+    [(0.0, np.inf), (1e-12, np.inf), (1.0, 1.0), (2.0, 1.0)],
+    [(0.0, -np.inf), (0.5, np.nan), (1.0, 1.0), (2.0, 1.0)],
+    [(0.0, np.inf), (1.0, -np.inf)],
+    [(0.3, np.inf)],
+], ids=["neighbours", "one_run", "beside_nan", "two_angles", "alone"])
+def test_feasibility_fails_infinite_values(samples):
+    # an infinite value is no width, whatever stands beside it; the suite
+    # turns any RuntimeWarning of the check into an error
+    rep = feret_feasibility_check(samples)
+    assert rep.subadditivity == np.inf
+    assert not rep.ok()
+
+
+def test_feasibility_nan_values_raise_no_violation():
+    rep = feret_feasibility_check([(0.0, np.nan), (0.5, np.nan), (1.0, 1.0), (2.0, 1.0)])
+    assert rep.worst == 0.0 and rep.ok()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_feasibility_rejects_non_finite_angles(bad):
     with pytest.raises(ParameterError, match="angles must be finite"):

@@ -293,7 +293,7 @@ class TestMomentEstimates:
         assert np.all(np.abs(m.second - ref.second) <= 3.0 * m.stderr_second + 1e-12)
 
     def test_empirical_validation(self):
-        with pytest.raises(ParameterError, match="2 samples"):
+        with pytest.raises(ParameterError, match="samples must be an integer >= 2, got 1"):
             empirical_moments(np.ones((1, 3)))
 
     @staticmethod

@@ -217,3 +217,51 @@ def test_rule_finds_finite_checks_of_other_records():
         "require_finite(a=np.asarray(m.a), b=x.y.z)\n"
     )
     assert list(_finite_checks_of_other_records(tree)) == [1, 3, 4]
+
+
+def _finiteness_checks(tree):
+    """(line, function) of each all(isfinite(...)) or isfinite(...).all() in
+    tree, function being the name of the innermost enclosing def (None at
+    module level)."""
+    def name(f):
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+    def is_isfinite(node):
+        return isinstance(node, ast.Call) and name(node.func) == "isfinite"
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and name(node.func) == "all" and (
+                (node.args and is_isfinite(node.args[0]))
+                or (isinstance(node.func, ast.Attribute) and is_isfinite(node.func.value))):
+            yield node.lineno, func
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, func)
+
+    return list(visit(tree, None))
+
+
+def test_finiteness_goes_through_require_finite():
+    # one rule for finite values: bodies.require_finite checks them and
+    # words the error, so no module spells out its own test and message
+    bad = [f"{p.name}:{line}" for p in SOURCES
+           for line, func in _finiteness_checks(ast.parse(p.read_text()))
+           if (p.name, func) != ("bodies.py", "require_finite")]
+    assert bad == []
+
+
+def test_rule_finds_finiteness_checks():
+    tree = ast.parse(
+        "def f(h):\n"
+        "    if not np.all(np.isfinite(h)):\n"
+        "        raise ValueError(h)\n"
+        "def require_finite(**values):\n"
+        "    return all(isfinite(x) for x in values)\n"
+        "ok = numpy.isfinite(x).all() and np.isfinite(y)\n"
+        "z = np.all(np.abs(x) < 1) or np.max(x, where=np.isfinite(x))\n"
+        "class C:\n"
+        "    def g(self, k):\n"
+        "        return [np.all(np.isfinite(k)) for _ in ()]\n"
+    )
+    assert _finiteness_checks(tree) == [(2, "f"), (6, None), (10, "g")]
