@@ -294,7 +294,7 @@ def feret_feasibility_check(samples, angle_tol=1e-9):
     ang, val = np.array(pairs).T
     require_finite(**{"sample angles": ang})
 
-    negativity = max(0.0, float(-val.min()))
+    negativity = float(np.max(-val, initial=0.0, where=~np.isnan(val)))
     # an infinite value is no width: it fails subadditivity outright, and
     # below it is a NaN, which raises neither a violation nor a warning
     infinite = np.isinf(val)

@@ -10,12 +10,13 @@ averaging, and supporting diagnostics.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .approx import hausdorff_bound
-from .bodies import (ANGLE_TOL, RTOL, SPECTRAL_RTOL, face_lengths, regular_subdivision,
-                     require_count, require_finite)
+from .bodies import (ANGLE_TOL, EDGE_RTOL, RTOL, SPECTRAL_RTOL, face_lengths,
+                     regular_subdivision, require_count, require_finite)
 from .circulant import CirculantMatrix
-from .errors import ParameterError, SolverError, UnderdeterminedError
+from .errors import ParameterError, UnderdeterminedError
 from .nnls import nnls as _nnls_solve
 
 #: points of the auxiliary grid on which isotropize_moments integrates a body
@@ -113,14 +114,14 @@ class CentralFaceMoments:
 
     `mean_alpha` is the common face-length mean; `v_alpha[d]` is
     E[alpha_1 alpha_(1+d)], which by exchangeability under cyclic shifts is a
-    palindrome: v[d] = v[n-d] within SPECTRAL_RTOL * max|v|.  Circ(v_alpha)
-    must be positive semidefinite.  Relative to its spectral radius,
+    palindrome: v[d] = v[n-d] within SPECTRAL_RTOL * max|v|.  This is the one
+    PSD rule for Circ(v_alpha), on `central_from_feret` and JSON records (an
+    NNLS fit is PSD by construction): relative to the spectral radius,
     eigenvalues down to -n eps are FFT roundoff and left alone, those in
-    [-SPECTRAL_RTOL, -n eps) are clamped to zero (`psd_repaired` records
-    this), and larger violations are rejected.  `mean_alpha` must be
-    >= -RTOL * sqrt(max|v|), the face-length scale of v.  Note
-    v_alpha[0] >= mean_alpha^2 is deliberately not required: non-zonotopal
-    inputs can produce a smaller second moment.
+    [-SPECTRAL_RTOL, -n eps) are clamped to zero (`psd_repaired`), and larger
+    ones are rejected.  `mean_alpha` must be >= -RTOL * sqrt(max|v|), the
+    face-length scale of v.  v_alpha[0] >= mean_alpha^2 is deliberately not
+    required: non-zonotopal inputs can produce a smaller second moment.
     """
 
     def __init__(self, n, mean_alpha, v_alpha, stderr_mean_alpha=None,
@@ -334,15 +335,14 @@ def central_nnls(observations, n, mean_alpha=0.0):
 
     `observations` is a sequence of (angle, value) pairs with angles in
     [0, pi/2] and values estimating E[H(0) H(angle)].  At least
-    floor(n/2) + 1 distinct angles are required.  The unknowns are the
-    n//2 + 1 distinct lags u of the palindrome v = u[fold], fold[d] =
-    min(d, n - d), so each design column sums the mirror pair of columns of
+    floor(n/2) + 1 distinct angles are required.  The palindrome v = u[fold],
+    fold[d] = min(d, n - d), has n//2 + 1 distinct lags u, so each column of
+    the design A in u sums the mirror pair of columns of
     Q[i, j] = n k_s(z_i - theta_j).  An interior angle z also observes the
     lag pi - z, which on palindromes repeats the row of z: its row carries
-    weight sqrt(2) instead of a mirrored copy.  The weighted system is solved
-    for u >= 0 by scipy's Lawson-Hanson NNLS; a fit whose Circ(v) is not PSD
-    raises SolverError.  `mean_alpha` passes through to the result (first
-    moments are not identifiable from second-moment observations).
+    weight sqrt(2) instead of a mirrored copy.  The weighted fit keeps u >= 0
+    and Circ(v) PSD, which v = 0 always meets, with roundoff at EDGE_RTOL of
+    the maximum zeroed; `mean_alpha` passes through unfitted.
     """
     require_count("n", n, 1)
     obs = np.array([(float(a), float(v)) for a, v in observations]).reshape(-1, 2)
@@ -360,15 +360,25 @@ def central_nnls(observations, n, mean_alpha=0.0):
             f"got {distinct}"
         )
     fold = np.minimum(np.arange(n), n - np.arange(n))
-    interior = (angles > ANGLE_TOL) & (angles < np.pi / 2 - ANGLE_TOL)
-    w = np.where(interior, np.sqrt(2.0), 1.0)
-    Q = float(n) * k_s(angles[:, None] - regular_subdivision(n))
-    design = Q @ (fold[:, None] == np.arange(needed))
-    u, _ = _nnls_solve(w[:, None] * design, w * ys)
-    lam = np.fft.fft(u[fold]).real
-    if lam.min() < -SPECTRAL_RTOL * float(np.abs(lam).max()):
-        raise SolverError(
-            f"NNLS fit is not positive semidefinite (min eigenvalue {lam.min():.3e})")
+    w = np.where((angles > ANGLE_TOL) & (angles < np.pi / 2 - ANGLE_TOL), np.sqrt(2.0), 1.0)
+    # lam, the distinct eigenvalues of Circ(u[fold]) with u = D lam, refined once
+    # against A (A @ D rounds), then G lam = (lam, u) >= 0 as min |z| s.t. unit
+    # rows of G r^-1 z >= -G lam_ls, one NNLS (Lawson-Hanson ch. 23)
+    k = np.arange(needed)
+    D = np.cos((2.0 * np.pi / n) * np.outer(k, k)) * np.bincount(fold) / n
+    G = np.vstack([np.eye(needed), D])
+    A = w[:, None] * (n * k_s(angles[:, None] - regular_subdivision(n)) @ np.eye(needed)[fold])
+    q, r = np.linalg.qr(A @ D)
+    _, e = np.frexp(np.abs(ys).max())  # a power of two, so the fit scales exactly
+    b = np.ldexp(w * ys, -e)
+    lam_ls = solve_triangular(r, q.T @ b)
+    lam_ls += solve_triangular(r, q.T @ (b - A @ (D @ lam_ls)))
+    ldp = np.vstack([solve_triangular(r, G.T, trans="T"), -G @ lam_ls])
+    ldp /= np.linalg.norm(ldp[:-1], axis=0)
+    res = ldp @ _nnls_solve(ldp, np.eye(needed + 1)[-1])[0]
+    lam = lam_ls + solve_triangular(r, res[:-1] / (1.0 - res[-1]))
+    u = D @ np.where(lam > EDGE_RTOL * lam.max(), lam, 0.0)
+    u = np.ldexp(np.where(u > EDGE_RTOL * u.max(), u, 0.0), e)
     return CentralFaceMoments(n, mean_alpha, u[fold])
 
 

@@ -166,12 +166,18 @@ def test_feasibility_check_flags_bad_data():
     assert feret_feasibility_check(pair).periodicity_gap == pytest.approx(2.0)
 
 
+def test_nan_value_does_not_hide_a_negative_one():
+    rep = feret_feasibility_check([(0.0, np.nan), (1.0, -2.0)])
+    assert rep.negativity == 2.0
+    assert not rep.ok()
+
+
 def _report_by_row_loop(samples, angle_tol=1e-9):
     """Negativity and periodicity as the row-by-row check computed them
     before feret_feasibility_check sorted the angles."""
     val = np.array([float(v) for _, v in samples])
     red = np.mod([float(a) for a, _ in samples], np.pi)
-    negativity = max(0.0, float(-val.min()))
+    negativity = max([0.0] + [-v for v in val if not np.isnan(v)])
     order = np.argsort(red)
     periodicity = 0.0
     for ii in range(len(order) - 1):

@@ -16,6 +16,8 @@ from zonofit import (
     Fixed,
     IsotropicEllipse,
     IsotropicRectangle,
+    IsotropicZonotope,
+    LogNormal,
     Mixture,
     ParameterError,
     Segment,
@@ -338,21 +340,38 @@ class TestEstimate:
         np.testing.assert_allclose(rep["central"]["v_alpha"], [1.25, 0.75],
                                    atol=0.15)
 
-    def test_irregular_nnls_not_psd_exit_3(self, tmp_path, capsys):
-        # NNLS keeps v >= 0 but not Circ(v) PSD: on this valid table of
-        # unit squares at 7 jittered angles the fit is not PSD, a numeric
-        # failure rather than invalid input
-        model = IsotropicRectangle(Fixed([1.0, 1.0]))
-        jitter = np.random.default_rng(0).uniform(-0.1, 0.1, 7)
-        angles = np.sort((regular_subdivision(7) + jitter) % np.pi)
-        h = np.array([sample_shape(model, k, seed=0).feret(angles) for k in range(200)])
-        p = tmp_path / "jittered.csv"
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("table", ["zonotope_4", "jittered_squares", "zonotope_6"])
+    def test_irregular_nnls_tables_solve_psd(self, tmp_path, capsys, table, seed):
+        # honest tables on irregular grids; a fit constrained to v >= 0 alone
+        # left 8 of these 12 with a negative eigenvalue, among them the
+        # jittered squares of seed 0
+        rng = np.random.default_rng(seed)
+        if table == "jittered_squares":
+            model, n, count, sigma = IsotropicRectangle(Fixed([1.0, 1.0])), 2, 200, 0.0
+            angles = np.sort((regular_subdivision(7) + rng.uniform(-0.1, 0.1, 7)) % np.pi)
+        else:
+            n, m, count, sigma = (4, 9, 3000, 0.3) if table == "zonotope_4" else (
+                6, 11, 2000, 0.2)
+            model = IsotropicZonotope(n, LogNormal(n, 0.0, sigma))
+            angles = np.sort(rng.uniform(0.0, np.pi, m))
+        h = np.array([sample_shape(model, k, seed=seed).feret(angles) for k in range(count)])
+        p = tmp_path / "irregular.csv"
         serialize.write_sample_csv(p, angles, h)
         code, out, err = run_cli(
-            capsys, "estimate", "--input", str(p), "--n", "2", "--solver", "nnls"
+            capsys, "estimate", "--input", str(p), "--n", str(n), "--solver", "nnls"
         )
-        assert code == 3 and out == ""
-        assert "not positive semidefinite" in err and "min eigenvalue -" in err
+        assert code == 0 and err == ""
+        central = json.loads(out)["central"]
+        v = np.array(central["v_alpha"])
+        lam = np.fft.fft(v).real
+        assert v.min() >= 0.0
+        assert lam.min() >= -n * np.finfo(float).eps * np.abs(lam).max()
+        assert not central["psd_repaired"]
+        # lognormal faces, sigma = 0 for the squares: E[alpha_i alpha_j] is
+        # exp(sigma^2), and exp(2 sigma^2) on i = j
+        truth = np.exp(sigma**2) + (np.exp(2 * sigma**2) - np.exp(sigma**2)) * (np.arange(n) == 0)
+        np.testing.assert_allclose(v, truth, rtol=0.15, atol=0.0)
 
     def test_irregular_lag_pooling_matches_pair_loop(self, monkeypatch):
         def pooled_by_loop(theta, h):

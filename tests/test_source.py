@@ -265,3 +265,42 @@ def test_rule_finds_finiteness_checks():
         "        return [np.all(np.isfinite(k)) for _ in ()]\n"
     )
     assert _finiteness_checks(tree) == [(2, "f"), (6, None), (10, "g")]
+
+
+def _fft_calls(tree):
+    """(line, scope) of each call of an FFT function in tree, scope being the
+    name of the outermost enclosing class or def (None at module level)."""
+    def visit(node, scope):
+        if scope is None and isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                               ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call) and "fft" in ast.unparse(node.func):
+            yield node.lineno, scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return list(visit(tree, None))
+
+
+def test_psd_rule_lives_in_central_face_moments():
+    # the spectrum of Circ(v) of a face second-moment vector is computed and
+    # floored in CentralFaceMoments alone; the NNLS fit is PSD by construction
+    tree = ast.parse((PACKAGE / "process.py").read_text())
+    assert [(line, scope) for line, scope in _fft_calls(tree)
+            if scope != "CentralFaceMoments"] == []
+
+
+def test_rule_finds_fft_calls():
+    tree = ast.parse(
+        "class CentralFaceMoments:\n"
+        "    def __init__(self, v):\n"
+        "        self.lam = np.fft.fft(v).real\n"
+        "def central_nnls(u):\n"
+        "    return np.fft.fft(u[fold]).real\n"
+        "lam = fft.rfft(v)\n"
+        "def f(v):\n"
+        "    from numpy.fft import ifft\n"
+        "    return ifft(v) + np.cos(v)  # fft\n"
+    )
+    assert _fft_calls(tree) == [(3, "CentralFaceMoments"), (5, "central_nnls"),
+                                (6, None), (9, "f")]
