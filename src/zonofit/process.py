@@ -10,13 +10,13 @@ averaging, and supporting diagnostics.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import null_space
 
 from .approx import hausdorff_bound
 from .bodies import (ANGLE_TOL, EDGE_RTOL, RTOL, SPECTRAL_RTOL, face_lengths,
                      regular_subdivision, require_count, require_finite)
 from .circulant import CirculantMatrix
-from .errors import ParameterError, UnderdeterminedError
+from .errors import ParameterError, SolverError, UnderdeterminedError
 from .nnls import nnls as _nnls_solve
 
 #: points of the auxiliary grid on which isotropize_moments integrates a body
@@ -115,8 +115,8 @@ class CentralFaceMoments:
     `mean_alpha` is the common face-length mean; `v_alpha[d]` is
     E[alpha_1 alpha_(1+d)], which by exchangeability under cyclic shifts is a
     palindrome: v[d] = v[n-d] within SPECTRAL_RTOL * max|v|.  This is the one
-    PSD rule for Circ(v_alpha), on `central_from_feret` and JSON records (an
-    NNLS fit is PSD by construction): relative to the spectral radius,
+    PSD rule for Circ(v_alpha), on `central_from_feret`, JSON records and the
+    roundoff of NNLS fits: relative to the spectral radius,
     eigenvalues down to -n eps are FFT roundoff and left alone, those in
     [-SPECTRAL_RTOL, -n eps) are clamped to zero (`psd_repaired`), and larger
     ones are rejected.  `mean_alpha` must be >= -RTOL * sqrt(max|v|), the
@@ -341,8 +341,12 @@ def central_nnls(observations, n, mean_alpha=0.0):
     Q[i, j] = n k_s(z_i - theta_j).  An interior angle z also observes the
     lag pi - z, which on palindromes repeats the row of z: its row carries
     weight sqrt(2) instead of a mirrored copy.  The weighted fit keeps u >= 0
-    and Circ(v) PSD, which v = 0 always meets, with roundoff at EDGE_RTOL of
-    the maximum zeroed; `mean_alpha` passes through unfitted.
+    and Circ(v) PSD, which v = 0 always meets: scipy's NNLS fits u >= 0, and
+    primal active-set steps move it onto the PSD cone, so every table gets a
+    fit.  Its eigenvalues are >= 0 up to the roundoff that CentralFaceMoments
+    clips, and u entries at or below EDGE_RTOL of the maximum are zeroed;
+    `mean_alpha` passes through unfitted.  Raises SolverError when the NNLS
+    or the 30 (n//2 + 1) active-set steps reach their iteration limit.
     """
     require_count("n", n, 1)
     obs = np.array([(float(a), float(v)) for a, v in observations]).reshape(-1, 2)
@@ -361,23 +365,48 @@ def central_nnls(observations, n, mean_alpha=0.0):
         )
     fold = np.minimum(np.arange(n), n - np.arange(n))
     w = np.where((angles > ANGLE_TOL) & (angles < np.pi / 2 - ANGLE_TOL), np.sqrt(2.0), 1.0)
-    # lam, the distinct eigenvalues of Circ(u[fold]) with u = D lam, refined once
-    # against A (A @ D rounds), then G lam = (lam, u) >= 0 as min |z| s.t. unit
-    # rows of G r^-1 z >= -G lam_ls, one NNLS (Lawson-Hanson ch. 23)
-    k = np.arange(needed)
-    D = np.cos((2.0 * np.pi / n) * np.outer(k, k)) * np.bincount(fold) / n
-    G = np.vstack([np.eye(needed), D])
     A = w[:, None] * (n * k_s(angles[:, None] - regular_subdivision(n)) @ np.eye(needed)[fold])
-    q, r = np.linalg.qr(A @ D)
     _, e = np.frexp(np.abs(ys).max())  # a power of two, so the fit scales exactly
     b = np.ldexp(w * ys, -e)
-    lam_ls = solve_triangular(r, q.T @ b)
-    lam_ls += solve_triangular(r, q.T @ (b - A @ (D @ lam_ls)))
-    ldp = np.vstack([solve_triangular(r, G.T, trans="T"), -G @ lam_ls])
-    ldp /= np.linalg.norm(ldp[:-1], axis=0)
-    res = ldp @ _nnls_solve(ldp, np.eye(needed + 1)[-1])[0]
-    lam = lam_ls + solve_triangular(r, res[:-1] / (1.0 - res[-1]))
-    u = D @ np.where(lam > EDGE_RTOL * lam.max(), lam, 0.0)
+    # C u are the distinct eigenvalues of Circ(u[fold]), C[:, 0] = 1; the rows
+    # of G are the unit normals of the constraints u >= 0 and C u >= 0
+    k = np.arange(needed)
+    C = np.cos((2.0 * np.pi / n) * np.outer(k, k)) * np.bincount(fold)
+    G = np.vstack([np.eye(needed), C / np.linalg.norm(C, axis=1)[:, None]])
+    # the NNLS fit for u >= 0, raised along u[0] onto C u >= 0, then primal
+    # active-set steps (Nocedal & Wright, alg. 16.3), each an exact solve on
+    # the face of the working set W, which keeps the met constraints exact
+    u, _ = _nnls_solve(A, b)
+    lam = C @ u
+    u[0] -= min(lam.min(), 0.0)
+    W = list(np.flatnonzero(u == 0.0)) + [needed + int(lam.argmin())] * int(lam.min() < 0.0)
+    tol, released = EDGE_RTOL * np.abs(A.T @ b).max(), None
+    for _ in range(30 * needed):
+        N = null_space(G[W])
+        p = N @ np.linalg.lstsq(A @ N, b - A @ u)[0]
+        p *= np.abs(p).max() > EDGE_RTOL * np.abs(u).max()  # else roundoff
+        Gp = G @ p
+        blocking = Gp < -EDGE_RTOL * np.abs(p).max()
+        blocking[W] = False
+        if released is not None and blocking[released]:
+            break  # the step closes the constraint just released: its multiplier was roundoff
+        released = None
+        step = np.full(2 * needed, np.inf)
+        step[blocking] = np.maximum(G[blocking] @ u, 0.0) / -Gp[blocking]
+        i = int(step.argmin())
+        u += min(step[i], 1.0) * p
+        if step[i] < 1.0:
+            W.append(i)
+            continue
+        if not W:
+            break
+        mu = np.linalg.lstsq(G[W].T, A.T @ (A @ u - b))[0]
+        if mu.min() >= -tol:
+            break
+        released = W.pop(int(mu.argmin()))
+    else:
+        raise SolverError("the constrained NNLS fit did not converge")
+    u = N @ (N.T @ u)  # onto the face, so met constraints hold to roundoff of u
     u = np.ldexp(np.where(u > EDGE_RTOL * u.max(), u, 0.0), e)
     return CentralFaceMoments(n, mean_alpha, u[fold])
 
