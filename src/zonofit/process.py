@@ -10,7 +10,6 @@ averaging, and supporting diagnostics.
 """
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .approx import hausdorff_bound
 from .bodies import (ANGLE_TOL, EDGE_RTOL, RTOL, SPECTRAL_RTOL, face_lengths,
@@ -382,9 +381,9 @@ def central_nnls(observations, n, mean_alpha=0.0):
     W = list(np.flatnonzero(u == 0.0)) + [needed + int(lam.argmin())] * int(lam.min() < 0.0)
     tol, released = EDGE_RTOL * np.abs(A.T @ b).max(), None
     for _ in range(30 * needed):
-        N = null_space(G[W])
+        N = np.linalg.qr(G[W].T, mode="complete")[0][:, len(W):]  # W stays independent
         p = N @ np.linalg.lstsq(A @ N, b - A @ u)[0]
-        p *= np.abs(p).max() > EDGE_RTOL * np.abs(u).max()  # else roundoff
+        p *= np.abs(p).max() > EDGE_RTOL * np.abs(u).max()  # a smaller step is roundoff
         Gp = G @ p
         blocking = Gp < -EDGE_RTOL * np.abs(p).max()
         blocking[W] = False

@@ -373,6 +373,29 @@ class TestEstimate:
         truth = np.exp(sigma**2) + (np.exp(2 * sigma**2) - np.exp(sigma**2)) * (np.arange(n) == 0)
         np.testing.assert_allclose(v, truth, rtol=0.15, atol=0.0)
 
+    @pytest.mark.parametrize("model,n", [
+        ("deterministic:square:1", 48), ("deterministic:square:1", 64),
+        ("deterministic:square:1", 96), ("isotropic_square:1", 128),
+        ("deterministic:segment:1", 128),
+    ])
+    def test_sparse_face_moment_tables_solve_psd(self, tmp_path, capsys, model, n):
+        # noise-free tables whose v has few nonzero lags meet many lag and
+        # eigenvalue constraints at once; a least-distance fit of the two
+        # families reached scipy's iteration limit on all five
+        base = str(tmp_path / "sparse")
+        code, _, _ = run_cli(capsys, "simulate", "--model", model, "--n", str(n),
+                             "--samples", "400", "--seed", "3", "--out", base)
+        assert code == 0
+        code, out, err = run_cli(capsys, "estimate", "--input", base + ".csv",
+                                 "--solver", "nnls")
+        assert code == 0 and err == ""
+        central = json.loads(out)["central"]
+        v = np.array(central["v_alpha"])
+        lam = np.fft.fft(v).real
+        assert v.min() >= 0.0
+        assert lam.min() >= -n * np.finfo(float).eps * np.abs(lam).max()
+        assert not central["psd_repaired"]
+
     def test_irregular_lag_pooling_matches_pair_loop(self, monkeypatch):
         def pooled_by_loop(theta, h):
             second = (h.T @ h) / h.shape[0]

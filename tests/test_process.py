@@ -11,6 +11,7 @@ from zonofit import (
     Disk,
     Ellipse,
     FeretProcessMoments,
+    Fixed,
     IsotropicEllipse,
     IsotropicRectangle,
     ParameterError,
@@ -36,9 +37,10 @@ from zonofit import (
     kkt_residual,
     pipeline_estimate,
     regular_subdivision,
+    sample_shape,
     stationarity_diagnostic,
 )
-from zonofit.process import _lag_sums
+from zonofit.process import _lag_sums, _nnls_central
 from zonofit.simulate import IsotropicZonotope, LogNormal, feret_sample_block
 
 MEAN_H_SQUARE = 4.0 / np.pi
@@ -469,6 +471,34 @@ class TestCentralNNLS:
         c = central_nnls(obs, 4)
         np.testing.assert_allclose(c.v_alpha, c.v_alpha[(-np.arange(4)) % 4], atol=1e-12)
         assert c.v_alpha.min() >= 0.0
+
+    @pytest.mark.parametrize("n", [16, 24, 32, 48, 64])
+    def test_noisy_minimal_grid_fits_are_psd(self, n):
+        # n//2 + 1 regular lags with noise: the design is square, and a fit
+        # constrained to v >= 0 alone leaves a negative eigenvalue on 6 of
+        # these 30 tables
+        z = np.arange(n // 2 + 1) * np.pi / n
+        for seed in range(6):
+            ys = 2.0 * k_s(z) + 0.05 * np.random.default_rng(seed).standard_normal(len(z))
+            c = central_nnls(list(zip(z, ys)), n)
+            lam = np.fft.fft(c.v_alpha).real
+            assert c.v_alpha.min() >= 0.0 and not c.psd_repaired
+            assert lam.min() >= -n * np.finfo(float).eps * np.abs(lam).max()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_irregular_ellipse_tables_are_not_clipped(self, seed):
+        # 30 random angles of a 2:1 isotropic ellipse at n = 24: a fit bounded
+        # in v alone is not PSD on any of the four, and a least-distance fit
+        # of v and its eigenvalues left roundoff below -n eps on three
+        rng = np.random.default_rng(seed)
+        angles = np.sort(rng.uniform(0.0, np.pi, 30))
+        model = IsotropicEllipse(Fixed([2.0, 1.0]))
+        h = np.array([sample_shape(model, k, seed=seed).feret(angles) for k in range(300)])
+        m = empirical_moments(h)
+        c = _nnls_central(angles, m.second, float(m.mean.mean()), 24)
+        lam = np.fft.fft(c.v_alpha).real
+        assert c.v_alpha.min() >= 0.0 and not c.psd_repaired
+        assert lam.min() >= -24 * np.finfo(float).eps * np.abs(lam).max()
 
     @pytest.mark.parametrize("n", [8, 9, 16, 17])
     def test_kkt_at_optimum_of_reduced_design(self, n):

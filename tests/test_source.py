@@ -284,7 +284,7 @@ def _fft_calls(tree):
 
 def test_psd_rule_lives_in_central_face_moments():
     # the spectrum of Circ(v) of a face second-moment vector is computed and
-    # floored in CentralFaceMoments alone; the NNLS fit is PSD by construction
+    # floored in CentralFaceMoments alone; the NNLS fit meets it as a constraint
     tree = ast.parse((PACKAGE / "process.py").read_text())
     assert [(line, scope) for line, scope in _fft_calls(tree)
             if scope != "CentralFaceMoments"] == []
