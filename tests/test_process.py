@@ -487,9 +487,9 @@ class TestCentralNNLS:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_irregular_ellipse_tables_are_not_clipped(self, seed):
-        # 30 random angles of a 2:1 isotropic ellipse at n = 24: a fit bounded
-        # in v alone is not PSD on any of the four, and a least-distance fit
-        # of v and its eigenvalues left roundoff below -n eps on three
+        # 30 random angles of a 2:1 isotropic ellipse at n = 24: unconstrained
+        # least squares breaks u >= 0 and lambda >= 0 in 5-7 places each, so
+        # the fit ends with many lag and eigenvalue constraints active at once
         rng = np.random.default_rng(seed)
         angles = np.sort(rng.uniform(0.0, np.pi, 30))
         model = IsotropicEllipse(Fixed([2.0, 1.0]))
