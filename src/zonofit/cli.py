@@ -2,9 +2,9 @@
 
 Every command is a thin orchestration of library calls; outputs are
 byte-equal to calling the library directly with the same configuration.
-`estimate` takes its input to be on the regular grid exactly when
-`is_regular_subdivision` accepts its angles, and only then runs the linear
-solver; `--solver nnls` pools any grid by lag through the process module.
+`estimate` takes its route from the input's grid: `central_from_feret` where
+`is_regular_subdivision` accepts its angles, else the NNLS fit of the table's
+pooled lags.  `--solver` is accepted, for older scripts, and ignored.
 Exit codes: 0 success, 2 invalid input, 3 numeric failure, 4 underdetermined
 estimation.  Counts in model JSON go through the library's one count rule,
 so `"n": 3.5` exits 2; argparse makes the count options integers.
@@ -245,25 +245,18 @@ def cmd_estimate(args):
         theta = m.theta
 
     regular = is_regular_subdivision(theta)
-    if not regular and args.solver != "nnls":
-        raise ParameterError(
-            "the linear solver needs samples on the regular grid "
-            "theta_i = (i-1) pi / n; use --solver nnls for other designs"
-        )
     if not regular and args.n is None:
-        raise ParameterError(
-            "samples are not on the regular grid; pass --n and --solver nnls"
-        )
+        raise ParameterError("samples are not on the regular grid; pass --n")
     n = m.n if regular else args.n
     if args.n is not None and args.n != n:
         raise ParameterError(f"input has n={n} angles, requested n={args.n}")
-    if args.solver == "linear":
+    if regular:
         central = central_from_feret(m)
     else:
         central = _nnls_central(theta, m.second, float(m.mean.mean()), n)
     report = {
         "command": "estimate",
-        "solver": args.solver,
+        "solver": "linear" if regular else "nnls",
         "n": n,
         "central": serialize.moments_to_dict(central),
     }
@@ -380,7 +373,7 @@ def build_parser():
                    help="sample table (.csv) or Feret moments (.json)")
     p.add_argument("--n", type=int, default=None,
                    help="expected number of angles (checked against the input)")
-    p.add_argument("--solver", choices=["linear", "nnls"], default="linear")
+    p.add_argument("--solver", choices=["linear", "nnls"], help=argparse.SUPPRESS)
     p.add_argument("--epsilon", type=float, default=None,
                    help="also report the (1-epsilon) interpolant distance bound")
 

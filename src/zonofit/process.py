@@ -114,12 +114,12 @@ class CentralFaceMoments:
     `mean_alpha` is the common face-length mean; `v_alpha[d]` is
     E[alpha_1 alpha_(1+d)], which by exchangeability under cyclic shifts is a
     palindrome: v[d] = v[n-d] within SPECTRAL_RTOL * max|v|.  This is the one
-    PSD rule for Circ(v_alpha), on `central_from_feret`, JSON records and the
-    roundoff of NNLS fits: relative to the spectral radius,
-    eigenvalues down to -n eps are FFT roundoff and left alone, those in
-    [-SPECTRAL_RTOL, -n eps) are clamped to zero (`psd_repaired`), and larger
-    ones are rejected.  `mean_alpha` must be >= -RTOL * sqrt(max|v|), the
-    face-length scale of v.  v_alpha[0] >= mean_alpha^2 is deliberately not
+    PSD rule for Circ(v_alpha), on spectral solves, NNLS fits and JSON
+    records: relative to the spectral radius, eigenvalues down to -n eps are
+    FFT roundoff and left alone, those in [-SPECTRAL_RTOL, -n eps) are
+    clamped to zero, which projects v onto the PSD cone (`psd_repaired`), and
+    larger ones are rejected.  `mean_alpha` must be >= -RTOL * sqrt(max|v|),
+    the face-length scale of v.  v_alpha[0] >= mean_alpha^2 is deliberately not
     required: non-zonotopal inputs can produce a smaller second moment.
     """
 
@@ -303,21 +303,21 @@ def central_from_feret(m):
     statistic of a stationary process, where row 0 alone would discard n - 1
     of the n rows.  With the mean averaged over the grid, it is the grid
     route of `isotropize_moments`, so it isotropizes non-stationary moments.
-    Standard errors, when present on `m`, are averaged along the same
-    diagonals and propagate through the linear map by conservative
-    absolute-value row sums.
+    Standard errors on `m` are averaged likewise and propagate through the
+    linear map by conservative absolute-value row sums.
 
-    Raises
-    ------
-    SolverError
-        Where `CirculantMatrix.solve` finds K(0) numerically singular, which
-        depends on n alone: for every n >= 1194.
+    An answer that is not admissible, v >= 0 and Circ(v) PSD, even as
+    `CentralFaceMoments` clips it, gives way to the `central_nnls` fit of the
+    same lags, with the solve's standard errors: on this grid the fit is the
+    projection of the answer onto the admissible set, as the clip is where
+    v stays >= 0.  Raises SolverError where the fit does, and where K(0) is
+    numerically singular, which depends on n alone: for every n >= 1194.
     """
     n = m.n
     K0 = k_matrix(n)
     mean_alpha = (np.pi / (2.0 * n)) * float(m.mean.mean())
-    lags = _lag_sums(m.second) / n
-    v = _symmetric(K0.solve(_symmetric(lags)) / n)
+    lags = _symmetric(_lag_sums(m.second) / n)
+    v = _symmetric(K0.solve(lags) / n)
 
     stderr_mean_alpha = None
     stderr_v = None
@@ -326,7 +326,14 @@ def central_from_feret(m):
     if m.stderr_second is not None:
         full_map = K0.solve(_symmetric(np.eye(n))) / n
         stderr_v = np.abs(full_map) @ (_lag_sums(m.stderr_second) / n)
-    return CentralFaceMoments(n, mean_alpha, v, stderr_mean_alpha, stderr_v)
+    try:
+        central = CentralFaceMoments(n, mean_alpha, v, stderr_mean_alpha, stderr_v)
+    except ParameterError:  # an eigenvalue of Circ(v) beyond the clip band
+        central = None
+    if central is None or central.v_alpha.min() < 0.0:
+        central = central_nnls(zip(regular_subdivision(n), lags[: n // 2 + 1]), n, mean_alpha)
+        central.stderr_mean_alpha, central.stderr_v_alpha = stderr_mean_alpha, stderr_v
+    return central
 
 
 def central_nnls(observations, n, mean_alpha=0.0):
@@ -339,13 +346,13 @@ def central_nnls(observations, n, mean_alpha=0.0):
     the design A in u sums the mirror pair of columns of
     Q[i, j] = n k_s(z_i - theta_j).  An interior angle z also observes the
     lag pi - z, which on palindromes repeats the row of z: its row carries
-    weight sqrt(2) instead of a mirrored copy.  The weighted fit keeps u >= 0
-    and Circ(v) PSD, which v = 0 always meets: scipy's NNLS fits u >= 0, and
-    primal active-set steps move it onto the PSD cone, so every table gets a
-    fit.  Its eigenvalues are >= 0 up to the roundoff that CentralFaceMoments
-    clips, and u entries at or below EDGE_RTOL of the maximum are zeroed;
-    `mean_alpha` passes through unfitted.  Raises SolverError when the NNLS
-    or the 30 (n//2 + 1) active-set steps reach their iteration limit.
+    weight sqrt(2) instead of a mirrored copy, so on the regular grid this is
+    the projection `central_from_feret` makes.  The fit keeps u >= 0 and
+    Circ(v) PSD, which v = 0 meets: scipy's NNLS fits u >= 0, and primal
+    active-set steps move it onto the PSD cone.  Its eigenvalues are >= 0 up
+    to the roundoff that CentralFaceMoments clips, u entries at or below
+    EDGE_RTOL of the maximum are zeroed, and `mean_alpha` passes unfitted.
+    Raises SolverError when the NNLS or the 30 (n//2 + 1) steps hit a limit.
     """
     require_count("n", n, 1)
     obs = np.array([(float(a), float(v)) for a, v in observations]).reshape(-1, 2)

@@ -292,16 +292,21 @@ class TestEstimate:
         rep = json.loads(out)
         np.testing.assert_allclose(rep["central"]["v_alpha"], [1.0, 1.0], atol=1e-8)
 
-    def test_nnls_iteration_limit_exit_3(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("grid", ["irregular", "regular"])
+    def test_nnls_iteration_limit_exit_3(self, tmp_path, capsys, monkeypatch, grid):
+        # a fixed square on either grid reaches scipy's NNLS: the pooled fit
+        # of the irregular table, and on the regular 4-grid the projection of
+        # a spectral answer with v < 0
         def give_up(A, b):
             raise RuntimeError("Maximum number of iterations reached.")
 
         monkeypatch.setattr(scipy.optimize, "nnls", give_up)
-        p = tmp_path / "moments.json"
-        self.write_square_moments(p)
-        code, out, err = run_cli(
-            capsys, "estimate", "--input", str(p), "--solver", "nnls"
-        )
+        theta = (np.array([0.0, 0.35, 0.8, 1.2, 1.5]) if grid == "irregular"
+                 else regular_subdivision(4))
+        p = tmp_path / "square.csv"
+        serialize.write_sample_csv(p, theta, np.tile(square_body(1.0).feret(theta), (2, 1)))
+        code, out, err = run_cli(capsys, "estimate", "--input", str(p), "--n",
+                                 "2" if grid == "irregular" else "4")
         assert code == 3 and out == ""
         assert "iterations" in err
 
@@ -396,6 +401,47 @@ class TestEstimate:
         assert lam.min() >= -n * np.finfo(float).eps * np.abs(lam).max()
         assert not central["psd_repaired"]
 
+    @pytest.mark.parametrize("model,n,samples,seed", [
+        ("isotropic_rectangle:1.3,0.7", 16, 2048, 1),
+        ("deterministic:square:1", 16, 2048, 1),
+        ("isotropic_ellipse:2,1", 128, 4000, 3),
+    ])
+    def test_regular_tables_get_admissible_moments(self, tmp_path, capsys, model, n,
+                                                   samples, seed):
+        # the spectral solve alone gave v < 0 on the rectangle (by 6e-3 of
+        # max v) and on the square (by 0.27), and on the ellipse an eigenvalue
+        # beyond the clip band, which exited 2 as invalid input
+        base = str(tmp_path / "run")
+        code, _, _ = run_cli(capsys, "simulate", "--model", model, "--n", str(n),
+                             "--samples", str(samples), "--seed", str(seed),
+                             "--out", base)
+        assert code == 0
+        code, out, err = run_cli(capsys, "estimate", "--input", base + ".csv")
+        assert code == 0 and err == ""
+        rep = json.loads(out)
+        assert rep["solver"] == "linear"
+        v = np.array(rep["central"]["v_alpha"])
+        lam = np.fft.fft(v).real
+        assert v.min() >= 0.0
+        assert lam.min() >= -n * np.finfo(float).eps * np.abs(lam).max()
+        assert rep["central"]["stderr_v_alpha"] is not None
+
+    @pytest.mark.parametrize("grid", ["regular", "irregular"])
+    def test_solver_option_is_ignored(self, tmp_path, capsys, grid):
+        # older scripts pass --solver; the table's grid alone picks the route
+        rng = np.random.default_rng(6)
+        theta = regular_subdivision(4) if grid == "regular" else np.sort(
+            rng.uniform(0.0, np.pi, 6))
+        model = IsotropicRectangle(Fixed([1.3, 0.7]))
+        h = np.array([sample_shape(model, k, seed=6).feret(theta) for k in range(300)])
+        p = tmp_path / "table.csv"
+        serialize.write_sample_csv(p, theta, h)
+        outs = [run_cli(capsys, "estimate", "--input", str(p), "--n", "4", *solver)
+                for solver in ([], ["--solver", "linear"], ["--solver", "nnls"])]
+        assert outs[0][0] == 0 and outs[0][2] == ""
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0][1])["solver"] == ("linear" if grid == "regular" else "nnls")
+
     def test_irregular_lag_pooling_matches_pair_loop(self, monkeypatch):
         def pooled_by_loop(theta, h):
             second = (h.T @ h) / h.shape[0]
@@ -448,10 +494,9 @@ class TestEstimate:
         assert code == 2
         assert "regular grid" in err
 
-    @pytest.mark.parametrize("solver", ["linear", "nnls"])
     @pytest.mark.parametrize("column", ["theta", "h"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_table_exit_2(self, tmp_path, capsys, solver, column, bad):
+    def test_non_finite_table_exit_2(self, tmp_path, capsys, column, bad):
         # checked as the table is read: an infinite angle passes the grid
         # checks and yields NaN moments, and a NaN angle fails them misleadingly
         theta = ["0", bad if column == "theta" else "0.5", "1.0"]
@@ -461,8 +506,8 @@ class TestEstimate:
         p.write_text("\n".join(["sample_id,theta,h", *rows, ""]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, "estimate", "--input", str(p), "--solver",
-                                     solver, "--n", "2", "--epsilon", "0.1")
+            code, out, err = run_cli(capsys, "estimate", "--input", str(p),
+                                     "--n", "2", "--epsilon", "0.1")
         assert caught == []
         assert code == 2 and out == ""
         assert f"{column} must be finite" in err
@@ -634,9 +679,8 @@ class TestSimulate:
         assert set(json.loads(out)) == {"command", "solver", "n", "central",
                                         "stationarity", "epsilon", "confidence_bound"}
 
-    @pytest.mark.parametrize("solver", ["linear", "nnls"])
     def test_stationary_key_of_older_files_changes_nothing(self, tmp_path, capsys,
-                                                           monkeypatch, solver):
+                                                           monkeypatch):
         # simulate JSON used to carry "stationary": true in its moments; the
         # central block from such a file is the one from the same moments
         # without it, and from the sample table the moments came from
@@ -648,7 +692,7 @@ class TestSimulate:
         serialize.write_json(tmp_path / "old.json", {**moments, "stationary": True})
         centrals = []
         for path in ("old.json", "new.json", "run.csv"):
-            code, out, _ = run_cli(capsys, "estimate", "--input", path, "--solver", solver)
+            code, out, _ = run_cli(capsys, "estimate", "--input", path)
             assert code == 0
             centrals.append(json.loads(out)["central"])
         assert centrals[0] == centrals[1] == centrals[2]

@@ -351,6 +351,33 @@ class TestCentralRecovery:
         assert np.fft.fft(c.v_alpha).real.min() > 0.0 and not c.psd_repaired
         assert np.abs(c.v_alpha - truth).max() <= 5e-3 * truth.max()
 
+    def test_noise_free_ellipse_moments_are_admissible(self):
+        # the spectral solve's roundoff leaves Circ(v) an eigenvalue of
+        # -5.8e-9, beyond the clip band, which raised ParameterError
+        body = Ellipse(2.0, 1.0, 0.3)
+        m = isotropize_moments(deterministic_process_moments(body, 256), body=body)
+        c = central_from_feret(m)
+        lam = np.fft.fft(c.v_alpha).real
+        assert c.v_alpha.min() >= 0.0
+        assert lam.min() >= -256 * np.finfo(float).eps * np.abs(lam).max()
+        assert c.stderr_mean_alpha == 0.0 and np.array_equal(c.stderr_v_alpha, np.zeros(256))
+
+    @pytest.mark.parametrize("model", [IsotropicRectangle(Fixed([1.3, 0.7])),
+                                       IsotropicEllipse(Fixed([2.0, 1.0]))],
+                             ids=["rectangle", "ellipse"])
+    def test_agrees_with_the_pooled_nnls_fit(self, model):
+        # on the regular grid the NNLS objective is diagonal in the
+        # eigenvalues, so the constrained fit is the projection of the
+        # spectral answer: where that answer has v < 0 (the rectangle) the
+        # fit is returned, and where it is admissible (the ellipse) the two agree
+        n = 16
+        m = empirical_moments(feret_sample_block(model, n, seed=2, start=0, count=2048))
+        c = central_from_feret(m)
+        fit = _nnls_central(regular_subdivision(n), m.second, float(m.mean.mean()), n)
+        assert c.v_alpha.min() >= 0.0
+        assert np.abs(c.v_alpha - fit.v_alpha).max() <= 1e-11 * np.abs(fit.v_alpha).max()
+        assert c.mean_alpha == fit.mean_alpha
+
     def test_lag_average_of_non_circulant_input(self):
         # a non-circulant matrix: the solve reads the average over the cyclic
         # diagonals, not row 0

@@ -304,3 +304,31 @@ def test_rule_finds_fft_calls():
     )
     assert _fft_calls(tree) == [(3, "CentralFaceMoments"), (5, "central_nnls"),
                                 (6, None), (9, "f")]
+
+
+def _solver_option_reads(tree):
+    """Line numbers of each read of an attribute named solver in tree."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "solver"
+                and isinstance(node.ctx, ast.Load)):
+            yield node.lineno
+
+
+def test_estimate_route_is_a_function_of_the_input():
+    # the table's grid picks the estimator; --solver is parsed for older
+    # scripts and ignored, so no module reads it
+    bad = [f"{p.name}:{line}" for p in SOURCES
+           for line in _solver_option_reads(ast.parse(p.read_text()))]
+    assert bad == []
+
+
+def test_rule_finds_solver_option_reads():
+    tree = ast.parse(
+        'if not regular and args.solver != "nnls":\n'
+        '    raise ParameterError("use --solver nnls")\n'
+        'report = {"solver": "linear" if regular else "nnls"}\n'
+        'p.add_argument("--solver", choices=["linear", "nnls"])\n'
+        'report = {"command": "estimate", "solver": args.solver}\n'
+        'self.solver = None\n'
+    )
+    assert sorted(_solver_option_reads(tree)) == [1, 5]
