@@ -494,11 +494,13 @@ class TestEstimate:
         assert code == 2
         assert "regular grid" in err
 
+    @pytest.mark.parametrize("solver", ["linear", "nnls"])
     @pytest.mark.parametrize("column", ["theta", "h"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_table_exit_2(self, tmp_path, capsys, column, bad):
+    def test_non_finite_table_exit_2(self, tmp_path, capsys, solver, column, bad):
         # checked as the table is read: an infinite angle passes the grid
-        # checks and yields NaN moments, and a NaN angle fails them misleadingly
+        # checks and yields NaN moments, and a NaN angle fails them misleadingly;
+        # an ignored --solver from an older script changes none of it
         theta = ["0", bad if column == "theta" else "0.5", "1.0"]
         h = ["1.0", bad if column == "h" else "2.0", "1.5"]
         rows = [f"{s},{t},{v}" for s in (0, 1) for t, v in zip(theta, h)]
@@ -506,8 +508,8 @@ class TestEstimate:
         p.write_text("\n".join(["sample_id,theta,h", *rows, ""]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, "estimate", "--input", str(p),
-                                     "--n", "2", "--epsilon", "0.1")
+            code, out, err = run_cli(capsys, "estimate", "--input", str(p), "--solver",
+                                     solver, "--n", "2", "--epsilon", "0.1")
         assert caught == []
         assert code == 2 and out == ""
         assert f"{column} must be finite" in err
@@ -679,8 +681,9 @@ class TestSimulate:
         assert set(json.loads(out)) == {"command", "solver", "n", "central",
                                         "stationarity", "epsilon", "confidence_bound"}
 
+    @pytest.mark.parametrize("solver", ["linear", "nnls"])
     def test_stationary_key_of_older_files_changes_nothing(self, tmp_path, capsys,
-                                                           monkeypatch):
+                                                           monkeypatch, solver):
         # simulate JSON used to carry "stationary": true in its moments; the
         # central block from such a file is the one from the same moments
         # without it, and from the sample table the moments came from
@@ -692,7 +695,7 @@ class TestSimulate:
         serialize.write_json(tmp_path / "old.json", {**moments, "stationary": True})
         centrals = []
         for path in ("old.json", "new.json", "run.csv"):
-            code, out, _ = run_cli(capsys, "estimate", "--input", path)
+            code, out, _ = run_cli(capsys, "estimate", "--input", path, "--solver", solver)
             assert code == 0
             centrals.append(json.loads(out)["central"])
         assert centrals[0] == centrals[1] == centrals[2]
