@@ -114,12 +114,14 @@ class CentralFaceMoments:
     `mean_alpha` is the common face-length mean; `v_alpha[d]` is
     E[alpha_1 alpha_(1+d)], which by exchangeability under cyclic shifts is a
     palindrome: v[d] = v[n-d] within SPECTRAL_RTOL * max|v|.  This is the one
-    PSD rule for Circ(v_alpha), on spectral solves, NNLS fits and JSON
-    records: relative to the spectral radius, eigenvalues down to -n eps are
-    FFT roundoff and left alone, those in [-SPECTRAL_RTOL, -n eps) are
-    clamped to zero, which projects v onto the PSD cone (`psd_repaired`), and
-    larger ones are rejected.  `mean_alpha` must be >= -RTOL * sqrt(max|v|),
-    the face-length scale of v.  v_alpha[0] >= mean_alpha^2 is deliberately not
+    admissibility rule, on spectral solves, NNLS fits and JSON records: v is
+    the second moment of a nonnegative face vector, v >= 0 and Circ(v) PSD,
+    within SPECTRAL_RTOL.  Relative to the spectral radius, eigenvalues of
+    Circ(v) down to -n eps are FFT roundoff and left alone, and every one
+    below is clipped to zero, the nearest-PSD projection of v
+    (`psd_repaired`).  A projected v with a lag below -SPECTRAL_RTOL * max|v|
+    raises ParameterError.  `mean_alpha` must be >= -RTOL * sqrt(max|v|), the
+    face-length scale of v.  v_alpha[0] >= mean_alpha^2 is deliberately not
     required: non-zonotopal inputs can produce a smaller second moment.
     """
 
@@ -139,15 +141,11 @@ class CentralFaceMoments:
         if np.abs(v - v[_palindrome_index(n)]).max() > SPECTRAL_RTOL * scale:
             raise ParameterError("v_alpha is not a palindrome vector")
         lam = np.fft.fft(v).real
-        radius = float(np.abs(lam).max())
-        if lam.min() < -SPECTRAL_RTOL * radius:
-            raise ParameterError(
-                f"Circ(v_alpha) is not positive semidefinite (min eigenvalue "
-                f"{lam.min():.3e})"
-            )
-        self.psd_repaired = bool(lam.min() < -n * np.finfo(float).eps * radius)
+        self.psd_repaired = bool(lam.min() < -n * np.finfo(float).eps * np.abs(lam).max())
         if self.psd_repaired:
             v = np.fft.ifft(np.maximum(lam, 0.0)).real
+        if v.min() < -SPECTRAL_RTOL * scale:
+            raise ParameterError(f"v_alpha has a negative lag ({v.min():.3e})")
         self.n = int(n)
         self.mean_alpha = max(mean_alpha, 0.0)
         self.v_alpha = v
@@ -306,12 +304,13 @@ def central_from_feret(m):
     Standard errors on `m` are averaged likewise and propagate through the
     linear map by conservative absolute-value row sums.
 
-    An answer that is not admissible, v >= 0 and Circ(v) PSD, even as
-    `CentralFaceMoments` clips it, gives way to the `central_nnls` fit of the
-    same lags, with the solve's standard errors: on this grid the fit is the
-    projection of the answer onto the admissible set, as the clip is where
-    v stays >= 0.  Raises SolverError where the fit does, and where K(0) is
-    numerically singular, which depends on n alone: for every n >= 1194.
+    Returns the solve's `CentralFaceMoments` record, eigenvalue clip and all.
+    Only where the clip leaves v a negative lag, so the record rejects it, is
+    it the `central_nnls` fit of the same lags, with the solve's standard
+    errors: on this grid that fit projects the answer onto the admissible
+    set, as the clip does wherever v stays >= 0.  Standard errors that
+    overflow raise ParameterError; SolverError is raised where the fit does,
+    and where K(0) is numerically singular: for every n >= 1194.
     """
     n = m.n
     K0 = k_matrix(n)
@@ -319,20 +318,19 @@ def central_from_feret(m):
     lags = _symmetric(_lag_sums(m.second) / n)
     v = _symmetric(K0.solve(lags) / n)
 
-    stderr_mean_alpha = None
-    stderr_v = None
-    if m.stderr_mean is not None:
-        stderr_mean_alpha = (np.pi / (2.0 * n)) * float(m.stderr_mean.mean())
-    if m.stderr_second is not None:
-        full_map = K0.solve(_symmetric(np.eye(n))) / n
-        stderr_v = np.abs(full_map) @ (_lag_sums(m.stderr_second) / n)
+    stderr_mean_alpha = stderr_v = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m.stderr_mean is not None:
+            stderr_mean_alpha = (np.pi / (2.0 * n)) * float(m.stderr_mean.mean())
+        if m.stderr_second is not None:
+            full_map = K0.solve(_symmetric(np.eye(n))) / n
+            stderr_v = np.abs(full_map) @ (_lag_sums(m.stderr_second) / n)
+    require_finite(stderr_mean_alpha=stderr_mean_alpha, stderr_v_alpha=stderr_v)
     try:
-        central = CentralFaceMoments(n, mean_alpha, v, stderr_mean_alpha, stderr_v)
-    except ParameterError:  # an eigenvalue of Circ(v) beyond the clip band
-        central = None
-    if central is None or central.v_alpha.min() < 0.0:
+        return CentralFaceMoments(n, mean_alpha, v, stderr_mean_alpha, stderr_v)
+    except ParameterError:  # a negative lag that the eigenvalue clip leaves
         central = central_nnls(zip(regular_subdivision(n), lags[: n // 2 + 1]), n, mean_alpha)
-        central.stderr_mean_alpha, central.stderr_v_alpha = stderr_mean_alpha, stderr_v
+    central.stderr_mean_alpha, central.stderr_v_alpha = stderr_mean_alpha, stderr_v
     return central
 
 
@@ -346,8 +344,9 @@ def central_nnls(observations, n, mean_alpha=0.0):
     the design A in u sums the mirror pair of columns of
     Q[i, j] = n k_s(z_i - theta_j).  An interior angle z also observes the
     lag pi - z, which on palindromes repeats the row of z: its row carries
-    weight sqrt(2) instead of a mirrored copy, so on the regular grid this is
-    the projection `central_from_feret` makes.  The fit keeps u >= 0 and
+    weight sqrt(2) instead of a mirrored copy, so on the regular grid the fit
+    is the projection of the spectral answer that `central_from_feret`
+    returns where its clip leaves a negative lag.  The fit keeps u >= 0 and
     Circ(v) PSD, which v = 0 meets: scipy's NNLS fits u >= 0, and primal
     active-set steps move it onto the PSD cone.  Its eigenvalues are >= 0 up
     to the roundoff that CentralFaceMoments clips, u entries at or below

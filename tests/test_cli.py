@@ -13,6 +13,7 @@ from zonofit import (
     ConvexPolygon,
     DeterministicBody,
     Disk,
+    FeretProcessMoments,
     Fixed,
     IsotropicEllipse,
     IsotropicRectangle,
@@ -513,6 +514,23 @@ class TestEstimate:
         assert caught == []
         assert code == 2 and out == ""
         assert f"{column} must be finite" in err
+
+    def test_overflowing_stderr_exit_2(self, tmp_path, capsys):
+        # finite moments whose propagated stderr overflows: one error naming
+        # it, where an infinite stderr_v_alpha used to reach the report
+        n = 8
+        base = np.abs(np.random.default_rng(n).standard_normal(n)) + 0.1
+        v = np.array([np.dot(base, np.roll(base, d)) for d in range(n)]) / n + np.eye(n)[0]
+        fwd = forward_zonotope_moments(CentralFaceMoments(n, 1.0, v))
+        m = FeretProcessMoments(fwd.mean, fwd.second, np.full(n, 0.01), np.full((n, n), 1e307))
+        p = tmp_path / "moments.json"
+        p.write_text(json.dumps(serialize.moments_to_dict(m)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "estimate", "--input", str(p))
+        assert caught == []
+        assert code == 2 and out == ""
+        assert "stderr_v_alpha must be finite" in err
 
     @pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-10, 0), (2e-5, 2)])
     def test_linear_solver_takes_tables_within_1e_9_of_the_grid(

@@ -40,7 +40,8 @@ from zonofit import (
     sample_shape,
     stationarity_diagnostic,
 )
-from zonofit.process import _lag_sums, _nnls_central
+from zonofit import process
+from zonofit.process import _lag_sums, _nnls_central, _symmetric
 from zonofit.simulate import IsotropicZonotope, LogNormal, feret_sample_block
 
 MEAN_H_SQUARE = 4.0 / np.pi
@@ -127,18 +128,32 @@ class TestMomentClasses:
         assert np.fft.fft(c.v_alpha).real.min() >= -1e-15
 
     def test_central_moments_fft_roundoff_not_repaired(self):
-        # a palindrome from a nonnegative spectrum with zeros: the FFT gives
-        # those zeros back as roundoff of either sign, which is no violation
-        lam = np.array([0.5, 3.5, 0.0, 0.0, 3.0, 0.0, 0.0, 3.5])
+        # a positive palindrome from a nonnegative spectrum with zeros: the FFT
+        # gives those zeros back as roundoff of either sign, which is no violation
+        lam = np.array([3.0, 1.5, 0.0, 0.0, 0.5, 0.0, 0.0, 1.5])
         v = np.fft.ifft(lam).real
-        assert np.fft.fft(v).real.min() < 0.0
+        assert v.min() > 0.0 and np.fft.fft(v).real.min() < 0.0
         c = CentralFaceMoments(8, 1.0, v)
         assert not c.psd_repaired
         np.testing.assert_array_equal(c.v_alpha, v)
 
+    def test_central_moments_psd_violation_projected(self):
+        # an eigenvalue of -1e-6 of the radius: every negative one is clipped
+        c = CentralFaceMoments(2, 1.0, [1.0, 1.0 + 1e-6])
+        assert c.psd_repaired
+        np.testing.assert_allclose(c.v_alpha, [1.0 + 5e-7, 1.0 + 5e-7], rtol=1e-15, atol=0.0)
+
     def test_central_moments_psd_violation_rejected(self):
-        with pytest.raises(ParameterError, match="positive semidefinite"):
-            CentralFaceMoments(2, 1.0, [1.0, 1.0 + 1e-6])
+        # spectrum [-0.5, 2.5, -0.5, 2.5]: the clip leaves v a negative lag
+        with pytest.raises(ParameterError, match="negative lag"):
+            CentralFaceMoments(4, 1.0, [1.0, 0.0, -1.5, 0.0])
+
+    def test_central_moments_negative_lag_rejected(self):
+        # spectrum [0.5, 1.5, 0.5, 1.5]: PSD, but no nonnegative face vector
+        # has this second moment
+        assert np.fft.fft([1.0, 0.0, -0.5, 0.0]).real.min() > 0.0
+        with pytest.raises(ParameterError, match="negative lag"):
+            CentralFaceMoments(4, 1.0, [1.0, 0.0, -0.5, 0.0])
 
     def test_central_moments_clean_input_untouched(self):
         c = CentralFaceMoments(4, 2.0, [4.0, 2.0, 1.0, 2.0])
@@ -351,16 +366,27 @@ class TestCentralRecovery:
         assert np.fft.fft(c.v_alpha).real.min() > 0.0 and not c.psd_repaired
         assert np.abs(c.v_alpha - truth).max() <= 5e-3 * truth.max()
 
-    def test_noise_free_ellipse_moments_are_admissible(self):
-        # the spectral solve's roundoff leaves Circ(v) an eigenvalue of
-        # -5.8e-9, beyond the clip band, which raised ParameterError
+    def test_noise_free_ellipse_moments_are_admissible(self, monkeypatch):
+        # the spectral solve's roundoff leaves Circ(v) eigenvalues down to
+        # -5.8e-9 of the radius; clipping them keeps v >= 0, so the answer is
+        # the clipped solve itself, with no NNLS fit
+        def no_fit(*args):
+            raise AssertionError("central_nnls called")
+
+        monkeypatch.setattr(process, "central_nnls", no_fit)
         body = Ellipse(2.0, 1.0, 0.3)
-        m = isotropize_moments(deterministic_process_moments(body, 256), body=body)
-        c = central_from_feret(m)
-        lam = np.fft.fft(c.v_alpha).real
-        assert c.v_alpha.min() >= 0.0
-        assert lam.min() >= -256 * np.finfo(float).eps * np.abs(lam).max()
-        assert c.stderr_mean_alpha == 0.0 and np.array_equal(c.stderr_v_alpha, np.zeros(256))
+        for n in (256, 512):
+            m = isotropize_moments(deterministic_process_moments(body, n), body=body)
+            c = central_from_feret(m)
+            v = _symmetric(k_matrix(n).solve(_symmetric(_lag_sums(m.second) / n)) / n)
+            lam = np.fft.fft(v).real
+            assert c.psd_repaired
+            np.testing.assert_array_equal(c.v_alpha, np.fft.ifft(np.maximum(lam, 0.0)).real)
+            lam = np.fft.fft(c.v_alpha).real
+            assert c.v_alpha.min() >= 0.0
+            assert lam.min() >= -n * np.finfo(float).eps * np.abs(lam).max()
+            assert c.stderr_mean_alpha == 0.0
+            assert np.array_equal(c.stderr_v_alpha, np.zeros(n))
 
     @pytest.mark.parametrize("model", [IsotropicRectangle(Fixed([1.3, 0.7])),
                                        IsotropicEllipse(Fixed([2.0, 1.0]))],

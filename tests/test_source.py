@@ -267,19 +267,37 @@ def test_rule_finds_finiteness_checks():
     assert _finiteness_checks(tree) == [(2, "f"), (6, None), (10, "g")]
 
 
-def _fft_calls(tree):
-    """(line, scope) of each call of an FFT function in tree, scope being the
-    name of the outermost enclosing class or def (None at module level)."""
+def _scoped_calls(tree, wanted):
+    """(line, scope) of each call in tree that wanted(call) accepts, scope
+    being the name of the outermost enclosing class or def (None at module
+    level)."""
     def visit(node, scope):
         if scope is None and isinstance(node, (ast.ClassDef, ast.FunctionDef,
                                                ast.AsyncFunctionDef)):
             scope = node.name
-        if isinstance(node, ast.Call) and "fft" in ast.unparse(node.func):
+        if isinstance(node, ast.Call) and wanted(node):
             yield node.lineno, scope
         for child in ast.iter_child_nodes(node):
             yield from visit(child, scope)
 
     return list(visit(tree, None))
+
+
+def _fft_calls(tree):
+    """(line, scope) of each call of an FFT function in tree."""
+    return _scoped_calls(tree, lambda call: "fft" in ast.unparse(call.func))
+
+
+def _v_alpha_min_calls(tree):
+    """(line, scope) of each minimum taken of a v_alpha attribute in tree:
+    x.v_alpha.min() or a min/amin call whose first argument is x.v_alpha."""
+    def wanted(call):
+        func = ast.unparse(call.func)
+        return func.endswith(".v_alpha.min") or (
+            func.split(".")[-1] in ("min", "amin") and bool(call.args)
+            and ast.unparse(call.args[0]).endswith(".v_alpha"))
+
+    return _scoped_calls(tree, wanted)
 
 
 def test_psd_rule_lives_in_central_face_moments():
@@ -304,6 +322,32 @@ def test_rule_finds_fft_calls():
     )
     assert _fft_calls(tree) == [(3, "CentralFaceMoments"), (5, "central_nnls"),
                                 (6, None), (9, "f")]
+
+
+def test_nonnegativity_rule_lives_in_central_face_moments():
+    # v >= 0 is decided where the record is built, after its eigenvalue
+    # clip; no caller tests a record's lags again to pick another route
+    bad = [f"{p.name}:{line}" for p in SOURCES
+           for line, scope in _v_alpha_min_calls(ast.parse(p.read_text()))
+           if (p.name, scope) != ("process.py", "CentralFaceMoments")]
+    assert bad == []
+
+
+def test_rule_finds_v_alpha_minima():
+    tree = ast.parse(
+        "class CentralFaceMoments:\n"
+        "    def __init__(self, v):\n"
+        "        self.ok = self.v_alpha.min() >= 0.0\n"
+        "def central_from_feret(m):\n"
+        "    if central is None or central.v_alpha.min() < 0.0:\n"
+        "        return np.min(c.v_alpha) + min(c.v_alpha, key=abs)\n"
+        "lowest = np.amin(record.v_alpha, axis=0)\n"
+        "fine = v.min() + c.v_alpha.max() + min(0.0, c.v_alpha[0])\n"
+    )
+    assert _v_alpha_min_calls(tree) == [(3, "CentralFaceMoments"),
+                                        (5, "central_from_feret"),
+                                        (6, "central_from_feret"),
+                                        (6, "central_from_feret"), (7, None)]
 
 
 def _solver_option_reads(tree):
