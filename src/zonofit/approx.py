@@ -23,6 +23,10 @@ from .zonotopes import Zonotope
 #: Width in radians below which the offset scan stops narrowing its brackets.
 OFFSET_ANGLE_TOL = 1e-6
 
+#: Largest Feret diameter the fit takes: the stencil's sums, the offset scan's
+#: sinusoids and the distances stay within 4 times the largest sample.
+_FERET_LIMIT = np.finfo(float).max / 4.0
+
 #: Offsets the kernel evaluates together, and the probes of one section-search
 #: step; bounds the kernel's (block, sup grid) arrays.
 _BLOCK = 16
@@ -37,15 +41,20 @@ def _interpolant(x, n, offset=0.0):
 
     The node values are H_x at the n grid angles.  For a 1-D array of
     offsets both are (n, offsets) arrays, one column per offset.  Non-finite
-    Feret samples, and face lengths below -RTOL times the largest |H|
-    sampled, raise ParameterError; roundoff above that is clipped to zero.
+    Feret samples, samples above _FERET_LIMIT, and face lengths below -RTOL
+    times the largest |H| sampled, raise ParameterError; roundoff above that
+    is clipped to zero.
     """
     th = np.add.outer(regular_subdivision(n), np.asarray(offset, dtype=float))
     h = np.asarray(x.feret(th), dtype=float)
     require_finite(**{"Feret diameters": h})
+    scale = float(np.max(np.abs(h), initial=0.0))
+    if scale > _FERET_LIMIT:
+        raise ParameterError(f"Feret diameter {scale:.3e} is too large: the fit takes at "
+                             f"most {_FERET_LIMIT:.3e}, a quarter of the float range")
     alpha = face_lengths(h, np.pi / n)
     worst = float(np.min(alpha, initial=0.0))
-    tol = RTOL * float(np.max(np.abs(h), initial=0.0))
+    tol = RTOL * scale
     if worst < -tol:
         raise ParameterError(
             "samples are not the Feret diameters of a symmetric convex body "
@@ -65,12 +74,18 @@ def c0_approximate(x, n):
 
 
 def hausdorff_bound(n, diam):
-    """A priori distance bound (6 + 2 sqrt(2)) sin(pi/2n) * diam for the grid zonotope."""
+    """A priori distance bound (6 + 2 sqrt(2)) sin(pi/2n) * diam for the grid
+    zonotope; a bound beyond the float range raises ParameterError."""
     require_count("n", n, 2)
     require_finite(diam=diam)
     if diam < 0:
         raise ParameterError(f"diameter must be >= 0, got {diam}")
-    return (6.0 + 2.0 * np.sqrt(2.0)) * np.sin(np.pi / (2.0 * n)) * float(diam)
+    # a Python float product: an overflow gives inf, no warning
+    bound = float((6.0 + 2.0 * np.sqrt(2.0)) * np.sin(np.pi / (2.0 * n))) * float(diam)
+    if np.isinf(bound):
+        raise ParameterError(f"Hausdorff bound of diameter {float(diam):.3e} at n = {n} "
+                             "overflows a float")
+    return bound
 
 
 def _distance_kernel(x, n):

@@ -150,6 +150,11 @@ class Ellipse(SymmetricConvexBody):
         self.b = float(b)
         self.phi = float(phi)
         require_finite(a=self.a, b=self.b, phi=self.phi)
+        # rounding is monotone, so every (a sin)^2 + (b cos)^2 of `feret`
+        # stays at most a^2 + b^2: finite here, finite at every angle
+        if np.isinf(self.a * self.a + self.b * self.b):
+            raise ParameterError(f"ellipse semiaxes ({self.a:.3e}, {self.b:.3e}) are too "
+                                 "large: a^2 + b^2 overflows a float")
 
     def feret(self, theta):
         t = np.asarray(theta, dtype=float) - self.phi
@@ -172,6 +177,13 @@ class SymmetricPolygon(SymmetricConvexBody):
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 2:
             raise ParameterError("polygon needs an (m, 2) vertex array with m >= 2")
         require_finite(vertices=v)
+        # with M the largest |coordinate|, the centroid's sums stay within
+        # m M, and the symmetry test's and the widths' within 8 M: past
+        # either bound a float overflows
+        extent = float(np.abs(v).max())
+        if np.isinf(extent * max(len(v), 8)):
+            raise ParameterError(f"polygon vertex coordinates up to {extent:.3e} are too "
+                                 "large: its centroid or widths overflow a float")
         center = v.mean(axis=0)
         v = v - center
         tol = RTOL * float(np.hypot(v[:, 0], v[:, 1]).max())

@@ -3,10 +3,11 @@
 Every sup over angle in zonofit, here and in the offset scan, is one search:
 the grid of `sup_grid`, then `refine_sup` around the grid maximum.  Bodies
 and convex polygons alike are evaluated through their `feret` method.
+No functional here imports scipy: `perimeter_cauchy` sums its Simpson rule
+in numpy.
 """
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .bodies import face_lengths, regular_subdivision
 from .errors import ParameterError
@@ -102,12 +103,12 @@ def diameter(x):
 def perimeter_cauchy(x):
     """Perimeter via Cauchy's formula: integral of H over [0, pi].
 
-    Composite Simpson with 8192 panels, for smooth and kinked H alike; x needs
-    only `feret`.  Around a kink the quadrature order degrades to roughly
-    O(panels^-2).
+    Composite Simpson with 8192 panels of width pi/8192, for smooth and kinked
+    H alike; x needs only `feret`.  Around a kink the quadrature order degrades
+    to roughly O(panels^-2).
     """
-    t = np.linspace(0.0, np.pi, 8193)
-    return float(simpson(np.asarray(x.feret(t), dtype=float), x=t))
+    h = np.asarray(x.feret(np.linspace(0.0, np.pi, 8193)), dtype=float)
+    return float(np.sum(h[:-1:2] + 4.0 * h[1::2] + h[2::2]) * (np.pi / 8192 / 3.0))
 
 
 def mixed_area_with_zonotope(x, z):

@@ -4,10 +4,11 @@
 (Lawson & Hanson, "Solving Least Squares Problems", 1974).  `nnls` wraps it
 so that a shape mismatch or scipy's iteration limit surfaces as SolverError;
 `kkt_residual` measures how well a point satisfies the optimality conditions.
+`nnls` imports `scipy.optimize` on its first call, so importing zonofit, and
+every command that never fits by NNLS, loads no scipy module.
 """
 
 import numpy as np
-import scipy.optimize
 
 from .errors import SolverError
 
@@ -18,6 +19,8 @@ def nnls(A, b):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.shape != (A.shape[0],):
         raise SolverError(f"shape mismatch: A is {A.shape}, b is {b.shape}")
+    import scipy.optimize
+
     try:
         x, res = scipy.optimize.nnls(A, b)
     except RuntimeError as e:

@@ -5,10 +5,11 @@ a flat sequence of uniform draws, and sample k owns a fixed window of them
 determined by the model's per-sample draw count (size variables first,
 rotation angle last; the window is padded to whole 4-word counter blocks,
 the unit Philox skips by).  Normal deviates come from uniforms through the
-inverse CDF so the budget stays fixed.  Every estimate is then a
-deterministic function of (seed, sample index) alone: parallel workers
-produce bit-identical results in any configuration, and moments are
-reduced in a fixed chunked order.
+inverse CDF so the budget stays fixed; `LogNormal.transform` imports that
+inverse CDF, `scipy.special.ndtri`, when it runs, so models without lognormal
+sizes load no scipy module.  Every estimate is then a deterministic function
+of (seed, sample index) alone: parallel workers produce bit-identical results
+in any configuration, and moments are reduced in a fixed chunked order.
 
 Zonotope models share one spectral sample block: on the regular grid the map
 from face lengths to Feret diameters is a circular convolution, evaluated
@@ -22,7 +23,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import ndtri
 
 from .bodies import RTOL, Ellipse, regular_subdivision, require_count, require_finite
 from .errors import ParameterError
@@ -134,6 +134,8 @@ class LogNormal(SizeDistribution):
         require_finite(mu=self.mu, sigma=self.sigma)
 
     def transform(self, u):
+        from scipy.special import ndtri
+
         return np.exp(self.mu + self.sigma * ndtri(u))
 
 

@@ -90,6 +90,16 @@ class TestC0:
         with pytest.raises(ParameterError, match="not the Feret diameters"):
             c0_approximate(_FakeBody(), 8)
 
+    @pytest.mark.parametrize("fit", [c0_approximate,
+                                     lambda x, n: cinf_approximate(x, n, grid_points=8)[1]])
+    def test_diameters_beyond_a_quarter_of_the_float_range_rejected(self, fit):
+        # at n = 2 the stencil adds two samples, so a 1e308 segment overflowed
+        # it; 4e307 is within the limit and fits, its face lengths exact
+        with pytest.raises(ParameterError, match=r"^Feret diameter \S+ is too large"):
+            fit(Segment(1e308, 0.3), 2)
+        z = fit(Segment(4e307, 0.0), 2)
+        assert np.all(np.isfinite(z.alpha)) and z.alpha.max() == pytest.approx(4e307)
+
     def test_bad_n(self):
         with pytest.raises(ParameterError):
             c0_approximate(Disk(1.0), 1)
@@ -122,6 +132,14 @@ class TestBound:
             hausdorff_bound(1, 1.0)
         with pytest.raises(ParameterError):
             hausdorff_bound(4, -1.0)
+
+    def test_overflowing_bound_raises(self):
+        # 6.24 x 4e307 is beyond the float range at n = 2; at n = 4 the
+        # factor is 3.38 and the bound fits
+        with pytest.raises(ParameterError, match=r"^Hausdorff bound of diameter 4\.000e\+307 "
+                                                 r"at n = 2 overflows a float$"):
+            hausdorff_bound(2, 4e307)
+        assert hausdorff_bound(4, 4e307) == pytest.approx(1.3514e308, rel=1e-4)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_diameter(self, bad):

@@ -101,6 +101,31 @@ def test_ellipse_values_and_validation():
         Ellipse(-3, 1)
 
 
+def test_ellipse_whose_squares_overflow_is_rejected():
+    # a^2 + b^2 bounds every (a sin)^2 + (b cos)^2 that feret computes, so
+    # an accepted ellipse has finite diameters at every angle
+    with pytest.raises(ParameterError, match=r"a\^2 \+ b\^2 overflows a float"):
+        Ellipse(1e200, 1.0)
+    with pytest.raises(ParameterError, match="overflows"):
+        Ellipse(1e154, 1e154)
+    e = Ellipse(9e153, 9e153, 0.3)
+    h = e.feret(np.linspace(0.0, np.pi, 4097))
+    assert np.all(np.isfinite(h)) and h.max() == pytest.approx(1.8e154, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale, ok", [(2.2e307, True), (2.3e307, False), (1e308, False)])
+def test_polygon_whose_sums_overflow_is_rejected(scale, ok):
+    # the centroid, the symmetry test and the widths stay within 8 times the
+    # largest coordinate: 8 x 2.2e307 fits a float, 8 x 2.3e307 does not
+    square = scale * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    if ok:
+        h = SymmetricPolygon(square).feret(np.linspace(0.0, np.pi, 9))
+        assert np.all(np.isfinite(h)) and h.max() == pytest.approx(2.0 * np.sqrt(2.0) * scale)
+    else:
+        with pytest.raises(ParameterError, match="centroid or widths overflow a float"):
+            SymmetricPolygon(square)
+
+
 def test_polygon_feret(unit_square):
     assert unit_square.feret(0.0) == pytest.approx(1.0, abs=1e-12)
     assert unit_square.feret(np.pi / 4) == pytest.approx(np.sqrt(2), abs=1e-12)

@@ -1,6 +1,11 @@
 """Command-line behavior: parsing, report contents, files, exit codes."""
 
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -978,6 +983,32 @@ class TestExitCodes:
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("mode", ["c0", "cinf"])
+    @pytest.mark.parametrize("shape, n, message", [
+        ("ellipse:1e200,1", 4, re.escape("ellipse semiaxes (1.000e+200, 1.000e+00) are too "
+                                          "large: a^2 + b^2 overflows a float")),
+        (json.dumps({"kind": "polygon", "vertices": [[1e308, 1e308], [-1e308, 1e308],
+                                                     [-1e308, -1e308], [1e308, -1e308]]}),
+         4, re.escape("polygon vertex coordinates up to 1.000e+308 are too large: its "
+                      "centroid or widths overflow a float")),
+        ("segment:1e308,0.3", 2, r"Feret diameter \S+ is too large: the fit takes at most "
+                                 r"4\.494e\+307, a quarter of the float range"),
+        ("segment:1e308,0.3", 4, r"Feret diameter \S+ is too large: the fit takes at most "
+                                 r"4\.494e\+307, a quarter of the float range"),
+        ("segment:4e307", 2, re.escape("Hausdorff bound of diameter 4.000e+307 at n = 2 "
+                                       "overflows a float")),
+    ], ids=["ellipse", "polygon", "segment_n2", "segment_n4", "bound"])
+    def test_huge_finite_shape_is_2_without_warning(self, capsys, mode, shape, n, message):
+        # finite parameters whose squares, sums or bound overflow: one line,
+        # before numpy computes an inf and warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "approximate", "--shape", shape, "--n", str(n),
+                                     "--mode", mode, "--grid", "8")
+        assert code == 2 and out == ""
+        assert re.fullmatch(f"zonofit: {message}\n", err)
+        assert caught == []
+
+    @pytest.mark.parametrize("mode", ["c0", "cinf"])
     @pytest.mark.parametrize("n", [4, 8])
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_grid_aligned_huge_segment_has_area_zero(self, capsys, mode, n, k):
@@ -1022,3 +1053,28 @@ class TestExitCodes:
             "--out", str(dest),
         )
         assert code == 2
+
+
+_COMMANDS_THEN_SCIPY_MODULES = """
+import contextlib, io, sys
+from zonofit import cli
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv.split()) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # scipy is imported where it is called, and these commands call none of
+    # it: a fresh interpreter that runs them has loaded no scipy module
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    commands = ["approximate --shape ellipse:2,1 --n 8", "sweep --n 8 --k 2",
+                "simulate --model isotropic_ellipse:1.5,1 --n 8 --samples 64 --seed 1 "
+                f"--out {tmp_path / 'run'}"]
+    proc = subprocess.run([sys.executable, "-c", _COMMANDS_THEN_SCIPY_MODULES, *commands],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "run.csv").exists()

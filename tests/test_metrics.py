@@ -170,6 +170,20 @@ def test_perimeter_cauchy(unit_square):
         assert perimeter_cauchy(Ellipse(a, b)) == pytest.approx(want, abs=1e-9)
 
 
+def test_perimeter_cauchy_is_scipys_simpson_rule(unit_square):
+    # the numpy sum is the composite Simpson rule of scipy.integrate.simpson
+    # on the same 8193 angles, to within roundoff of the sum's order
+    from scipy.integrate import simpson
+    t = np.linspace(0.0, np.pi, 8193)
+    rng = np.random.default_rng(0)
+    bodies = [Ellipse(b * k, b, phi)
+              for b, k, phi in rng.uniform([0.1, 1.0, 0.0], [10.0, 8.0, np.pi], (300, 3))]
+    bodies += [unit_square, Zonotope([2 / np.sqrt(3)] * 3)]
+    for body in bodies:
+        want = simpson(body.feret(t), x=t)
+        assert perimeter_cauchy(body) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_mixed_area_with_zonotope(unit_square):
     seg = Zonotope([1.0], theta=[0.3])
     assert mixed_area_with_zonotope(Disk(1.0), seg) == pytest.approx(1.0, abs=1e-14)

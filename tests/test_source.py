@@ -376,3 +376,52 @@ def test_rule_finds_solver_option_reads():
         'self.solver = None\n'
     )
     assert sorted(_solver_option_reads(tree)) == [1, 5]
+
+
+def _import_time_scipy_imports(tree):
+    """Line numbers of the imports of scipy or of a scipy module in tree that
+    run when the module is imported: those outside every function body."""
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child)
+
+    return list(visit(tree))
+
+
+def test_scipy_is_imported_where_it_is_called():
+    # importing scipy's modules takes longer than most commands take to run,
+    # so importing zonofit loads numpy alone: the one function that calls a
+    # scipy routine imports it in its body
+    bad = [f"{p.name}:{line}" for p in SOURCES
+           for line in _import_time_scipy_imports(ast.parse(p.read_text()))]
+    assert bad == []
+
+
+def test_rule_finds_import_time_scipy_imports():
+    tree = ast.parse(
+        "import scipy\n"
+        "from scipy.special import ndtri\n"
+        "import numpy as np, scipy.optimize as opt\n"
+        "def f():\n"
+        "    import scipy.optimize\n"
+        "    from scipy import integrate\n"
+        "class C:\n"
+        "    from scipy.linalg import qr\n"
+        "    def g(self):\n"
+        "        return lambda: __import__('scipy')\n"
+        "if True:\n"
+        "    import scipy.sparse\n"
+        "from .scipy import x\n"
+        "import scipyx, numpy.scipy\n"
+    )
+    assert _import_time_scipy_imports(tree) == [1, 2, 3, 8, 12]
