@@ -7,7 +7,9 @@ evaluates blocks of offsets at once: one stencil pass for all their
 interpolants, and their widths on the sup grid from the n node values of
 each, one sinusoid per face interval at O(G) cost per offset, written into a
 workspace that each kernel allocates once; its sups are the one search of
-metrics, on up to _LANES offsets in lockstep.
+metrics, on up to _LANES offsets in lockstep, whose refinement evaluates the
+same sinusoid at O(1) cost per offset and step.  So the kernel measures the
+distance to the interpolant through the node samples.
 The offset scan calls the kernel once on a grid of offsets, then refines the
 best and the worst grid offset to OFFSET_ANGLE_TOL by a section search whose
 every step is one kernel call on _BLOCK probes of each bracket.
@@ -35,6 +37,15 @@ _BLOCK = 16
 _LANES = 256
 
 
+def _feret_samples(x, angles):
+    """H_x at the angles; a NaN or an overflow to inf raises ParameterError
+    before numpy warns about it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.asarray(x.feret(angles), dtype=float)
+    require_finite(**{"Feret diameters": h})
+    return h
+
+
 def _interpolant(x, n, offset=0.0):
     """(node values, face lengths) of the zonotope matching H_x on the offset
     regular grid.
@@ -46,8 +57,7 @@ def _interpolant(x, n, offset=0.0):
     is clipped to zero.
     """
     th = np.add.outer(regular_subdivision(n), np.asarray(offset, dtype=float))
-    h = np.asarray(x.feret(th), dtype=float)
-    require_finite(**{"Feret diameters": h})
+    h = _feret_samples(x, th)
     scale = float(np.max(np.abs(h), initial=0.0))
     if scale > _FERET_LIMIT:
         raise ParameterError(f"Feret diameter {scale:.3e} is too large: the fit takes at "
@@ -101,32 +111,35 @@ def _distance_kernel(x, n):
     index (q + i G/n + l) mod G lies u = l pi/G + delta past node i, where
     H_z = h_i cos u + g_i sin u, g_i = (h_(i+1) - cos(pi/n) h_i) / sin(pi/n).
     By the addition formula that is a_i cos(l pi/G) + b_i sin(l pi/G), two
-    products with fixed (G/n,) tables, so a pass costs O(G) per offset.  The
-    node values are the samples themselves, so the clip of roundoff-negative
-    face lengths, below RTOL times max |H|, does not reach the grid values.
+    products with fixed (G/n,) tables, so a pass costs O(G) per offset.
     Offsets go through it in blocks of _BLOCK, each filling rows of two
     (_BLOCK, G) float arrays that the kernel allocates once: the widths and
     H_x read from index q mod G on.  One `refine_sup` call then refines the
-    grid maxima of up to _LANES offsets.  Every call pays for one grid pass
-    and one sup refinement, so the offset scan batches its probes: one call
-    per section-search step.  The returned array is fresh, never a view of
-    the workspace.
+    grid maxima of up to _LANES offsets with the same formula: at an angle e
+    it takes the face interval i of (e - t) mod pi and the offset u into it,
+    so each step costs O(1) per offset.  The node values are the samples
+    themselves, so the clip of roundoff-negative face lengths, below RTOL
+    times max |H|, reaches neither pass: the distance is to the interpolant
+    through the node samples, which the clipped zonotope's n-face Feret sum
+    matches to roundoff growing like n^2 eps.  Every call pays for one grid
+    pass and one sup refinement, so the offset scan batches its probes: one
+    call per section-search step.  The returned array is fresh, never a view
+    of the workspace.
     """
     eta = sup_grid(n)
     size = len(eta)
-    step = np.pi / size
-    hx = np.asarray(x.feret(eta), dtype=float)
+    step, face = np.pi / size, np.pi / n
+    hx = _feret_samples(x, eta)
     wrapped = np.concatenate([hx, hx])
-    theta = regular_subdivision(n)
     cos_l, sin_l = np.cos(eta[:size // n]), np.sin(eta[:size // n])
-    cos_n, sin_n = np.cos(np.pi / n), np.sin(np.pi / n)
+    cos_n, sin_n = np.cos(face), np.sin(face)
     rows = _BLOCK
     widths, shifted = np.empty((2, rows, size))
 
     def block(t):
-        """(alpha, grid-peak index, grid max of |H_x - H_z|) for the offsets t."""
+        """(h, g, grid-peak index, grid max of |H_x - H_z|) for the offsets t."""
         p = len(t)
-        h, alpha = _interpolant(x, n, t)
+        h = _interpolant(x, n, t)[0]
         q = np.ceil(t / step)
         delta = q * step - t
         q = np.mod(q, size).astype(np.intp)
@@ -144,21 +157,22 @@ def _distance_kernel(x, n):
         np.subtract(wid, hxq, out=wid)
         np.abs(wid, out=wid)
         i = np.argmax(wid, axis=1)
-        return alpha, (i + q) % size, wid[np.arange(p), i]
+        return h, g, (i + q) % size, wid[np.arange(p), i]
 
     def refined(t):
         """Distances for the offsets t: the grid pass, then one refinement."""
-        p = len(t)
-        # einsum sums a lone lane's terms in another order than many lanes'
-        t = np.repeat(t, 2) if p == 1 else t
         parts = [block(t[s:s + rows]) for s in range(0, len(t), rows)]
-        alpha, peak, grid_max = (np.concatenate(c, axis=-1) for c in zip(*parts))
+        h, g, peak, grid_max = (np.concatenate(c, axis=-1) for c in zip(*parts))
+        lanes = np.arange(len(t))
 
         def gap(e):
-            hz = np.einsum("pi,ip->p", np.abs(np.sin((e - t)[:, None] - theta)), alpha)
+            u = np.mod(e - t, np.pi)
+            i = np.minimum(u // face, n - 1).astype(np.intp)
+            u -= i * face
+            hz = h[i, lanes] * np.cos(u) + g[i, lanes] * np.sin(u)
             return np.abs(np.asarray(x.feret(e), dtype=float) - hz)
 
-        return 0.5 * refine_sup(gap, eta, peak, grid_max)[1][:p]
+        return 0.5 * refine_sup(gap, eta, peak, grid_max)[1]
 
     def distances(t):
         t = np.asarray(t, dtype=float)
@@ -232,7 +246,12 @@ def cinf_approximate(x, n, grid_points=256):
 
 
 def offset_distances(x, n, offsets):
-    """Hausdorff distance from x to its grid interpolant at each rotation offset."""
+    """Hausdorff distance from x to its grid interpolant at each rotation offset.
+
+    The interpolant is the one through H_x at the n offset grid angles; its
+    `Zonotope`, whose face lengths are clipped at zero, has the same distance
+    up to roundoff.
+    """
     require_count("n", n, 2)
     return _distance_kernel(x, n)(offsets)
 

@@ -45,6 +45,20 @@ def _palindrome_index(n):
     return (-np.arange(n)) % n
 
 
+def _stderr(name, value, shape):
+    """value as a float array, or None: standard errors must have the shape
+    of the moments they belong to and be nonnegative; finiteness is checked
+    by require_finite with the moments."""
+    if value is None:
+        return None
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ParameterError(f"{name} has wrong shape {value.shape}")
+    if value.min() < 0:
+        raise ParameterError(f"{name} must be nonnegative")
+    return value
+
+
 def _symmetric(x):
     """Mean of x and its lag mirror x[(n - d) mod n]: exactly palindromic."""
     return 0.5 * (x + x[_palindrome_index(len(x))])
@@ -90,19 +104,12 @@ class FeretProcessMoments:
         d = np.maximum(second.diagonal(), 0.0)
         if np.any(second**2 > np.outer(d, d) + RTOL * scale**2):
             raise ParameterError("second moments violate the Cauchy-Schwarz bound")
-        for name, arr in (("stderr_mean", stderr_mean), ("stderr_second", stderr_second)):
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                if arr.shape != (mean.shape if name == "stderr_mean" else second.shape):
-                    raise ParameterError(f"{name} has wrong shape {arr.shape}")
-                if arr.min() < 0:
-                    raise ParameterError(f"{name} must be nonnegative")
+        self.stderr_mean = _stderr("stderr_mean", stderr_mean, (n,))
+        self.stderr_second = _stderr("stderr_second", stderr_second, (n, n))
         self.n = n
         self.theta = regular_subdivision(n)
         self.mean = mean
         self.second = second
-        self.stderr_mean = None if stderr_mean is None else np.asarray(stderr_mean, float)
-        self.stderr_second = None if stderr_second is None else np.asarray(stderr_second, float)
 
     def __repr__(self):
         return f"FeretProcessMoments(n={self.n}, estimated={self.stderr_mean is not None})"
@@ -149,10 +156,9 @@ class CentralFaceMoments:
         self.n = int(n)
         self.mean_alpha = max(mean_alpha, 0.0)
         self.v_alpha = v
+        stderr_mean_alpha = _stderr("stderr_mean_alpha", stderr_mean_alpha, ())
         self.stderr_mean_alpha = None if stderr_mean_alpha is None else float(stderr_mean_alpha)
-        self.stderr_v_alpha = (
-            None if stderr_v_alpha is None else np.asarray(stderr_v_alpha, float)
-        )
+        self.stderr_v_alpha = _stderr("stderr_v_alpha", stderr_v_alpha, (n,))
 
     def __repr__(self):
         return (
@@ -184,8 +190,8 @@ class C0FaceMoments:
         self.mean = mean
         self.second = second
         self.cov = cov
-        self.stderr_mean = stderr_mean
-        self.stderr_second = stderr_second
+        self.stderr_mean = _stderr("stderr_mean", stderr_mean, (n,))
+        self.stderr_second = _stderr("stderr_second", stderr_second, (n, n))
 
     def __repr__(self):
         return f"C0FaceMoments(n={self.n})"

@@ -16,6 +16,7 @@ from zonofit import (
     ParameterError,
     Rotated,
     Segment,
+    SymmetricPolygon,
     Zonotope,
     c0_approximate,
     cinf_approximate,
@@ -30,6 +31,7 @@ from zonofit import (
     worst_offset,
 )
 from zonofit import approx
+from zonofit.bodies import RTOL
 from zonofit.metrics import SUP_ANGLE_TOL, SUP_GRID_SIZE, refine_sup, sup_grid
 
 
@@ -380,6 +382,22 @@ class TestDistanceKernel:
                 if SUP_GRID_SIZE % n:
                     tol += (diameter(x) + z.alpha.sum()) * SUP_ANGLE_TOL
                 assert d == pytest.approx(hausdorff_distance(x, z), abs=tol)
+
+    @pytest.mark.parametrize("n", [8, 64, 1024, 4096])
+    def test_matches_hausdorff_distance_at_large_n(self, n):
+        # from n = 1024 on, a refinement bracket of +-pi/G can cross a node,
+        # and at n = 4096 the sup grid has one point per face interval
+        # (G = n), so the kernel looks up the face interval of every probe;
+        # the oracle sums the n clipped faces, whose roundoff grows like
+        # n^2 eps, so the two agree to RTOL times the body's size
+        k = 0.3 + np.arange(4) * (np.pi / 2.0)
+        square = SymmetricPolygon(np.stack([np.cos(k), np.sin(k)], axis=1))
+        offsets = 0.013 + np.arange(8) * (np.pi / n / 8)
+        for x in (Ellipse(3.0, 1.0, phi=0.4), square, Segment(1.3, 0.7)):
+            want = [hausdorff_distance(x, Zonotope(approx._interpolant(x, n, t)[1], t=t))
+                    for t in offsets]
+            np.testing.assert_allclose(offset_distances(x, n, offsets), want, rtol=0,
+                                       atol=RTOL * np.max(x.feret(sup_grid(n))))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 33, 64, 100])
     def test_grid_pass_matches_dense_reference(self, monkeypatch, unit_square, n):

@@ -996,7 +996,12 @@ class TestExitCodes:
                                  r"4\.494e\+307, a quarter of the float range"),
         ("segment:4e307", 2, re.escape("Hausdorff bound of diameter 4.000e+307 at n = 2 "
                                        "overflows a float")),
-    ], ids=["ellipse", "polygon", "segment_n2", "segment_n4", "bound"])
+        # finite parameters whose Feret diameters overflow to inf
+        (json.dumps({"kind": "scaled", "factor": 1e308, "body": {"kind": "disk", "r": 1}}),
+         2, "Feret diameters must be finite"),
+        (json.dumps({"kind": "zonotope", "alpha": [1e308, 1e308, 1e308]}),
+         2, "Feret diameters must be finite"),
+    ], ids=["ellipse", "polygon", "segment_n2", "segment_n4", "bound", "scaled", "zonotope"])
     def test_huge_finite_shape_is_2_without_warning(self, capsys, mode, shape, n, message):
         # finite parameters whose squares, sums or bound overflow: one line,
         # before numpy computes an inf and warns

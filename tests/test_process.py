@@ -1,5 +1,7 @@
 """Kernel, moment maps, recovery solvers, and process diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -35,6 +37,7 @@ from zonofit import (
     k_matrix,
     k_s,
     kkt_residual,
+    moments_from_dict,
     pipeline_estimate,
     regular_subdivision,
     sample_shape,
@@ -104,7 +107,66 @@ class TestKernelMatrix:
             k_matrix(0)
 
 
+#: (record class, fields of a valid record) by the JSON "type" of each moment record
+_MOMENT_RECORDS = {
+    "feret_moments": (FeretProcessMoments, {"mean": [1.0, 1.0],
+                                            "second": [[2.0, 1.0], [1.0, 2.0]]}),
+    "central_face_moments": (CentralFaceMoments, {"n": 4, "mean_alpha": 1.0,
+                                                  "v_alpha": [1.0, 0.5, 0.2, 0.5]}),
+    "interpolant_face_moments": (C0FaceMoments, {"n": 2, "mean": [1.0, 1.0],
+                                                 "second": [[2.0, 1.0], [1.0, 2.0]],
+                                                 "cov": [[1.0, 0.0], [0.0, 1.0]]}),
+}
+
+
 class TestMomentClasses:
+    @pytest.mark.parametrize("route", ["constructor", "moments_from_dict"])
+    @pytest.mark.parametrize("kind, field, value, message", [
+        ("feret_moments", "stderr_mean", [0.1], "stderr_mean has wrong shape (1,)"),
+        ("feret_moments", "stderr_second", [[0.0, -0.1], [-0.1, 0.0]],
+         "stderr_second must be nonnegative"),
+        ("central_face_moments", "stderr_mean_alpha", -0.1,
+         "stderr_mean_alpha must be nonnegative"),
+        ("central_face_moments", "stderr_mean_alpha", [0.1, 0.1],
+         "stderr_mean_alpha has wrong shape (2,)"),
+        ("central_face_moments", "stderr_v_alpha", [1.0, 2.0],
+         "stderr_v_alpha has wrong shape (2,)"),
+        ("central_face_moments", "stderr_v_alpha", [0.1, -0.1, 0.1, 0.1],
+         "stderr_v_alpha must be nonnegative"),
+        ("interpolant_face_moments", "stderr_mean", [1.0, 2.0, 3.0],
+         "stderr_mean has wrong shape (3,)"),
+        ("interpolant_face_moments", "stderr_second", [-1.0] * 5,
+         "stderr_second has wrong shape (5,)"),
+        ("interpolant_face_moments", "stderr_second", [[0.1, -0.1], [-0.1, 0.1]],
+         "stderr_second must be nonnegative"),
+    ])
+    def test_stderr_shape_and_sign_checked(self, route, kind, field, value, message):
+        # every moment record takes the same rule for its standard errors,
+        # built directly or read from JSON
+        cls, fields = _MOMENT_RECORDS[kind]
+        fields = dict(fields, **{field: value})
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            if route == "constructor":
+                cls(**fields)
+            else:
+                moments_from_dict(dict(fields, type=kind))
+
+    @pytest.mark.parametrize("kind", sorted(_MOMENT_RECORDS))
+    def test_stderrs_kept_as_float_arrays(self, kind):
+        cls, fields = _MOMENT_RECORDS[kind]
+        n = len(fields.get("mean", fields.get("v_alpha")))
+        stderrs = {"stderr_mean": [1] * n, "stderr_second": [[2] * n] * n}
+        if cls is CentralFaceMoments:
+            stderrs = {"stderr_mean_alpha": 1, "stderr_v_alpha": [2] * n}
+        m = cls(**fields, **stderrs)
+        for name, value in stderrs.items():
+            got = getattr(m, name)
+            if np.ndim(value):
+                assert isinstance(got, np.ndarray) and got.dtype == float
+                np.testing.assert_array_equal(got, value)
+            else:
+                assert type(got) is float and got == value
+
     def test_feret_moments_validation(self):
         with pytest.raises(ParameterError, match="symmetric"):
             FeretProcessMoments([1.0, 1.0], [[1.0, 0.5], [0.1, 1.0]])

@@ -120,6 +120,25 @@ def test_rule_finds_sup_search_names():
         (5, "SUP_GRID_SIZE")]
 
 
+def test_offset_scan_has_one_interpolant_formula():
+    # between two face directions the kernel's H_z is the one sinusoid
+    # through the node values, in the grid pass and in the sup refinement
+    # alike, so approx.py sums no faces with einsum
+    tree = ast.parse((PACKAGE / "approx.py").read_text())
+    assert list(_names_used(tree, {"einsum"})) == []
+
+
+def test_rule_finds_einsum():
+    tree = ast.parse(
+        "hz = np.einsum('pi,ip->p', s, alpha)\n"
+        "from numpy import einsum, einsum_path\n"
+        "h = z.feret(e)  # einsum\n"
+        "f = numpy.einsum\n"
+    )
+    assert sorted(_names_used(tree, {"einsum"})) == [(1, "einsum"), (2, "einsum"),
+                                                      (4, "einsum")]
+
+
 def test_face_lengths_come_from_the_stencil():
     # every face length is bodies.face_lengths, the three-point stencil, so
     # no module solves with the Feret matrix; circulant.py defines it and the
