@@ -17,7 +17,8 @@ every step is one kernel call on _BLOCK probes of each bracket.
 
 import numpy as np
 
-from .bodies import RTOL, face_lengths, regular_subdivision, require_count, require_finite
+from .bodies import (RTOL, face_lengths, feret_values, regular_subdivision, require_count,
+                     require_finite)
 from .errors import ParameterError
 from .metrics import hausdorff_distance, refine_sup, sup_grid
 from .zonotopes import Zonotope
@@ -37,15 +38,6 @@ _BLOCK = 16
 _LANES = 256
 
 
-def _feret_samples(x, angles):
-    """H_x at the angles; a NaN or an overflow to inf raises ParameterError
-    before numpy warns about it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = np.asarray(x.feret(angles), dtype=float)
-    require_finite(**{"Feret diameters": h})
-    return h
-
-
 def _interpolant(x, n, offset=0.0):
     """(node values, face lengths) of the zonotope matching H_x on the offset
     regular grid.
@@ -57,7 +49,7 @@ def _interpolant(x, n, offset=0.0):
     is clipped to zero.
     """
     th = np.add.outer(regular_subdivision(n), np.asarray(offset, dtype=float))
-    h = _feret_samples(x, th)
+    h = feret_values("Feret diameters", x.feret, th)
     scale = float(np.max(np.abs(h), initial=0.0))
     if scale > _FERET_LIMIT:
         raise ParameterError(f"Feret diameter {scale:.3e} is too large: the fit takes at "
@@ -129,7 +121,7 @@ def _distance_kernel(x, n):
     eta = sup_grid(n)
     size = len(eta)
     step, face = np.pi / size, np.pi / n
-    hx = _feret_samples(x, eta)
+    hx = feret_values("Feret diameters", x.feret, eta)
     wrapped = np.concatenate([hx, hx])
     cos_l, sin_l = np.cos(eta[:size // n]), np.sin(eta[:size // n])
     cos_n, sin_n = np.cos(face), np.sin(face)

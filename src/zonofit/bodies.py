@@ -31,6 +31,16 @@ def require_finite(**values):
             raise ParameterError(f"{name} must be finite")
 
 
+def feret_values(name, feret, *args):
+    """feret(*args) as a float array; a NaN or an overflow to inf raises
+    ParameterError naming `name`, before numpy warns about it.  The fits'
+    Feret samples and every Monte-Carlo sample block go through here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.asarray(feret(*args), dtype=float)
+    require_finite(**{name: h})
+    return h
+
+
 def require_count(name, value, least):
     """Raise ParameterError naming `name` unless value is an integer >= least:
     a Python or numpy integer, neither a bool nor a float such as 4.0."""

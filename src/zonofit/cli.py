@@ -10,7 +10,10 @@ estimation.  Counts in model JSON go through the library's one count rule,
 so `"n": 3.5` exits 2; argparse makes the count options integers.
 `simulate` draws each chunk of samples once, in table order, and feeds it
 to both the sample table and the moment reducer, serially: ZONOFIT_THREADS,
-the one worker-count setting, caps `estimate_process_moments` alone.
+the one worker-count setting, caps `estimate_process_moments` alone.  The
+blocks come from `feret_sample_block`, which rejects overflowing diameters
+for every route alike, and the moments are reduced at the end of the block
+stream, before the table replaces its path, so a failure leaves no table.
 `sweep` takes any finite axis ratio k >= 1.
 """
 
@@ -37,7 +40,6 @@ from .bodies import (
     is_regular_subdivision,
     regular_subdivision,
     require_count,
-    require_finite,
 )
 from .errors import SolverError, UnderdeterminedError, ZonofitError, ParameterError
 from .metrics import diameter, hausdorff_distance, perimeter_cauchy
@@ -293,23 +295,21 @@ def cmd_simulate(args):
     base = args.out or "zonofit_run"
     csv_path = base + ".csv"
     json_path = base + ".json"
-    states = []
+    moments = None
 
     def blocks():
+        nonlocal moments
+        states = []
         for start in range(0, args.samples, CHUNK):
             count = min(CHUNK, args.samples - start)
             h = feret_sample_block(model, args.n, args.seed, start, count)
-            require_finite(**{"the model's Feret diameters": h})
-            # products of finite diameters may overflow; the moment record names
-            # the inf or NaN, so numpy's warnings would only repeat it.  Not in
-            # chunk_state, where it slows the sampled library route (BENCH_21.json)
-            with np.errstate(over="ignore", invalid="ignore"):
-                states.append(chunk_state(h))
+            states.append(chunk_state(h))
             yield h
+        # reduced before the writer replaces csv_path, so moments that fail
+        # leave no table behind
+        moments = reduce_states(states)
 
     serialize.write_sample_csv(csv_path, regular_subdivision(args.n), blocks())
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = reduce_states(states)
     diag = stationarity_diagnostic(moments)
     exist = existence_check(moments)
     summary = {

@@ -95,15 +95,21 @@ class FeretProcessMoments:
             raise ParameterError(f"second must be {n}x{n}, got {second.shape}")
         require_finite(mean=mean, second=second, stderr_mean=stderr_mean,
                        stderr_second=stderr_second)
-        scale = float(np.abs(second).max())
-        if np.abs(second - second.T).max() > RTOL * scale:
+        # the checks run on second times the power of two 2^-e that brings its
+        # largest |entry| into [1/2, 1): they decide as on second itself, and
+        # neither its squares nor the symmetrized sum can overflow
+        e = np.frexp(np.abs(second).max())[1]
+        s = np.ldexp(second, -e)
+        scale = float(np.abs(s).max())
+        if np.abs(s - s.T).max() > RTOL * scale:
             raise ParameterError("second-moment matrix must be symmetric")
-        second = 0.5 * (second + second.T)
-        if second.diagonal().min() < -RTOL * scale:
+        s = 0.5 * (s + s.T)
+        if s.diagonal().min() < -RTOL * scale:
             raise ParameterError("second-moment diagonal must be nonnegative")
-        d = np.maximum(second.diagonal(), 0.0)
-        if np.any(second**2 > np.outer(d, d) + RTOL * scale**2):
+        d = np.maximum(s.diagonal(), 0.0)
+        if np.any(s**2 > np.outer(d, d) + RTOL * scale**2):
             raise ParameterError("second moments violate the Cauchy-Schwarz bound")
+        second = np.ldexp(s, e)
         self.stderr_mean = _stderr("stderr_mean", stderr_mean, (n,))
         self.stderr_second = _stderr("stderr_second", stderr_second, (n, n))
         self.n = n

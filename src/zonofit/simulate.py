@@ -16,6 +16,12 @@ from face lengths to Feret diameters is a circular convolution, evaluated
 for a whole chunk of samples with batched real FFTs.  Moments reduce each
 fixed chunk of CHUNK rows to a centered state and merge the states in a
 fixed pairwise tree, for sampled and for observed diameter tables alike.
+
+Overflow has one rule.  Every sample block is drawn through
+`bodies.feret_values`, so a NaN or infinite diameter raises ParameterError
+naming the model's Feret diameters, and the reductions silence numpy's
+overflow warnings in the threads that run them, leaving FeretProcessMoments
+to name the moment that overflowed.
 """
 
 import math
@@ -24,7 +30,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bodies import RTOL, Ellipse, regular_subdivision, require_count, require_finite
+from .bodies import (RTOL, Ellipse, feret_values, regular_subdivision, require_count,
+                     require_finite)
 from .errors import ParameterError
 from .process import FeretProcessMoments, central_from_feret
 from .zonotopes import Zonotope
@@ -269,18 +276,21 @@ def chunk_state(h):
     Row 0 of mean and M2 is for h, rows 1..n for the products h_i h_j; M2 sums
     squared deviations from the chunk mean m.  With d = h - m the products' M2
     comes from d^T d, (d^2)^T d^2 and (d^2)^T d, so no m^2-sized sums cancel.
+    Overflows are left to FeretProcessMoments to name; numpy's warnings are
+    silenced here, in the thread that reduces the chunk (error state is per thread).
     """
     count, n = h.shape
-    m = np.add.reduce(h, axis=0) / count
-    x = np.empty((count, 2 * n))  # [d | d^2]: one product x^T x gives all three sums
-    np.subtract(h, m, out=x[:, :n])
-    np.multiply(x[:, :n], x[:, :n], out=x[:, n:])
-    g = x.T @ x
-    s, mm = g[:n, :n], np.outer(m, m)
-    # v[i, j] = m_i^2 sum d_j^2 + 2 m_j sum d_i^2 d_j; v + v^T holds the cross terms
-    v = np.outer(m * m, s.diagonal()) + 2.0 * m * g[n:, :n]
-    m2 = g[n:, n:] + v + v.T + s * (2.0 * mm - s / count)
-    return count, np.vstack([m, mm + s / count]), np.vstack([s.diagonal(), m2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.add.reduce(h, axis=0) / count
+        x = np.empty((count, 2 * n))  # [d | d^2]: one product x^T x gives all three sums
+        np.subtract(h, m, out=x[:, :n])
+        np.multiply(x[:, :n], x[:, :n], out=x[:, n:])
+        g = x.T @ x
+        s, mm = g[:n, :n], np.outer(m, m)
+        # v[i, j] = m_i^2 sum d_j^2 + 2 m_j sum d_i^2 d_j; v + v^T holds the cross terms
+        v = np.outer(m * m, s.diagonal()) + 2.0 * m * g[n:, :n]
+        m2 = g[n:, n:] + v + v.T + s * (2.0 * mm - s / count)
+        return count, np.vstack([m, mm + s / count]), np.vstack([s.diagonal(), m2])
 
 
 def reduce_states(states):
@@ -291,19 +301,21 @@ def reduce_states(states):
     of `states`, so the result is bit-identical however they were produced.
     Standard errors are the entrywise sample standard deviations divided by
     sqrt(samples).  The moments are what the samples measured; how far they
-    are from stationary is `stationarity_diagnostic`'s to report.
+    are from stationary is `stationarity_diagnostic`'s to report.  Overflows
+    raise ParameterError naming the moment, without warnings (`chunk_state`).
     """
     items = list(states)
     require_count("samples", sum(state[0] for state in items), 2)
-    while len(items) > 1:
-        merged = []
-        for (na, ma, qa), (nb, mb, qb) in zip(items[::2], items[1::2]):
-            delta = mb - ma
-            merged.append((na + nb, ma + delta * (nb / (na + nb)),
-                           qa + qb + delta * delta * (na * nb / (na + nb))))
-        items = merged + items[len(merged) * 2 :]
-    samples, mean, m2 = items[0]
-    stderr = np.sqrt(np.maximum(m2, 0.0) / (samples - 1) / samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(items) > 1:
+            merged = []
+            for (na, ma, qa), (nb, mb, qb) in zip(items[::2], items[1::2]):
+                delta = mb - ma
+                merged.append((na + nb, ma + delta * (nb / (na + nb)),
+                               qa + qb + delta * delta * (na * nb / (na + nb))))
+            items = merged + items[len(merged) * 2 :]
+        samples, mean, m2 = items[0]
+        stderr = np.sqrt(np.maximum(m2, 0.0) / (samples - 1) / samples)
     return FeretProcessMoments(mean=mean[0], second=mean[1:], stderr_mean=stderr[0],
                                stderr_second=stderr[1:])
 
@@ -317,19 +329,15 @@ def empirical_moments(h):
     raises ParameterError naming the moment, without numpy warnings.
     """
     h = np.ascontiguousarray(np.atleast_2d(np.asarray(h, dtype=float)))
-    # finite entries may overflow once multiplied; the record rejects the
-    # inf or NaN by name, so numpy's warnings would only repeat it.  Kept out
-    # of chunk_state: there it slowed perfbench's mc_moments by 5-8% on a
-    # 2-core host (BENCH_21.json).
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = [chunk_state(h[s : s + CHUNK]) for s in range(0, len(h), CHUNK)]
-        return reduce_states(states)
+    return reduce_states([chunk_state(h[s : s + CHUNK]) for s in range(0, len(h), CHUNK)])
 
 
 def feret_sample_block(model, n, seed, start, count):
-    """Feret diameters of samples [start, start+count) on the regular n-grid."""
+    """Feret diameters of samples [start, start+count) on the regular n-grid;
+    a non-finite one raises ParameterError (`bodies.feret_values`)."""
     require_count("grid size", n, 1)
-    return model.feret_block(_uniform_block(model, seed, start, count), n)
+    return feret_values("the model's Feret diameters", model.feret_block,
+                        _uniform_block(model, seed, start, count), n)
 
 
 def estimate_process_moments(model, n, samples, seed):

@@ -23,6 +23,11 @@ from .bodies import (
 from .errors import ParameterError
 from .polygons import ConvexPolygon
 
+#: |sin| entries that `feret` and `area` evaluate at once: they go through
+#: their angles or faces in row blocks of at most this many entries, so their
+#: temporaries stay near 2^20 floats however many faces and angles there are.
+_SIN_ENTRIES = 2**20
+
 
 class Zonotope(SymmetricConvexBody):
     """Zonotope from face lengths, directions, and a rotation offset.
@@ -66,8 +71,14 @@ class Zonotope(SymmetricConvexBody):
         self.n = len(alpha)
 
     def feret(self, eta):
-        gaps = np.asarray(eta, dtype=float)[..., None] - self.t - self.theta
-        return np.abs(np.sin(gaps)) @ self.alpha
+        eta = np.asarray(eta, dtype=float)
+        rows = max(_SIN_ENTRIES // max(self.n, 1), 1)
+        if eta.size <= rows:
+            return np.abs(np.sin(eta[..., None] - self.t - self.theta)) @ self.alpha
+        flat, h = eta.ravel(), np.empty(eta.size)
+        for s in range(0, eta.size, rows):
+            h[s:s + rows] = self.feret(flat[s:s + rows])
+        return h.reshape(eta.shape)
 
     def perimeter(self):
         """2 * sum of face lengths."""
@@ -83,13 +94,16 @@ class Zonotope(SymmetricConvexBody):
 
         Summed over the faces `vertices` keeps, their lengths times 2^-e that
         brings their max into [1/2, 1), exactly, then scaled back by 2^2e; an
-        area beyond the float range raises ParameterError.
+        area beyond the float range raises ParameterError.  The sum goes by
+        row blocks of the |sin| matrix, as `feret` goes by angles.
         """
         alpha, theta = self._faces()
-        s = np.abs(np.sin(theta[:, None] - theta[None, :]))
         e = np.frexp(alpha.max(initial=0.0))[1]
         a = np.ldexp(alpha, -e)
-        area = 0.5 * float(a @ s @ a)
+        rows = max(_SIN_ENTRIES // max(len(a), 1), 1)
+        area = 0.5 * sum(float(a[i:i + rows] @ np.abs(np.sin(theta[i:i + rows, None]
+                                                            - theta[None, :])) @ a)
+                         for i in range(0, len(a), rows))
         if area and np.frexp(area)[1] + 2 * e > np.finfo(float).maxexp:
             digits = round(np.log10(area) + 2 * e * np.log10(2.0), 6)
             raise ParameterError(f"zonotope area {10.0 ** (digits % 1.0):.3g}e{int(digits)} "

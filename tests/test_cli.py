@@ -838,6 +838,18 @@ class TestSimulate:
         assert code == 2 and out == "" and "finite" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_failing_moments_write_no_table(self, tmp_path, capsys, monkeypatch):
+        # finite diameters whose fourth powers overflow: the moments fail
+        # after the last block is drawn, before the table replaces its path
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "simulate", "--model", "isotropic_rectangle:1e80,1e80", "--n", "4",
+            "--samples", "10", "--out", "run",
+        )
+        assert code == 2 and out == ""
+        assert err == "zonofit: stderr_second must be finite\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParser:
     # each command's defaults differ from the previous command's
@@ -1050,6 +1062,41 @@ class TestExitCodes:
                                      "--n", "4", "--samples", "10", "--out", str(tmp_path / "x"))
         assert code == 2 and out == ""
         assert err == "zonofit: second must be finite\n"
+
+    @pytest.mark.parametrize("model, name", [
+        ("isotropic_rectangle:1e200,1e200", "second"),
+        ("isotropic_rectangle:1e308,1e308", "the model's Feret diameters"),
+        ("isotropic_ellipse:1e200,1", "the model's Feret diameters"),
+        ("deterministic:" + json.dumps({"kind": "scaled", "factor": 1e308,
+                                        "body": {"kind": "disk", "r": 1}}),
+         "the model's Feret diameters"),
+    ], ids=["rectangle_1e200", "rectangle_1e308", "ellipse_1e200", "scaled_disk_1e308"])
+    def test_overflowing_models_simulate_to_one_line(self, tmp_path, capsys, model, name):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "simulate", "--model", model, "--n", "4",
+                                     "--samples", "10", "--out", str(tmp_path / "x"))
+        assert code == 2 and out == ""
+        assert err == f"zonofit: {name} must be finite\n"
+        assert caught == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_huge_finite_moments_estimate(self, tmp_path, capsys, scale):
+        # second moments near 1e200 and 1e300 meet Cauchy-Schwarz; their
+        # squares would overflow, so the check must not form them
+        m = forward_zonotope_moments(
+            CentralFaceMoments(4, scale, np.array([1.0, 0.5, 0.8, 0.5]) * scale**2))
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(serialize.moments_to_dict(m)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "estimate", "--input", str(p))
+        assert (code, err, caught) == (0, "", [])
+        central = json.loads(out)["central"]
+        assert central["mean_alpha"] == pytest.approx(scale, rel=1e-12)
+        np.testing.assert_allclose(central["v_alpha"], np.array([1.0, 0.5, 0.8, 0.5]) * scale**2,
+                                   rtol=1e-12)
 
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         dest = tmp_path / "no" / "such" / "dir" / "x.json"

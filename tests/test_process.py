@@ -179,6 +179,19 @@ class TestMomentClasses:
         with pytest.raises(ParameterError, match="nonnegative"):
             FeretProcessMoments([1.0, 1.0], np.eye(2) + 1.0, stderr_mean=[-0.1, 0.1])
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 3.0, 1e200, 1e300, 1.5e308])
+    def test_feret_moments_checks_decide_alike_at_every_scale(self, scale):
+        # the checks square no entry, so large finite moments neither warn nor
+        # overflow, and a violation is one at any scale
+        ok = np.array([[1.0, 0.9], [0.9, 1.0]])
+        m = FeretProcessMoments([1.0, 1.0], ok * scale)
+        np.testing.assert_array_equal(m.second, ok * scale)
+        for bad, message in [([[1.0, 1.1], [1.1, 1.0]], "Cauchy-Schwarz"),
+                             ([[1.0, 0.5], [0.6, 1.0]], "symmetric"),
+                             ([[-0.1, 0.0], [0.0, 1.0]], "diagonal")]:
+            with pytest.raises(ParameterError, match=message):
+                FeretProcessMoments([1.0, 1.0], np.array(bad) * scale)
+
     def test_central_moments_palindrome_required(self):
         with pytest.raises(ParameterError, match="palindrome"):
             CentralFaceMoments(4, 1.0, [4.0, 2.0, 1.0, 3.0])

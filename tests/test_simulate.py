@@ -17,6 +17,7 @@ from zonofit import (
     LogNormal,
     Mixture,
     ParameterError,
+    Scaled,
     Zonotope,
     empirical_moments,
     estimate_process_moments,
@@ -350,3 +351,42 @@ class TestPipeline:
         c = pipeline_estimate(model, 2, 5_000, seed=77)
         assert c.mean_alpha == pytest.approx(1.0, abs=0.05)
         np.testing.assert_allclose(c.v_alpha, [1.0, 1.0], atol=0.1)
+
+
+#: finite models whose diameters, or their products, overflow a float: what
+#: feret_sample_block names (None where the diameters are finite), and what
+#: the moment routes name
+FERET = "the model's Feret diameters"
+OVERFLOWING_MODELS = [
+    (IsotropicRectangle(Fixed([1e200, 1e200])), None, "second"),
+    (IsotropicRectangle(Fixed([1e308, 1e308])), FERET, FERET),
+    (IsotropicEllipse(Fixed([1e200, 1.0])), FERET, FERET),
+    (DeterministicBody(Scaled(Disk(1.0), 1e308)), FERET, FERET),
+]
+OVERFLOW_IDS = ["rectangle_1e200", "rectangle_1e308", "ellipse_1e200", "scaled_disk_1e308"]
+
+
+class TestOverflow:
+    """Every Monte-Carlo route checks its sample blocks where they are drawn
+    and names what overflowed; pytest's settings make a numpy warning fail."""
+
+    @pytest.mark.parametrize("model, block_name, _", OVERFLOWING_MODELS, ids=OVERFLOW_IDS)
+    def test_sample_block_is_finite_or_raises(self, model, block_name, _):
+        if block_name is None:
+            assert np.all(np.isfinite(feret_sample_block(model, 4, 0, 0, 2)))
+            return
+        with pytest.raises(ParameterError, match=f"^{block_name} must be finite$"):
+            feret_sample_block(model, 4, 0, 0, 2)
+
+    @pytest.mark.parametrize("route", [estimate_process_moments, pipeline_estimate],
+                             ids=["estimate_process_moments", "pipeline_estimate"])
+    @pytest.mark.parametrize("model, _, name", OVERFLOWING_MODELS, ids=OVERFLOW_IDS)
+    def test_moment_routes_name_the_value(self, route, model, _, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite$"):
+            route(model, 4, 10, 0)
+
+    def test_threaded_reduction_is_quiet(self, monkeypatch):
+        # numpy's error state is per thread: each worker silences its own
+        monkeypatch.setenv("ZONOFIT_THREADS", "2")
+        with pytest.raises(ParameterError, match="^second must be finite$"):
+            estimate_process_moments(OVERFLOWING_MODELS[0][0], 4, 2 * CHUNK, 0)

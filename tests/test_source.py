@@ -444,3 +444,42 @@ def test_rule_finds_import_time_scipy_imports():
         "import scipyx, numpy.scipy\n"
     )
     assert _import_time_scipy_imports(tree) == [1, 2, 3, 8, 12]
+
+
+#: (module, outermost def) of the only np.errstate scopes: the overflow
+#: helper that every Feret evaluation feeding a computation goes through,
+#: the two moment reductions, entered in the worker threads that run them,
+#: and the standard errors of the face moments
+ERRSTATE_SITES = {("bodies.py", "feret_values"), ("simulate.py", "chunk_state"),
+                  ("simulate.py", "reduce_states"), ("process.py", "central_from_feret")}
+
+
+def _errstate_calls(tree):
+    """(line, scope) of each errstate call in tree."""
+    return _scoped_calls(tree, lambda call: ast.unparse(call.func).split(".")[-1] == "errstate")
+
+
+def test_one_overflow_rule():
+    # values that overflow are rejected by name where they are computed, so
+    # numpy's warnings are silenced at those sites alone, never around a
+    # caller's copy of the check
+    bad = [f"{p.name}:{line} {scope}" for p in SOURCES
+           for line, scope in _errstate_calls(ast.parse(p.read_text()))
+           if (p.name, scope) not in ERRSTATE_SITES]
+    assert bad == []
+
+
+def test_rule_finds_errstate_calls():
+    tree = ast.parse(
+        "def cmd_simulate(args):\n"
+        "    def blocks():\n"
+        "        with np.errstate(over='ignore'):\n"
+        "            yield h\n"
+        "with numpy.errstate(invalid='ignore'), errstate(all='raise'):\n"
+        "    pass\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        return np.seterr(all='ignore')  # errstate\n"
+        "np.errstate\n"
+    )
+    assert _errstate_calls(tree) == [(3, "cmd_simulate"), (5, None), (5, None)]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from zonofit import (
     Zonotope,
     c0_approximate,
     point_in_zonotope,
+    regular_subdivision,
 )
 
 HEX_ALPHA = [2 / np.sqrt(3)] * 3
@@ -79,6 +82,32 @@ def test_area():
     assert Zonotope([1.0, 1.0]).area() == pytest.approx(1.0, abs=1e-15)
     assert Zonotope(HEX_ALPHA).area() == pytest.approx(2 * np.sqrt(3), abs=1e-12)
     assert Zonotope([3.0], theta=[1.0]).area() == 0.0
+
+
+def test_many_faces_bound_the_temporaries():
+    # feret and area go by row blocks of the |sin| matrix: at n = 4096 one
+    # (4096, 4096) matrix would take 128 MB, a block 8 MB
+    z = Zonotope(np.linspace(1.0, 2.0, 4096), t=0.3)
+    eta = regular_subdivision(4096)
+    tracemalloc.start()
+    try:
+        h = z.feret(eta)
+        area = z.area()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    np.testing.assert_allclose(h[::97], [z.feret(e) for e in eta[::97]], rtol=1e-12, atol=0)
+    assert area == pytest.approx(z.vertices().area(), rel=1e-9)
+
+
+def test_blocked_feret_keeps_the_angle_shape():
+    z = Zonotope(np.linspace(1.0, 2.0, 4096))
+    eta = np.linspace(0.0, 3.0, 600).reshape(2, 300)
+    h = z.feret(eta)
+    assert h.shape == (2, 300)
+    np.testing.assert_allclose(h[1, ::50], [z.feret(e) for e in eta[1, ::50]], rtol=1e-12,
+                               atol=0)
 
 
 def test_vertices_known_shapes():
