@@ -8,7 +8,7 @@ interpolants, and their widths on the sup grid from the n node values of
 each, one sinusoid per face interval at O(G) cost per offset, written into a
 workspace that each kernel allocates once; its sups are the one search of
 metrics, on up to _LANES offsets in lockstep, whose refinement evaluates the
-same sinusoid at O(1) cost per offset and step.  So the kernel measures the
+same sinusoid at O(1) cost per offset and probe.  So the kernel measures the
 distance to the interpolant through the node samples.
 The offset scan calls the kernel once on a grid of offsets, then refines the
 best and the worst grid offset to OFFSET_ANGLE_TOL by a section search whose
@@ -34,7 +34,8 @@ _FERET_LIMIT = np.finfo(float).max / 4.0
 #: step; bounds the kernel's (block, sup grid) arrays.
 _BLOCK = 16
 
-#: Offsets whose sups one golden loop refines; bounds its (lanes, n) arrays.
+#: Offsets whose sups one `refine_sup` call refines in lockstep; bounds its
+#: (n, lanes) node arrays and (lanes, probes) angle arrays.
 _LANES = 256
 
 
@@ -109,14 +110,15 @@ def _distance_kernel(x, n):
     H_x read from index q mod G on.  One `refine_sup` call then refines the
     grid maxima of up to _LANES offsets with the same formula: at an angle e
     it takes the face interval i of (e - t) mod pi and the offset u into it,
-    so each step costs O(1) per offset.  The node values are the samples
-    themselves, so the clip of roundoff-negative face lengths, below RTOL
-    times max |H|, reaches neither pass: the distance is to the interpolant
-    through the node samples, which the clipped zonotope's n-face Feret sum
-    matches to roundoff growing like n^2 eps.  Every call pays for one grid
-    pass and one sup refinement, so the offset scan batches its probes: one
-    call per section-search step.  The returned array is fresh, never a view
-    of the workspace.
+    so each step costs O(1) per offset and probe, the probes of offset k
+    being row k of e.  The node values are the samples themselves, so the
+    clip of roundoff-negative face lengths, below RTOL times max |H|, reaches
+    neither pass: the distance is to the interpolant through the node
+    samples, which the clipped zonotope's Feret function matches to roundoff
+    growing like n^2 eps.  Every call pays for one grid pass and one sup
+    refinement, so the offset scan batches its probes: one call per
+    section-search step.  The returned array is fresh, never a view of the
+    workspace.
     """
     eta = sup_grid(n)
     size = len(eta)
@@ -155,7 +157,8 @@ def _distance_kernel(x, n):
         """Distances for the offsets t: the grid pass, then one refinement."""
         parts = [block(t[s:s + rows]) for s in range(0, len(t), rows)]
         h, g, peak, grid_max = (np.concatenate(c, axis=-1) for c in zip(*parts))
-        lanes = np.arange(len(t))
+        # the search passes one row of probe angles e per offset
+        lanes, t = np.arange(len(t))[:, None], t[:, None]
 
         def gap(e):
             u = np.mod(e - t, np.pi)

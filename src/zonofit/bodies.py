@@ -31,6 +31,18 @@ def require_finite(**values):
             raise ParameterError(f"{name} must be finite")
 
 
+def scaled_back(name, x, e):
+    """x * 2^e, for values x computed on data scaled by a power of two; a
+    result beyond the float range raises ParameterError naming `name` and
+    the size of its largest entry."""
+    top = float(np.abs(x).max(initial=0.0))
+    if top and np.frexp(top)[1] + e > np.finfo(float).maxexp:
+        digits = round(np.log10(top) + e * np.log10(2.0), 6)
+        raise ParameterError(f"{name} {10.0 ** (digits % 1.0):.3g}e{int(digits)} "
+                             "overflows a float")
+    return np.ldexp(x, e)
+
+
 def feret_values(name, feret, *args):
     """feret(*args) as a float array; a NaN or an overflow to inf raises
     ParameterError naming `name`, before numpy warns about it.  The fits'

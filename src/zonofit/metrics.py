@@ -1,8 +1,10 @@
 """Metric and integral functionals of symmetric convex bodies.
 
 Every sup over angle in zonofit, here and in the offset scan, is one search:
-the grid of `sup_grid`, then `refine_sup` around the grid maximum.  Bodies
-and convex polygons alike are evaluated through their `feret` method.
+the grid of `sup_grid`, then `refine_sup` around the grid maximum, a section
+search whose every step evaluates _PROBES points of every lane in one call of
+the function.  Bodies and convex polygons alike are evaluated through their
+`feret` method, which takes arrays of angles of any shape.
 No functional here imports scipy: `perimeter_cauchy` sums its Simpson rule
 in numpy.
 """
@@ -15,46 +17,46 @@ from .errors import ParameterError
 SUP_GRID_SIZE = 4096
 SUP_ANGLE_TOL = 1e-8
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+#: Evenly spaced interior probes of a bracket that one search step evaluates,
+#: as in the offset scan; each step narrows the bracket by 2/(_PROBES + 1).
+_PROBES = 16
+
+_FRAC = np.arange(_PROBES + 2) / (_PROBES + 1)
 
 
 def golden_section_max(f, a, b, tol):
-    """Maximum of f on [a, b] by golden-section search; returns (x, f(x)).
+    """Maximum of f on [a, b] by a section search; returns (x, f(x)).
 
-    Assumes f is unimodal on the bracket; on plateaus or multimodal brackets
-    it still returns the best point it evaluated.  `a` and `b` may also be
-    arrays of brackets of equal width, searched in lockstep: f then maps an
-    array of points to an array of values, each lane steps as a scalar
-    search on its bracket would, until every bracket is narrower than tol,
-    and x and f(x) are arrays.  Raises ParameterError unless tol > 0, which
-    the loop needs to stop.
+    Each step evaluates _PROBES evenly spaced interior points of the bracket
+    in one call of f, then narrows the bracket to the two points beside the
+    step's best probe, until it is at most tol wide.  A probe replaces the
+    best point only when it is strictly higher, so ties keep the earlier
+    point.  Assumes f is unimodal on the bracket; on plateaus or multimodal
+    brackets it still returns the best point it evaluated.  f maps a
+    (_PROBES,) array of points to their values.  `a` and `b` may also be
+    arrays of brackets of equal width, searched in lockstep: f then maps a
+    (lanes, _PROBES) array, each lane steps as a scalar search on its bracket
+    would, and x and f(x) are arrays.  Raises ParameterError unless tol > 0,
+    which the loop needs to stop.  (It keeps the name of the golden-section
+    search it replaced, under which perfbench traces it.)
     """
     if not tol > 0:
-        raise ParameterError(f"golden-section tolerance must be > 0, got {tol!r}")
-    if np.ndim(a):
-        select, any_ = np.where, np.any
-    else:
-        select, any_ = (lambda cond, x, y: x if cond else y), bool
-    w = _INVPHI * (b - a)
-    c, d = b - w, a + w
-    fc, fd = f(c), f(d)
-    left = fc >= fd
-    best_x, best_v = select(left, c, d), select(left, fc, fd)
-    while any_(b - a > tol):
-        # left lanes keep [a, d] and evaluate a new c; the others keep [c, b]
-        # and evaluate a new d
-        a, b = select(left, a, c), select(left, d, b)
-        w = _INVPHI * (b - a)
-        x = select(left, b - w, a + w)
-        fx = f(x)
-        c, d = select(left, x, d), select(left, c, x)
-        fc, fd = select(left, fx, fd), select(left, fc, fx)
-        left = fc >= fd
-        v = select(left, fc, fd)
+        raise ParameterError(f"section-search tolerance must be > 0, got {tol!r}")
+
+    def step(lo, width):
+        """(best probe, its value, new bracket start, new width) of one step."""
+        values = np.asarray(f(lo + width * _FRAC[1:-1]), dtype=float)
+        j = np.argmax(values, axis=-1)[..., None]
+        return (lo + width * _FRAC[j + 1], values.max(axis=-1, keepdims=True),
+                lo + width * _FRAC[j], width * 2.0 / (_PROBES + 1))
+
+    best_x, best_v, lo, width = step(np.asarray(a, dtype=float)[..., None],
+                                     np.asarray(b - a, dtype=float)[..., None])
+    while np.any(width > tol):
+        x, v, lo, width = step(lo, width)
         better = v > best_v
-        best_x = select(better, select(left, c, d), best_x)
-        best_v = select(better, v, best_v)
-    return best_x, best_v
+        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
+    return best_x[..., 0], best_v[..., 0]
 
 
 def sup_grid(n=1):
@@ -65,9 +67,10 @@ def sup_grid(n=1):
 
 
 def refine_sup(f, grid, i, grid_max):
-    """(angle mod pi, value) of a golden section search of grid[i] +- pi/G to
+    """(angle mod pi, value) of a section search of grid[i] +- pi/G to
     SUP_ANGLE_TOL, or of the grid maximum grid_max = f(grid[i]) unless the
-    search is strictly higher.  i and grid_max may be arrays of lanes."""
+    search is strictly higher.  i and grid_max may be arrays of lanes: f then
+    maps a (lanes, probes) array of angles, one row per lane."""
     step = np.pi / len(grid)
     x, v = golden_section_max(f, grid[i] - step, grid[i] + step, SUP_ANGLE_TOL)
     return np.where(grid_max >= v, (grid[i], grid_max), (np.mod(x, np.pi), v))
@@ -76,8 +79,8 @@ def refine_sup(f, grid, i, grid_max):
 def sup_over_angles(f):
     """sup over [0, pi) of a pi-periodic function.
 
-    `f` maps an array of angles to an array of values and a scalar angle to a
-    scalar; it is evaluated on `sup_grid()`, then refined by `refine_sup`.
+    `f` maps an array of angles to the array of its values, of the same
+    shape; it is evaluated on `sup_grid()`, then refined by `refine_sup`.
     Returns (angle, value) of the refined maximum.
     """
     grid = sup_grid()

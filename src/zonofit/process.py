@@ -12,8 +12,8 @@ averaging, and supporting diagnostics.
 import numpy as np
 
 from .approx import hausdorff_bound
-from .bodies import (ANGLE_TOL, EDGE_RTOL, RTOL, SPECTRAL_RTOL, face_lengths,
-                     regular_subdivision, require_count, require_finite)
+from .bodies import (ANGLE_TOL, EDGE_RTOL, RTOL, SPECTRAL_RTOL, face_lengths, feret_values,
+                     regular_subdivision, require_count, require_finite, scaled_back)
 from .circulant import CirculantMatrix
 from .errors import ParameterError, SolverError, UnderdeterminedError
 from .nnls import nnls as _nnls_solve
@@ -203,12 +203,29 @@ class C0FaceMoments:
         return f"C0FaceMoments(n={self.n})"
 
 
+#: what a fixed body's second moment beyond the float range is called
+_BODY_SECOND = "second moment of the body's Feret diameters"
+
+
+def _body_feret(body, theta):
+    """(H / 2^e, e) of a fixed body at the angles theta, 2^e the power of two
+    that brings max |H| into [1/2, 1), so that products and sums of the scaled
+    values cannot overflow; a non-finite H raises ParameterError."""
+    h = feret_values("the body's Feret diameters", body.feret, theta)
+    e = np.frexp(np.abs(h).max(initial=0.0))[1]
+    return np.ldexp(h, -e), e
+
+
 def deterministic_process_moments(body, n):
-    """Moments of the (degenerate) Feret process of a fixed body: zero variance."""
-    h = np.asarray(body.feret(regular_subdivision(n)), dtype=float)
+    """Moments of the (degenerate) Feret process of a fixed body: zero variance.
+
+    Diameters or a second moment beyond the float range raise ParameterError
+    naming them, without a numpy warning.
+    """
+    h, e = _body_feret(body, regular_subdivision(n))
     return FeretProcessMoments(
-        mean=h,
-        second=np.outer(h, h),
+        mean=np.ldexp(h, e),
+        second=scaled_back(_BODY_SECOND, np.outer(h, h), 2 * e),
         stderr_mean=np.zeros(n),
         stderr_second=np.zeros((n, n)),
     )
@@ -234,24 +251,25 @@ def isotropize_moments(m, body=None):
     which is coarse for small n.  When the source is a deterministic analytic
     body, pass it as `body`: the integrals then use an auxiliary dense grid
     of at least 1024 points (rounded up to a multiple of n so lag shifts are
-    exact), with error O(size^-2) even for kinked H.
+    exact), with error O(size^-2) even for kinked H; its diameters and
+    second moments must fit a float, as in `deterministic_process_moments`.
 
     Applying the map to already-stationary moments reproduces them.
     """
     n = m.n
     if body is not None:
         grid_n = int(-(-_ISOTROPIZE_GRID // n) * n)
-        g = regular_subdivision(grid_n)
-        h = np.asarray(body.feret(g), dtype=float)
-        mean_c = float(h.mean())
+        h, e = _body_feret(body, regular_subdivision(grid_n))
+        mean_c = float(np.ldexp(h.mean(), e))
         # a lag of d * grid_n / n shifts the n rows of this reshape by d
         rows = h.reshape(n, grid_n // n)
         lags = _lag_sums(rows @ rows.T) / grid_n
+        second = scaled_back(_BODY_SECOND, _stationary_matrix(lags), 2 * e)
         stderr_mean = np.zeros(n)
         stderr_second = np.zeros((n, n))
     else:
         mean_c = float(m.mean.mean())
-        lags = _lag_sums(m.second) / n
+        second = _stationary_matrix(_lag_sums(m.second) / n)
         stderr_mean = None
         stderr_second = None
         if m.stderr_mean is not None:
@@ -260,7 +278,7 @@ def isotropize_moments(m, body=None):
             stderr_second = _stationary_matrix(_lag_sums(m.stderr_second) / n)
     return FeretProcessMoments(
         mean=np.full(n, mean_c),
-        second=_stationary_matrix(lags),
+        second=second,
         stderr_mean=stderr_mean,
         stderr_second=stderr_second,
     )

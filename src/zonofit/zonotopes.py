@@ -7,6 +7,15 @@ rotation offset t.  Closed forms:
     H(eta) = sum_i alpha_i |sin(eta - t - theta_i)|
     U      = 2 * sum_i alpha_i
     A      = (1/2) * sum_{i,j} alpha_i alpha_j |sin(theta_i - theta_j)|
+
+Between two neighbouring face directions H is one sinusoid: with
+u = (eta - t) mod pi in the face interval i, theta_(i-1) <= u < theta_i,
+
+    H(eta) = sin u * P_i - cos u * Q_i,
+    P_i = sum_j s_ij alpha_j cos theta_j,  Q_i = sum_j s_ij alpha_j sin theta_j,
+
+where s_ij = +1 for j < i and -1 for j >= i.  `feret` evaluates that form,
+so its cost per angle does not grow with the number of faces.
 """
 
 import numpy as np
@@ -19,13 +28,14 @@ from .bodies import (
     is_regular_subdivision,
     regular_subdivision,
     require_finite,
+    scaled_back,
 )
 from .errors import ParameterError
 from .polygons import ConvexPolygon
 
-#: |sin| entries that `feret` and `area` evaluate at once: they go through
-#: their angles or faces in row blocks of at most this many entries, so their
-#: temporaries stay near 2^20 floats however many faces and angles there are.
+#: |sin| entries that `area` evaluates at once: it goes through its faces in
+#: row blocks of at most this many entries, so its temporaries stay near 2^20
+#: floats however many faces there are.
 _SIN_ENTRIES = 2**20
 
 
@@ -69,16 +79,20 @@ class Zonotope(SymmetricConvexBody):
         self.theta = theta
         self.t = float(t)
         self.n = len(alpha)
+        # P_i and Q_i of the module docstring, for i = 0..n, summed over
+        # alpha * 2^-e with its max in [1/2, 1) so that no sum overflows
+        self._exp = np.frexp(alpha.max(initial=0.0))[1]
+        sides = np.ldexp(alpha, -self._exp) * np.stack([np.cos(theta), np.sin(theta)])
+        zero = np.zeros((2, 1))
+        self._p, self._q = (np.hstack([zero, np.cumsum(sides, axis=1)])
+                            - np.hstack([np.cumsum(sides[:, ::-1], axis=1)[:, ::-1], zero]))
 
     def feret(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        rows = max(_SIN_ENTRIES // max(self.n, 1), 1)
-        if eta.size <= rows:
-            return np.abs(np.sin(eta[..., None] - self.t - self.theta)) @ self.alpha
-        flat, h = eta.ravel(), np.empty(eta.size)
-        for s in range(0, eta.size, rows):
-            h[s:s + rows] = self.feret(flat[s:s + rows])
-        return h.reshape(eta.shape)
+        """sin u * P_i - cos u * Q_i at u = (eta - t) mod pi in face interval i,
+        scaled back by 2^e; any shape of angles, a scalar for a scalar."""
+        u = np.mod(np.asarray(eta, dtype=float) - self.t, np.pi)
+        i = np.searchsorted(self.theta, u, side="right")
+        return np.ldexp(np.sin(u) * self._p[i] - np.cos(u) * self._q[i], self._exp)
 
     def perimeter(self):
         """2 * sum of face lengths."""
@@ -95,7 +109,7 @@ class Zonotope(SymmetricConvexBody):
         Summed over the faces `vertices` keeps, their lengths times 2^-e that
         brings their max into [1/2, 1), exactly, then scaled back by 2^2e; an
         area beyond the float range raises ParameterError.  The sum goes by
-        row blocks of the |sin| matrix, as `feret` goes by angles.
+        row blocks of the |sin| matrix.
         """
         alpha, theta = self._faces()
         e = np.frexp(alpha.max(initial=0.0))[1]
@@ -104,11 +118,7 @@ class Zonotope(SymmetricConvexBody):
         area = 0.5 * sum(float(a[i:i + rows] @ np.abs(np.sin(theta[i:i + rows, None]
                                                             - theta[None, :])) @ a)
                          for i in range(0, len(a), rows))
-        if area and np.frexp(area)[1] + 2 * e > np.finfo(float).maxexp:
-            digits = round(np.log10(area) + 2 * e * np.log10(2.0), 6)
-            raise ParameterError(f"zonotope area {10.0 ** (digits % 1.0):.3g}e{int(digits)} "
-                                 "overflows a float")
-        return float(np.ldexp(area, 2 * e))
+        return float(scaled_back("zonotope area", area, 2 * e))
 
     def vertices(self):
         """Boundary vertices as a counterclockwise ConvexPolygon.

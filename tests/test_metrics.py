@@ -101,12 +101,34 @@ def test_refine_sup_lanes_match_sup_over_angles():
     assert angle[0] != grid[i[0]] and value[0] > grid_max[0]
 
 
+def test_refine_sup_takes_six_calls_of_all_probes():
+    # from +-pi/G to SUP_ANGLE_TOL the bracket narrows by 2/17 per step, and
+    # each step is one call of f on every probe of every lane
+    grid = sup_grid()
+    fs = [lambda t: np.cos(2.0 * (t - 1.2345678)), lambda t: np.cos(2.0 * (t - 0.5))]
+    shapes = []
+
+    def counted(f):
+        def g(e):
+            shapes.append(np.shape(e))
+            return f(e)
+        return g
+
+    i = np.array([int(np.argmax(f(grid))) for f in fs])
+    grid_max = np.array([f(grid[j]) for f, j in zip(fs, i)])
+    refine_sup(counted(fs[0]), grid, i[0], grid_max[0])
+    assert shapes == [(16,)] * 6
+    shapes.clear()
+    refine_sup(counted(lambda e: np.array([f(x) for f, x in zip(fs, e)])), grid, i, grid_max)
+    assert shapes == [(2, 16)] * 6
+
+
 _GRID = np.arange(SUP_GRID_SIZE) * (np.pi / SUP_GRID_SIZE)
 
 
 def _sup_from_grid_values(f, grid_values):
     """sup of f given its values on the sup grid: the grid maximum, refined by a
-    golden-section search on the two grid steps around it."""
+    section search on the two grid steps around it."""
     i = int(np.argmax(grid_values))
     step = np.pi / SUP_GRID_SIZE
     _, v = golden_section_max(f, _GRID[i] - step, _GRID[i] + step, SUP_ANGLE_TOL)
@@ -114,20 +136,22 @@ def _sup_from_grid_values(f, grid_values):
 
 
 def test_distances_match_grid_values_and_scalar_closure(unit_square):
-    # oracle: grid values evaluated once, plus a scalar closure for the
-    # refinement, which is how these functionals are spelled out by hand
+    # oracle: grid values evaluated once, plus a closure over the search's
+    # probe arrays for the refinement, which is how these functionals are
+    # spelled out by hand
     zonotope = Zonotope([0.7, 1.3, 0.4], theta=[0.1, 1.2, 2.5], t=0.05)
     shapes = [Ellipse(3.0, 1.0, 0.4), unit_square, Segment(1.3, 0.7), zonotope,
               zonotope.vertices(), c0_approximate(Ellipse(2.0, 1.0, 0.2), 5)]
     for x in shapes:
-        want = _sup_from_grid_values(lambda t: float(x.feret(t)),
+        want = _sup_from_grid_values(lambda t: np.asarray(x.feret(t), dtype=float),
                                      np.asarray(x.feret(_GRID), dtype=float))
         assert diameter(x) == want
         for y in shapes:
             gap = np.abs(np.asarray(x.feret(_GRID), dtype=float)
                          - np.asarray(y.feret(_GRID), dtype=float))
             want = 0.5 * _sup_from_grid_values(
-                lambda t: abs(float(x.feret(t)) - float(y.feret(t))), gap)
+                lambda t: np.abs(np.asarray(x.feret(t), dtype=float)
+                                 - np.asarray(y.feret(t), dtype=float)), gap)
             assert hausdorff_distance(x, y) == want
 
 

@@ -17,6 +17,7 @@ from zonofit import (
     IsotropicEllipse,
     IsotropicRectangle,
     ParameterError,
+    Scaled,
     Segment,
     SolverError,
     UnderdeterminedError,
@@ -767,6 +768,29 @@ class TestIsotropize:
         lags = 0.5 * (lags + lags[(-np.arange(n)) % n])
         want = lags[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
         assert np.abs(iso.second - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("factor, message", [
+        (1e200, r"second moment of the body's Feret diameters 4e400 overflows"),
+        (1e308, r"the body's Feret diameters must be finite")])
+    def test_huge_fixed_bodies_raise_without_warning(self, factor, message):
+        # the diameters 2e200 are finite but their square is not, and 2e308
+        # is not finite itself; each is named before numpy could warn
+        body = Scaled(Disk(1.0), factor)
+        with pytest.raises(ParameterError, match=message):
+            deterministic_process_moments(body, 4)
+        with pytest.raises(ParameterError, match=message):
+            isotropize_moments(deterministic_process_moments(Disk(1.0), 4), body=body)
+
+    def test_isotropized_moments_of_a_huge_segment_fit_a_float(self):
+        # H(pi/2)^2 = 2.25e308 overflows, but the rotation average of H^2 is
+        # half of it, so the body route rejects only the fixed moments
+        body = Segment(1.5e154, 0.0)
+        with pytest.raises(ParameterError, match="Feret diameters 2.25e308 overflows"):
+            deterministic_process_moments(body, 4)
+        m = deterministic_process_moments(Segment(1.0, 0.0), 4)
+        iso = isotropize_moments(m, body=body)
+        unit = isotropize_moments(m, body=Segment(1.0, 0.0))
+        np.testing.assert_allclose(iso.second, 1.5e154 * unit.second * 1.5e154, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 17])

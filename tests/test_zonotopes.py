@@ -110,6 +110,53 @@ def test_blocked_feret_keeps_the_angle_shape():
                                atol=0)
 
 
+def _dense_feret(z, eta):
+    """sum_i alpha_i |sin(eta - t - theta_i)| through the (angles, faces) matrix."""
+    return np.abs(np.sin(np.subtract.outer(eta, z.theta) - z.t)) @ z.alpha
+
+
+def test_feret_matches_the_dense_face_sum():
+    # the per-interval sinusoid against the face sum, on regular and irregular
+    # directions with faces spanning several decades, at every face direction
+    # and its pi-shifts, and at random angles and offsets within 2 pi
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        n = int(rng.integers(1, 300))
+        alpha = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-4, 4, n)
+        theta = None if trial % 2 else np.sort(rng.choice(
+            np.linspace(0.0, np.pi, 4 * n, endpoint=False), n, replace=False))
+        z = Zonotope(alpha, theta=theta, t=rng.uniform(-2 * np.pi, 2 * np.pi))
+        faces = np.add.outer(np.arange(-3, 3) * np.pi, z.theta + z.t).ravel()
+        eta = np.concatenate([faces[np.abs(faces) <= 2 * np.pi],
+                              rng.uniform(-2 * np.pi, 2 * np.pi, 200)])
+        err = np.abs(z.feret(eta) - _dense_feret(z, eta)).max()
+        assert err <= 16 * (n + 1) * np.finfo(float).eps * alpha.sum()
+
+
+def test_feret_keeps_the_angle_shape():
+    z = Zonotope([0.7, 1.3, 0.4], theta=[0.1, 1.2, 2.5], t=0.05)
+    assert np.shape(z.feret(0.3)) == ()
+    eta = np.linspace(-4.0, 4.0, 6).reshape(2, 3)
+    h = z.feret(eta)
+    assert h.shape == (2, 3)
+    np.testing.assert_allclose(h, _dense_feret(z, eta), rtol=1e-14)
+
+
+def test_feret_builds_no_angles_by_faces_array():
+    # 65536 angles at n = 8192: one (angles, faces) block of 2^20 |sin|
+    # entries alone is 8 MB, the per-interval sinusoid a few angle arrays
+    z = Zonotope(np.linspace(1.0, 2.0, 8192), t=0.3)
+    eta = np.linspace(-7.0, 7.0, 65536)
+    tracemalloc.start()
+    try:
+        h = z.feret(eta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    np.testing.assert_allclose(h[::4099], _dense_feret(z, eta[::4099]), rtol=1e-11)
+
+
 def test_vertices_known_shapes():
     sq = Zonotope([1.0, 1.0]).vertices()
     got = sorted(map(tuple, np.round(sq.vertices, 12)))
