@@ -11,8 +11,8 @@ metrics, on up to _LANES offsets in lockstep, whose refinement evaluates the
 same sinusoid at O(1) cost per offset and probe.  So the kernel measures the
 distance to the interpolant through the node samples.
 The offset scan calls the kernel once on a grid of offsets, then refines the
-best and the worst grid offset to OFFSET_ANGLE_TOL by a section search whose
-every step is one kernel call on _BLOCK probes of each bracket.
+best and the worst grid offset to OFFSET_ANGLE_TOL by the section search of
+metrics, whose every step is one kernel call on the probes of both brackets.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .bodies import (RTOL, face_lengths, feret_values, regular_subdivision, require_count,
                      require_finite)
 from .errors import ParameterError
-from .metrics import hausdorff_distance, refine_sup, sup_grid
+from .metrics import hausdorff_distance, refine_sup, section_search, sup_grid
 from .zonotopes import Zonotope
 
 #: Width in radians below which the offset scan stops narrowing its brackets.
@@ -30,12 +30,14 @@ OFFSET_ANGLE_TOL = 1e-6
 #: sinusoids and the distances stay within 4 times the largest sample.
 _FERET_LIMIT = np.finfo(float).max / 4.0
 
-#: Offsets the kernel evaluates together, and the probes of one section-search
-#: step; bounds the kernel's (block, sup grid) arrays.
+#: Offsets the kernel evaluates together, as many as the probes of one
+#: section-search step; bounds the kernel's (block, sup grid) arrays.
 _BLOCK = 16
 
 #: Offsets whose sups one `refine_sup` call refines in lockstep; bounds its
-#: (n, lanes) node arrays and (lanes, probes) angle arrays.
+#: (n, lanes) node arrays and (lanes, probes) angle arrays.  x.feret takes
+#: those angles in one call, so a body whose cost per angle grows, such as a
+#: polygon through `caliper_width`, bounds its own temporaries.
 _LANES = 256
 
 
@@ -193,21 +195,12 @@ def _offset_scan(x, n, grid_points, signs):
     objective = np.multiply.outer(signs, distances(offsets))
     i = np.argmax(objective, axis=1)
     tau, best = offsets[i], objective[np.arange(len(signs)), i]
-    # each bracket's ends and _BLOCK evenly spaced probes between them; the
-    # objective has period pi/n, so a bracket may reach past [0, pi/n) and
-    # every bracket keeps the same width
-    frac = np.arange(_BLOCK + 2) / (_BLOCK + 1)
-    lo, width = tau - step, 2.0 * step
-    while width > OFFSET_ANGLE_TOL:
-        points = np.add.outer(lo, width * frac)
-        probes = points[:, 1:-1] % period
-        values = signs[:, None] * distances(probes)
-        j = np.argmax(values, axis=1)
-        r = np.arange(len(j))
-        better = values[r, j] > best
-        tau = np.where(better, probes[r, j], tau)
-        best = np.where(better, values[r, j], best)
-        lo, width = points[r, j], width * 2.0 / (_BLOCK + 1)
+    # the metrics section search from each grid offset; the objective has
+    # period pi/n, so a bracket may reach past [0, pi/n) and is probed mod it
+    tau, _ = section_search(lambda e: signs[:, None] * distances(e % period),
+                            (tau - step)[:, None], 2.0 * step, OFFSET_ANGLE_TOL,
+                            (tau[:, None], best[:, None]))
+    tau = tau[:, 0] % period
     return [(t, Zonotope(_interpolant(x, n, t)[1], t=t)) for t in tau.tolist()]
 
 
@@ -217,8 +210,8 @@ def scan_offsets(x, n, grid_points=256):
     Evaluates the interpolant distance once at each of `grid_points` offsets
     over [0, pi/n) (the objective's period), then refines the first grid
     minimum and the first grid maximum to OFFSET_ANGLE_TOL by a section search:
-    each step evaluates _BLOCK evenly spaced probes of both brackets in one
-    kernel call and keeps the probes on either side of the first best one.
+    each step evaluates evenly spaced probes of both brackets in one kernel
+    call and keeps the probes on either side of the first best one.
     A probe replaces the running offset only when it is strictly better, so
     ties break toward the smallest offset.  Each reported distance is
     hausdorff_distance of x and the interpolant at its offset.  The scan

@@ -66,15 +66,32 @@ def direction(theta):
     return np.stack([-np.sin(t), np.cos(t)], axis=-1)
 
 
+#: Point projections that `caliper_width` holds at once: it goes through its
+#: angles in row blocks of at most this many, so its temporaries stay two
+#: cache-sized buffers however many points and angles there are.
+_PROJ_ENTRIES = 2**16
+
+
 def caliper_width(points, theta):
     """Width of a point set along u(theta): the spread of its projections.
 
     Elementwise, so the bits of one angle's width never depend on the shape
-    of the angle array, as a matmul's can.
+    of the angle array, as a matmul's can, nor on its row blocks.  Its cost
+    per angle grows with the number of points; a scalar angle gives a scalar.
     """
     u = direction(theta)
-    proj = u[..., :1] * points[:, 0] + u[..., 1:] * points[:, 1]
-    return proj.max(axis=-1) - proj.min(axis=-1)
+    shape, u = u.shape[:-1], u.reshape(-1, 2)
+    x, y = points[:, 0], points[:, 1]
+    rows = max(_PROJ_ENTRIES // len(x), 1)
+    width = np.empty(len(u))
+    proj, term = np.empty((2, min(rows, len(u)), len(x)))
+    for s in range(0, len(u), rows):
+        b = u[s:s + rows]
+        p = proj[:len(b)]
+        np.multiply(b[:, :1], x, out=p)
+        np.add(p, np.multiply(b[:, 1:], y, out=term[:len(b)]), out=p)
+        width[s:s + rows] = p.max(axis=1) - p.min(axis=1)
+    return width.reshape(shape)[()]
 
 
 def regular_subdivision(n):

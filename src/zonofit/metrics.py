@@ -3,8 +3,9 @@
 Every sup over angle in zonofit, here and in the offset scan, is one search:
 the grid of `sup_grid`, then `refine_sup` around the grid maximum, a section
 search whose every step evaluates _PROBES points of every lane in one call of
-the function.  Bodies and convex polygons alike are evaluated through their
-`feret` method, which takes arrays of angles of any shape.
+the function.  The offset scan's search over rotation offsets is the same
+`section_search`.  Bodies and convex polygons alike are evaluated through
+their `feret` method, which takes arrays of angles of any shape.
 No functional here imports scipy: `perimeter_cauchy` sums its Simpson rule
 in numpy.
 """
@@ -17,46 +18,56 @@ from .errors import ParameterError
 SUP_GRID_SIZE = 4096
 SUP_ANGLE_TOL = 1e-8
 
-#: Evenly spaced interior probes of a bracket that one search step evaluates,
-#: as in the offset scan; each step narrows the bracket by 2/(_PROBES + 1).
+#: Evenly spaced interior probes of a bracket that one search step evaluates;
+#: each step narrows the bracket by 2/(_PROBES + 1).
 _PROBES = 16
 
 _FRAC = np.arange(_PROBES + 2) / (_PROBES + 1)
 
 
-def golden_section_max(f, a, b, tol):
-    """Maximum of f on [a, b] by a section search; returns (x, f(x)).
+def section_search(f, lo, width, tol, best=None):
+    """Maximum of f on the brackets [lo, lo + width] by a section search;
+    returns (x, f(x)).
 
-    Each step evaluates _PROBES evenly spaced interior points of the bracket
-    in one call of f, then narrows the bracket to the two points beside the
-    step's best probe, until it is at most tol wide.  A probe replaces the
-    best point only when it is strictly higher, so ties keep the earlier
-    point.  Assumes f is unimodal on the bracket; on plateaus or multimodal
-    brackets it still returns the best point it evaluated.  f maps a
-    (_PROBES,) array of points to their values.  `a` and `b` may also be
-    arrays of brackets of equal width, searched in lockstep: f then maps a
-    (lanes, _PROBES) array, each lane steps as a scalar search on its bracket
-    would, and x and f(x) are arrays.  Raises ParameterError unless tol > 0,
-    which the loop needs to stop.  (It keeps the name of the golden-section
-    search it replaced, under which perfbench traces it.)
+    Each step evaluates _PROBES evenly spaced interior points of every
+    bracket in one call of f, then narrows each bracket to the two points
+    beside its step's best probe, until the brackets are at most tol wide.
+    lo holds one bracket start per lane, of shape (lanes..., 1), width is
+    one for all lanes or one per lane, and f maps the (lanes..., _PROBES)
+    array of probes to their values; x and f(x) have lo's shape.  The
+    search starts from best = (x, f(x)) when given, else from the first
+    step's best probe, and a probe replaces the best point only when it is
+    strictly higher, so ties keep the earlier point.  Assumes f is unimodal
+    on the bracket; on plateaus or multimodal brackets it still returns the
+    best point it evaluated.  Raises ParameterError unless tol > 0, which
+    the loop needs to stop.
     """
     if not tol > 0:
         raise ParameterError(f"section-search tolerance must be > 0, got {tol!r}")
-
-    def step(lo, width):
-        """(best probe, its value, new bracket start, new width) of one step."""
+    while best is None or np.any(width > tol):
         values = np.asarray(f(lo + width * _FRAC[1:-1]), dtype=float)
         j = np.argmax(values, axis=-1)[..., None]
-        return (lo + width * _FRAC[j + 1], values.max(axis=-1, keepdims=True),
-                lo + width * _FRAC[j], width * 2.0 / (_PROBES + 1))
+        x, v = lo + width * _FRAC[j + 1], values.max(axis=-1, keepdims=True)
+        lo, width = lo + width * _FRAC[j], width * 2.0 / (_PROBES + 1)
+        if best is not None:
+            better = v > best[1]
+            x, v = np.where(better, x, best[0]), np.where(better, v, best[1])
+        best = x, v
+    return best
 
-    best_x, best_v, lo, width = step(np.asarray(a, dtype=float)[..., None],
-                                     np.asarray(b - a, dtype=float)[..., None])
-    while np.any(width > tol):
-        x, v, lo, width = step(lo, width)
-        better = v > best_v
-        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
-    return best_x[..., 0], best_v[..., 0]
+
+def golden_section_max(f, a, b, tol):
+    """Maximum of f on [a, b] by `section_search`; returns (x, f(x)).
+
+    f maps a (_PROBES,) array of points to their values.  `a` and `b` may
+    also be arrays of brackets of equal width, searched in lockstep: f then
+    maps a (lanes, _PROBES) array, each lane steps as a scalar search on its
+    bracket would, and x and f(x) are arrays.  (It keeps the name of the
+    golden-section search it replaced, under which perfbench traces it.)
+    """
+    x, v = section_search(f, np.asarray(a, dtype=float)[..., None],
+                          np.asarray(b - a, dtype=float)[..., None], tol)
+    return x[..., 0], v[..., 0]
 
 
 def sup_grid(n=1):

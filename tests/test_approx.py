@@ -499,6 +499,21 @@ class TestDistanceKernel:
             gc.enable()
         assert current < 2 ** 20
 
+    def test_many_vertex_polygon_bounds_the_temporaries(self):
+        # a polygon's feret costs O(vertices) per angle, and the kernel hands
+        # it the sup grid and every refinement's (lanes, probes) angles in
+        # one call: one (4096, 2048) array of projections would be 64 MB
+        k = np.arange(2048) * (2.0 * np.pi / 2048)
+        x = SymmetricPolygon(np.stack([3.0 * np.cos(k), np.sin(k)], axis=1))
+        tracemalloc.start()
+        try:
+            d = offset_distances(x, 8, np.arange(256) * (np.pi / 8 / 256))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert d[0] == pytest.approx(hausdorff_distance(x, c0_approximate(x, 8)), rel=1e-9)
+
     def test_keeps_offset_shape(self):
         distances = approx._distance_kernel(Ellipse(2.0, 1.0), 4)
         assert distances(0.1).shape == ()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from zonofit import (
     regular_subdivision,
     sample_shape,
 )
+from zonofit import bodies
 from zonofit.bodies import face_lengths, is_regular_subdivision, require_count
 from conftest import sampled_width
 
@@ -143,6 +146,41 @@ def test_polygon_feret_bits_independent_of_angle_shape(regular_hexagon):
     for col in range(th.shape[1]):
         np.testing.assert_array_equal(regular_hexagon.feret(th[:, col:col + 1]),
                                       whole[:, col:col + 1])
+
+
+def _ellipse_polygon(m):
+    k = np.arange(m) * (2.0 * np.pi / m)
+    return SymmetricPolygon(np.stack([3.0 * np.cos(k), np.sin(k)], axis=1))
+
+
+def test_polygon_feret_bits_independent_of_row_blocks(monkeypatch):
+    # caliper_width goes by row blocks of angles; one angle per block gives
+    # the bits of one block for all, and of the projections spelled out
+    x = _ellipse_polygon(64)
+    th = np.linspace(-4.0, 4.0, 300).reshape(3, 100)
+    whole = x.feret(th)
+    monkeypatch.setattr(bodies, "_PROJ_ENTRIES", 1)
+    np.testing.assert_array_equal(x.feret(th), whole)
+    u = direction(th)
+    proj = u[..., :1] * x.vertices[:, 0] + u[..., 1:] * x.vertices[:, 1]
+    np.testing.assert_array_equal(proj.max(axis=-1) - proj.min(axis=-1), whole)
+    assert np.shape(x.feret(0.3)) == () and x.feret(0.3) == x.feret(np.array([0.3]))[0]
+
+
+def test_polygon_feret_bounds_its_temporaries():
+    # 4096 angles of a 1024-vertex polygon: one (angles, vertices) array of
+    # projections is 32 MB, the row blocks two of 0.5 MB
+    x = _ellipse_polygon(1024)
+    th = np.linspace(0.0, np.pi, 4096)
+    tracemalloc.start()
+    try:
+        h = x.feret(th)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    np.testing.assert_allclose(h[::455], [sampled_width(x.vertices, t) for t in th[::455]],
+                               rtol=1e-14)
 
 
 def test_asymmetric_polygon_rejected():
